@@ -22,33 +22,32 @@ beta = np.ones(10)
 trials = 4000
 print(f"M={config.M}, K={config.K}, unit gains, {trials} trials\n")
 
-uplink, downlink = estimate_link_se(config, beta, "proposed", trials, seed=42)
+estimate = estimate_link_se(config, beta, "proposed", trials, seed=42)
 bounds = bound_report(config, beta)
 idx_sic = bounds.dl_proposed.shape[1]
 
 print("uplink (access phase):")
-print(f"  simulated {uplink[0].mean:.4f} +- {uplink[0].stderr:.4f}")
-print(f"  Jensen    {bounds.uplink[0]:.4f}  (gap {uplink[0].mean - bounds.uplink[0]:+.4f})")
+print(f"  simulated {estimate.uplink[0]:.4f} +- {estimate.uplink_stderr[0]:.4f}")
+print(f"  Jensen    {bounds.uplink[0]:.4f}  (gap {estimate.uplink[0] - bounds.uplink[0]:+.4f})")
 print()
 
 print("broadcast slots of user 1 (cancelation phase then zero-forcing):")
 print("slot   simulated    closed form   kind")
 for t in range(1, config.K):
-    est = downlink[0][t - 1]
     if t <= idx_sic:
         closed, kind = bounds.dl_proposed[0, t - 1], "Jensen lower bound"
     else:
         closed, kind = bounds.zf_asymptotic[0, t - 1 - idx_sic], "mean-Gram asymptote"
-    print(f"{t:4d}   {est.mean:.4f}       {closed:.4f}        {kind}")
+    print(f"{t:4d}   {estimate.downlink[0, t - 1]:.4f}       {closed:.4f}        {kind}")
 print()
 
-zf_mc = np.mean([downlink[k][idx_sic].mean for k in range(config.K)])
+zf_mc = estimate.downlink[:, idx_sic].mean()
 zf_asym = zf_asymptotic_rate(beta, config.p_r, config.K, 1, 1)
 print(f"zero-forcing slot, user average: simulated {zf_mc:.3f} vs asymptote {zf_asym:.3f}")
 print("the asymptote assumes the residual Gram hardens at its mean; at K=10 the")
 print("Gram keeps order-one relative spread for any M, hence the persistent gap.")
 print()
 
-composed = sum_se(uplink, downlink, "proposed", config.K)
+composed = sum_se(estimate, "proposed")
 print(f"sum SE (proposed): {composed.sum_se:.3f} bit/s/Hz "
       f"(pre-log {composed.pre_log:.4f}, conservative stderr {composed.stderr:.3f})")

@@ -36,12 +36,10 @@ from .channel import (
 from .exceptions import DegenerateChannelError, InvalidConfigError, SingularSystemError
 from .montecarlo import (
     CdfResult,
-    MonteCarloEstimate,
+    LinkEstimate,
     SumSeReport,
     cdf_experiment,
-    estimate_downlink_se,
     estimate_link_se,
-    estimate_uplink_se,
     resolve_workers,
     sum_se,
     sum_se_once,

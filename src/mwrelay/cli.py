@@ -221,33 +221,35 @@ def _require_out(options):
     return options["out"]
 
 
-def _link_rows(experiment, scheme, config, beta, seed, uplink, downlink, report):
+def _closed_form_cells(report, scheme, K):
+    """(user, slot, metric, closed-form value) per cell; slot 0 is the uplink."""
+    sic_slots = SlotIndexer(K).sic_slots
+    for k in range(1, K + 1):
+        yield k, 0, "se_bound", report.uplink[k - 1]
+        for t in range(1, K):
+            if scheme == "conventional":
+                yield k, t, "se_bound", report.dl_conventional[k - 1, t - 1]
+            elif t <= sic_slots:
+                yield k, t, "se_bound", report.dl_proposed[k - 1, t - 1]
+            else:
+                yield k, t, "se_asym", report.zf_asymptotic[k - 1, t - 1 - sic_slots]
+
+
+def _link_rows(experiment, scheme, config, beta, seed, estimate, report):
     """Aggregate + per-user rows for one (M, scheme) cell."""
-    K = config.K
-    idx = SlotIndexer(K)
-    composed = sum_se(uplink, downlink, scheme, K)
+    M, K = config.M, config.K
+    composed = sum_se(estimate, scheme)
     analytic = analytic_sum_se(config, beta, scheme)
     rows = [
-        (experiment, scheme, config.M, K, 0, 0, "sum_se", composed.sum_se, composed.stderr, seed),
-        (experiment, scheme, config.M, K, 0, 0, "se_bound", analytic, 0.0, seed),
+        (experiment, scheme, M, K, 0, 0, "sum_se", composed.sum_se, composed.stderr, seed),
+        (experiment, scheme, M, K, 0, 0, "se_bound", analytic, 0.0, seed),
     ]
-    for k in range(1, K + 1):
-        rows.append((experiment, scheme, config.M, K, k, 0, "se_mc",
-                     uplink[k - 1].mean, uplink[k - 1].stderr, seed))
-        rows.append((experiment, scheme, config.M, K, k, 0, "se_bound",
-                     report.uplink[k - 1], 0.0, seed))
-        for t in range(1, K):
-            est = downlink[k - 1][t - 1]
-            rows.append((experiment, scheme, config.M, K, k, t, "se_mc", est.mean, est.stderr, seed))
-            if scheme == "conventional":
-                rows.append((experiment, scheme, config.M, K, k, t, "se_bound",
-                             report.dl_conventional[k - 1, t - 1], 0.0, seed))
-            elif t <= idx.sic_slots:
-                rows.append((experiment, scheme, config.M, K, k, t, "se_bound",
-                             report.dl_proposed[k - 1, t - 1], 0.0, seed))
-            else:
-                rows.append((experiment, scheme, config.M, K, k, t, "se_asym",
-                             report.zf_asymptotic[k - 1, t - 1 - idx.sic_slots], 0.0, seed))
+    # Column 0 is the uplink, columns 1..K-1 the broadcast slots.
+    mc = np.column_stack([estimate.uplink, estimate.downlink])
+    mc_err = np.column_stack([estimate.uplink_stderr, estimate.downlink_stderr])
+    for k, t, metric, value in _closed_form_cells(report, scheme, K):
+        rows.append((experiment, scheme, M, K, k, t, "se_mc", mc[k - 1, t], mc_err[k - 1, t], seed))
+        rows.append((experiment, scheme, M, K, k, t, metric, value, 0.0, seed))
     return rows
 
 
@@ -261,10 +263,8 @@ def _run_sweep_m(options, experiment="sweep-m", aggregates_only=False):
         config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
         report = bound_report(config, profile.beta)
         for scheme in _schemes(options, experiment):
-            uplink, downlink = estimate_link_se(config, profile.beta, scheme,
-                                                options["trials"], seed)
-            cell = _link_rows(experiment, scheme, config, profile.beta, seed,
-                              uplink, downlink, report)
+            estimate = estimate_link_se(config, profile.beta, scheme, options["trials"], seed)
+            cell = _link_rows(experiment, scheme, config, profile.beta, seed, estimate, report)
             rows.extend(cell[:2] if aggregates_only else cell)
     return rows
 
@@ -299,25 +299,13 @@ def _run_bounds_table(options):
     K = options["k"]
     p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
     profile = _profile(options, K, seed)
-    idx = SlotIndexer(K)
     rows = []
     for M in parse_m_range(options["m"]):
         config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
         report = bound_report(config, profile.beta)
         for scheme in _schemes(options, "bounds-table"):
-            for k in range(1, K + 1):
-                rows.append(("bounds-table", scheme, M, K, k, 0, "se_bound",
-                             report.uplink[k - 1], 0.0, seed))
-                for t in range(1, K):
-                    if scheme == "conventional":
-                        rows.append(("bounds-table", scheme, M, K, k, t, "se_bound",
-                                     report.dl_conventional[k - 1, t - 1], 0.0, seed))
-                    elif t <= idx.sic_slots:
-                        rows.append(("bounds-table", scheme, M, K, k, t, "se_bound",
-                                     report.dl_proposed[k - 1, t - 1], 0.0, seed))
-                    else:
-                        rows.append(("bounds-table", scheme, M, K, k, t, "se_asym",
-                                     report.zf_asymptotic[k - 1, t - 1 - idx.sic_slots], 0.0, seed))
+            rows.extend(("bounds-table", scheme, M, K, k, t, metric, value, 0.0, seed)
+                        for k, t, metric, value in _closed_form_cells(report, scheme, K))
     return rows
 
 

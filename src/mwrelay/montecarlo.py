@@ -1,5 +1,11 @@
 """Ergodic spectral-efficiency estimation over Rayleigh channel draws.
 
+One kernel, ``_slot_rates``, scores a stack of P large-scale gain profiles
+on shared small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i)
+h_k^H h_i. Fixed-gain estimation (``estimate_link_se``) is the P = 1 case,
+batched over trials; the placement study (``cdf_experiment``) is the P > 1
+case, chunked over profiles.
+
 Trials are indexed units of work: trial i's channel comes from the
 (seed, trial-index) substream regardless of batching or thread count, and
 aggregation runs in trial order, so estimates are bit-reproducible for any
@@ -17,12 +23,10 @@ from .exceptions import SingularSystemError
 from .schedule import SlotIndexer
 
 __all__ = [
-    "MonteCarloEstimate",
+    "LinkEstimate",
     "SumSeReport",
     "CdfResult",
     "SCHEMES",
-    "estimate_uplink_se",
-    "estimate_downlink_se",
     "estimate_link_se",
     "sum_se",
     "sum_se_once",
@@ -44,17 +48,18 @@ def resolve_workers(requested=None):
 
 
 @dataclass(frozen=True)
-class MonteCarloEstimate:
-    """Sample mean and standard error of one ergodic quantity."""
+class LinkEstimate:
+    """Ergodic SE sample means and standard errors from one set of draws.
 
-    mean: float
-    stderr: float
+    ``uplink`` is (K,); ``downlink`` is (K, K-1), one column per broadcast
+    slot. Standard errors are 0 when ``trials`` is 1.
+    """
+
+    uplink: np.ndarray
+    uplink_stderr: np.ndarray
+    downlink: np.ndarray
+    downlink_stderr: np.ndarray
     trials: int
-
-    @property
-    def single_trial(self):
-        """True when the run cannot estimate its own error (stderr reported as 0)."""
-        return self.trials < 2
 
 
 @dataclass(frozen=True)
@@ -94,15 +99,41 @@ def _check_scheme(scheme):
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
 
-def _zf_beam_table(indexer):
-    """(K, sic_slots, n_unknowns) column indices, 0-based, of the residual system."""
-    K, rows, cols = indexer.K, indexer.sic_slots, indexer.n_unknowns
-    table = np.empty((K, rows, cols), dtype=np.intp)
-    for k0 in range(K):
-        for m0 in range(rows):
-            for n0 in range(cols):
-                table[k0, m0, n0] = (k0 + indexer.sic_slots + n0 - m0) % K
-    return table
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
+def _pre_log(K, scheme):
+    idx = SlotIndexer(K)
+    return 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
+
+
+def _slot_plan(K, scheme):
+    """Held-column windows of the interference-limited slots, and the ZF beam table.
+
+    Windows are (K, held) 0-based column indices per slot. The conventional
+    pair is ordered like the t=1 cancelation window so the two schemes give
+    bit-identical slot-1 values. The beam table is (K, sic_slots, n_unknowns)
+    from SlotIndexer.beam, or None when no slot is zero-forced.
+    """
+    _check_scheme(scheme)
+    idx = SlotIndexer(K)
+    if scheme == "conventional":
+        windows = [np.array([[(k0 - t) % K, k0] for k0 in range(K)]) for t in range(1, K)]
+        return windows, None
+    windows = [
+        np.array([[(k0 - t + d) % K for d in range(t + 1)] for k0 in range(K)])
+        for t in range(1, idx.sic_slots + 1)
+    ]
+    if not idx.n_unknowns:
+        return windows, None
+    beams = np.array([
+        [[idx.beam(k, m, n) - 1 for n in range(1, idx.n_unknowns + 1)]
+         for m in range(1, idx.sic_slots + 1)]
+        for k in range(1, K + 1)
+    ])
+    return windows, beams
 
 
 def _batch_size(M, K):
@@ -110,159 +141,115 @@ def _batch_size(M, K):
     return int(np.clip(8_000_000 // (16 * M * K), 8, 1024))
 
 
-def _rate_samples(config, beta, scheme, trials, seed, workers=None, want_dl=True):
-    """Instantaneous SE samples: (trials, K) uplink and (trials, K, K-1) downlink."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if want_dl:
-        _check_scheme(scheme)
-    M, K = config.M, config.K
-    beta = np.asarray(getattr(beta, "beta", beta), dtype=float)
-    idx = SlotIndexer(K)
-    sqrt_beta = np.sqrt(beta)
-    c = config.p_r / (M * beta.sum())
-    users = np.arange(K)
-
-    # Per-slot interference bookkeeping, all 0-based column indices. The
-    # conventional exclusion pair is ordered like the t=1 cancelation window
-    # so the two schemes produce bit-identical slot-1 values.
-    conv_excl = np.array(
-        [[[(k0 - t) % K, k0] for k0 in range(K)] for t in range(1, K)]
-    )
-    prop_windows = [
-        np.array([[(k0 - t + d) % K for d in range(t + 1)] for k0 in range(K)])
-        for t in range(1, idx.sic_slots + 1)
-    ]
-    zf_beams = _zf_beam_table(idx) if (want_dl and scheme == "proposed" and idx.n_unknowns) else None
-
-    ul_out = np.empty((trials, K))
-    dl_out = np.empty((trials, K, K - 1)) if want_dl else None
-
-    def run_batch(start, stop):
-        span = stop - start
-        G = np.empty((span, M, K), dtype=complex)
-        for pos, trial in enumerate(range(start, stop)):
-            rng = substream(seed, STREAM_CHANNEL, trial)
-            G[pos] = draw_small_scale(M, K, rng)
-        G *= sqrt_beta[None, None, :]  # composition g_mk = sqrt(beta_k) h_mk
-
-        gram = G.conj().transpose(0, 2, 1) @ G
-        norms = np.einsum("bkk->bk", gram).real
-        power = gram.real**2 + gram.imag**2
-        row_sum = power.sum(axis=2)
-
-        interference = row_sum - norms**2
-        ul_out[start:stop] = np.log2(
-            1.0 + config.p_u * norms**2 / (config.p_u * interference + norms)
-        )
-        if not want_dl:
-            return
-
-        signal = c * norms**2
-        if scheme == "conventional":
-            for t in range(1, K):
-                held = power[:, users[:, None], conv_excl[t - 1]].sum(axis=2)
-                dl_out[start:stop, :, t - 1] = np.log2(1.0 + signal / (c * (row_sum - held) + 1.0))
-        else:
-            for t in range(1, idx.sic_slots + 1):
-                window = prop_windows[t - 1]
-                held = power[:, users[:, None], window].sum(axis=2)
-                dl_out[start:stop, :, t - 1] = np.log2(1.0 + signal / (c * (row_sum - held) + 1.0))
-            if zf_beams is not None:
-                mixing = gram[:, users[:, None, None], zf_beams]
-                zf_gram = mixing.conj().transpose(0, 1, 3, 2) @ mixing
-                try:
-                    inverse = np.linalg.inv(zf_gram)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularSystemError(f"singular residual Gram in batch {start}:{stop}") from exc
-                noise_gain = np.einsum("bknn->bkn", inverse).real
-                if not np.all(np.isfinite(noise_gain)) or np.any(noise_gain <= 0):
-                    raise SingularSystemError(f"nonpositive noise gain in batch {start}:{stop}")
-                dl_out[start:stop, :, idx.sic_slots:] = np.log2(1.0 + c / noise_gain)
-
-    step = _batch_size(M, K)
-    spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+def _run_spans(fn, total, step, workers=None):
+    """Call fn(lo, hi) over [0, total) in spans of ``step``, on a thread pool."""
+    spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     n_workers = min(resolve_workers(workers), len(spans))
     if n_workers <= 1:
         for lo, hi in spans:
-            run_batch(lo, hi)
+            fn(lo, hi)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for future in [pool.submit(run_batch, lo, hi) for lo, hi in spans]:
+            for future in [pool.submit(fn, lo, hi) for lo, hi in spans]:
                 future.result()
-    return ul_out, dl_out
 
 
-def _collapse(samples):
-    trials = samples.shape[0]
-    mean = samples.mean(axis=0)
-    if trials < 2:
-        stderr = np.zeros_like(mean)
-    else:
-        stderr = samples.std(axis=0, ddof=1) / np.sqrt(trials)
-    return mean, stderr
+def _channel_gram(M, K, seed, start, stop):
+    """Small-scale Gram H^H H of trials start..stop-1, each from its own substream."""
+    H = np.empty((stop - start, M, K), dtype=complex)
+    for pos, trial in enumerate(range(start, stop)):
+        H[pos] = draw_small_scale(M, K, substream(seed, STREAM_CHANNEL, trial))
+    return H.conj().transpose(0, 2, 1) @ H
 
 
-def estimate_uplink_se(config, beta, trials, seed, workers=None):
-    """Per-user ergodic uplink SE as MonteCarloEstimate objects."""
-    ul, _ = _rate_samples(config, beta, None, trials, seed, workers, want_dl=False)
-    mean, stderr = _collapse(ul)
-    return [MonteCarloEstimate(float(m), float(s), trials) for m, s in zip(mean, stderr)]
+def _slot_rates(config, gram_h, betas, plan):
+    """Per-trial SE of P gain profiles on T shared small-scale Grams.
 
-
-def estimate_downlink_se(config, beta, scheme, trials, seed, workers=None):
-    """Per-(user, slot) ergodic downlink SE; K-1 slots per user.
-
-    For the proposed scheme the first sic_slots columns are the cancelation
-    slots and the rest come from the zero-forcing stage.
+    ``gram_h`` is (T, K, K), ``betas`` (P, K) and ``plan`` comes from
+    ``_slot_plan``. Returns uplink (P, T, K) and downlink (P, T, K, K-1).
     """
-    _, dl = _rate_samples(config, beta, scheme, trials, seed, workers)
-    mean, stderr = _collapse(dl)
-    return [
-        [MonteCarloEstimate(float(mean[k, t]), float(stderr[k, t]), trials)
-         for t in range(mean.shape[1])]
-        for k in range(mean.shape[0])
-    ]
+    windows, beams = plan
+    K = gram_h.shape[-1]
+    users = np.arange(K)[:, None]
+    power = (gram_h.real**2 + gram_h.imag**2)[None] * (betas[:, None, :, None] * betas[:, None, None, :])
+    norms = np.einsum("tkk->tk", gram_h).real[None] * betas[:, None, :]
+    row_sum = power.sum(axis=3)
+    c = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
+
+    interference = row_sum - norms**2
+    ul = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
+
+    dl = np.empty(ul.shape + (K - 1,))
+    signal = c * norms**2
+    for t, window in enumerate(windows):
+        held = power[:, :, users, window].sum(axis=3)
+        dl[..., t] = np.log2(1.0 + signal / (c * (row_sum - held) + 1.0))
+    if beams is not None:
+        sqrt_b = np.sqrt(betas)
+        scale = sqrt_b[:, :, None, None] * sqrt_b[:, beams]  # (P, K, rows, cols)
+        mixing = gram_h[:, users[:, :, None], beams][None] * scale[:, None]
+        zf_gram = mixing.conj().swapaxes(-2, -1) @ mixing
+        try:
+            inverse = np.linalg.inv(zf_gram)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError("singular residual Gram") from exc
+        noise_gain = np.einsum("...nn->...n", inverse).real
+        if not np.all(np.isfinite(noise_gain)) or np.any(noise_gain <= 0):
+            raise SingularSystemError("nonpositive noise gain")
+        dl[..., len(windows):] = np.log2(1.0 + c[..., None] / noise_gain)
+    return ul, dl
+
+
+def _min_sum(ul, dl):
+    """min(uplink_k, downlink_kt) summed over users and slots, per leading index."""
+    return np.minimum(ul[..., None], dl).sum(axis=(-2, -1))
 
 
 def estimate_link_se(config, beta, scheme, trials, seed, workers=None):
-    """Uplink and downlink estimates from one shared set of channel draws."""
-    ul, dl = _rate_samples(config, beta, scheme, trials, seed, workers)
-    ul_mean, ul_err = _collapse(ul)
-    dl_mean, dl_err = _collapse(dl)
-    uplink = [MonteCarloEstimate(float(m), float(s), trials) for m, s in zip(ul_mean, ul_err)]
-    downlink = [
-        [MonteCarloEstimate(float(dl_mean[k, t]), float(dl_err[k, t]), trials)
-         for t in range(dl_mean.shape[1])]
-        for k in range(dl_mean.shape[0])
-    ]
-    return uplink, downlink
+    """Uplink and downlink ergodic SE from one shared set of channel draws.
+
+    For the proposed scheme the first sic_slots downlink columns are the
+    cancelation slots and the rest come from the zero-forcing stage.
+    """
+    _check_trials(trials)
+    plan = _slot_plan(config.K, scheme)
+    M, K = config.M, config.K
+    betas = np.asarray(getattr(beta, "beta", beta), dtype=float)[None]
+    # Keep the profile axis so the trial means reduce exactly as in cdf_experiment.
+    ul = np.empty((1, trials, K))
+    dl = np.empty((1, trials, K, K - 1))
+
+    def run_batch(lo, hi):
+        ul[:, lo:hi], dl[:, lo:hi] = _slot_rates(config, _channel_gram(M, K, seed, lo, hi), betas, plan)
+
+    _run_spans(run_batch, trials, _batch_size(M, K), workers)
+    if trials < 2:
+        ul_err, dl_err = np.zeros(K), np.zeros((K, K - 1))
+    else:
+        ul_err = ul[0].std(axis=0, ddof=1) / np.sqrt(trials)
+        dl_err = dl[0].std(axis=0, ddof=1) / np.sqrt(trials)
+    return LinkEstimate(uplink=ul.mean(axis=1)[0], uplink_stderr=ul_err,
+                        downlink=dl.mean(axis=1)[0], downlink_stderr=dl_err, trials=trials)
 
 
-def sum_se(uplink_estimates, downlink_estimates, scheme, K):
-    """Compose ergodic means into the scheme's sum SE.
+def sum_se(estimate, scheme):
+    """Compose a LinkEstimate into the scheme's sum SE.
 
     Applies min(uplink_k, downlink_{k,t}) to the already-averaged rates for
     every user and slot, sums, and scales by the scheme pre-log
     (1/(sic_slots + 1) proposed, 1/K conventional).
     """
     _check_scheme(scheme)
-    idx = SlotIndexer(K)
-    if len(uplink_estimates) != K:
-        raise ValueError(f"expected {K} uplink estimates, got {len(uplink_estimates)}")
-    if len(downlink_estimates) != K or any(len(row) != K - 1 for row in downlink_estimates):
-        raise ValueError(f"downlink estimates must cover {K} users x {K - 1} slots")
-    ul = np.array([e.mean for e in uplink_estimates])
-    ul_err = np.array([e.stderr for e in uplink_estimates])
-    dl = np.array([[e.mean for e in row] for row in downlink_estimates])
-    dl_err = np.array([[e.stderr for e in row] for row in downlink_estimates])
-    min_rates = np.minimum(ul[:, None], dl)
-    binding_err = np.where(ul[:, None] <= dl, ul_err[:, None], dl_err)
-    pre_log = 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
+    ul, dl = estimate.uplink, estimate.downlink
+    K = ul.shape[0]
+    if dl.shape != (K, K - 1):
+        raise ValueError(f"downlink estimates must cover {K} users x {K - 1} slots, got {dl.shape}")
+    pre_log = _pre_log(K, scheme)
+    binding_err = np.where(ul[:, None] <= dl, estimate.uplink_stderr[:, None], estimate.downlink_stderr)
     return SumSeReport(
         scheme=scheme,
-        min_rates=min_rates,
-        sum_se=float(pre_log * min_rates.sum()),
+        min_rates=np.minimum(ul[:, None], dl),
+        sum_se=float(pre_log * _min_sum(ul, dl)),
         pre_log=pre_log,
         stderr=float(pre_log * binding_err.sum()),
     )
@@ -270,32 +257,7 @@ def sum_se(uplink_estimates, downlink_estimates, scheme, K):
 
 def sum_se_once(config, beta, scheme, trials, seed, workers=None):
     """Run one Monte Carlo pass and reduce it straight to a SumSeReport."""
-    uplink, downlink = estimate_link_se(config, beta, scheme, trials, seed, workers)
-    return sum_se(uplink, downlink, scheme, config.K)
-
-
-def _shared_channel_gram(M, K, trials, seed, workers=None):
-    """K x K small-scale Gram matrix H^H H for every trial substream."""
-    gram = np.empty((trials, K, K), dtype=complex)
-
-    def run_batch(start, stop):
-        span = stop - start
-        H = np.empty((span, M, K), dtype=complex)
-        for pos, trial in enumerate(range(start, stop)):
-            H[pos] = draw_small_scale(M, K, substream(seed, STREAM_CHANNEL, trial))
-        gram[start:stop] = H.conj().transpose(0, 2, 1) @ H
-
-    step = _batch_size(M, K)
-    spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    n_workers = min(resolve_workers(workers), len(spans))
-    if n_workers <= 1:
-        for lo, hi in spans:
-            run_batch(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for future in [pool.submit(run_batch, lo, hi) for lo, hi in spans]:
-                future.result()
-    return gram
+    return sum_se(estimate_link_se(config, beta, scheme, trials, seed, workers), scheme)
 
 
 def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
@@ -307,15 +269,14 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
     never depends on how many profiles run or on the thread count. All
     profiles are scored against the same channel draws (common random
     numbers): trial i's small-scale realization is a function of (seed, i)
-    alone, so identical profiles score identically. Scoring exploits that
-    the gains only rescale the shared per-trial Gram entries
-    (g_k^H g_i = sqrt(beta_k beta_i) h_k^H h_i), avoiding a fresh channel
-    sweep per profile.
+    alone, so identical profiles score identically, and each sample equals
+    ``sum_se_once`` with that profile's gains.
     """
-    _check_scheme(scheme)
+    plan = _slot_plan(config.K, scheme)
     if profiles < 1:
         raise ValueError("profiles must be >= 1")
-    K = config.K
+    _check_trials(trials_per_profile)
+    M, K, trials = config.M, config.K, trials_per_profile
     if geometry is None:
         betas = np.ones((profiles, K))
     else:
@@ -323,82 +284,22 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
             draw_large_scale(geometry, K, substream(seed, STREAM_PROFILE, p)).beta
             for p in range(profiles)
         ])
-    samples = _score_profiles(config, betas, scheme, trials_per_profile, seed, workers)
+
+    gram_h = np.empty((trials, K, K), dtype=complex)
+
+    def draw(lo, hi):
+        gram_h[lo:hi] = _channel_gram(M, K, seed, lo, hi)
+
+    _run_spans(draw, trials, _batch_size(M, K), workers)
+
+    pre_log = _pre_log(K, scheme)
+    samples = np.empty(profiles)
+
+    def score(lo, hi):
+        ul, dl = _slot_rates(config, gram_h, betas[lo:hi], plan)
+        samples[lo:hi] = pre_log * _min_sum(ul.mean(axis=1), dl.mean(axis=1))
+
+    # Keep each chunk's scratch arrays, per-trial downlink output included, around ~50 MB.
+    chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
+    _run_spans(score, profiles, chunk, workers)
     return CdfResult(samples=samples)
-
-
-def _score_profiles(config, betas, scheme, trials, seed, workers=None):
-    """Sum SE per profile row, all profiles scored on shared channel draws."""
-    M, K = config.M, config.K
-    idx = SlotIndexer(K)
-    users = np.arange(K)
-    gram_h = _shared_channel_gram(M, K, trials, seed, workers)
-    power_h = gram_h.real**2 + gram_h.imag**2
-    norms_h = np.einsum("bkk->bk", gram_h).real
-
-    conv_excl = np.array(
-        [[[(k0 - t) % K, k0] for k0 in range(K)] for t in range(1, K)]
-    )
-    prop_windows = [
-        np.array([[(k0 - t + d) % K for d in range(t + 1)] for k0 in range(K)])
-        for t in range(1, idx.sic_slots + 1)
-    ]
-    zf_beams = _zf_beam_table(idx) if (scheme == "proposed" and idx.n_unknowns) else None
-    mixing_h = (gram_h[:, users[:, None, None], zf_beams] if zf_beams is not None else None)
-
-    pre_log = 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
-    scores = np.empty(betas.shape[0])
-
-    def run_chunk(lo, hi):
-        b = betas[lo:hi]
-        pair = b[:, None, :, None] * b[:, None, None, :]
-        power = power_h[None] * pair
-        norms = norms_h[None] * b[:, None, :]
-        row_sum = power.sum(axis=3)
-        c = (config.p_r / (M * b.sum(axis=1)))[:, None, None]
-
-        interference = row_sum - norms**2
-        ul = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
-        ul_mean = ul.mean(axis=1)
-
-        dl_mean = np.empty((hi - lo, K, K - 1))
-        signal = c * norms**2
-        if scheme == "conventional":
-            for t in range(1, K):
-                held = power[:, :, users[:, None], conv_excl[t - 1]].sum(axis=3)
-                dl_mean[:, :, t - 1] = np.log2(1.0 + signal / (c * (row_sum - held) + 1.0)).mean(axis=1)
-        else:
-            for t in range(1, idx.sic_slots + 1):
-                held = power[:, :, users[:, None], prop_windows[t - 1]].sum(axis=3)
-                dl_mean[:, :, t - 1] = np.log2(1.0 + signal / (c * (row_sum - held) + 1.0)).mean(axis=1)
-            if mixing_h is not None:
-                sqrt_b = np.sqrt(b)
-                col_scale = sqrt_b[:, zf_beams]  # (chunk, K, rows, cols)
-                mix_scale = sqrt_b[:, :, None, None] * col_scale
-                mixing = mixing_h[None] * mix_scale[:, None]
-                zf_gram = mixing.conj().swapaxes(-2, -1) @ mixing
-                try:
-                    inverse = np.linalg.inv(zf_gram)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularSystemError(f"singular residual Gram in profiles {lo}:{hi}") from exc
-                noise_gain = np.einsum("...nn->...n", inverse).real
-                if not np.all(np.isfinite(noise_gain)) or np.any(noise_gain <= 0):
-                    raise SingularSystemError(f"nonpositive noise gain in profiles {lo}:{hi}")
-                zf_se = np.log2(1.0 + c[..., None] / noise_gain)
-                dl_mean[:, :, idx.sic_slots:] = zf_se.mean(axis=1)
-
-        min_rates = np.minimum(ul_mean[:, :, None], dl_mean)
-        scores[lo:hi] = pre_log * min_rates.sum(axis=(1, 2))
-
-    # Keep each chunk's scratch arrays around ~50 MB.
-    chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 3), 1, 64))
-    spans = [(lo, min(lo + chunk, betas.shape[0])) for lo in range(0, betas.shape[0], chunk)]
-    n_workers = min(resolve_workers(workers), len(spans))
-    if n_workers <= 1:
-        for lo, hi in spans:
-            run_chunk(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for future in [pool.submit(run_chunk, lo, hi) for lo, hi in spans]:
-                future.result()
-    return scores

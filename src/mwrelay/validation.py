@@ -216,6 +216,8 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
         p_r = config.p_r
     if p_r < 0:
         raise ValueError("relay power must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     idx = SlotIndexer(K)
     scale = math.sqrt(p_r / (M * beta.sum())) if p_r > 0 else 0.0
     errors = np.zeros((K, K - 1))

@@ -62,21 +62,22 @@ def test_criterion_1_bound_tightness(link_tables):
         idx = SlotIndexer(K)
         bounds = bound_report(config, beta)
         for scheme in ("conventional", "proposed"):
-            uplink, downlink = cell[scheme]
-            mc = sum_se(uplink, downlink, scheme, K).sum_se
+            estimate = cell[scheme]
+            mc = sum_se(estimate, scheme).sum_se
             analytic = analytic_sum_se(config, beta, scheme)
             rel = abs(analytic - mc) / mc
             details.append(f"K={K} M={M} {scheme}: mc={mc:.3f} analytic={analytic:.3f} rel={rel:.2%}")
             if rel > 0.05:
                 failures.append(details[-1])
             for k in range(1, K + 1):
-                if bounds.uplink[k - 1] > uplink[k - 1].mean + 2 * uplink[k - 1].stderr:
+                if bounds.uplink[k - 1] > estimate.uplink[k - 1] + 2 * estimate.uplink_stderr[k - 1]:
                     failures.append(f"uplink bound above MC at K={K} M={M} k={k}")
                 slots = bounds.dl_conventional if scheme == "conventional" else bounds.dl_proposed
                 n_slots = K - 1 if scheme == "conventional" else idx.sic_slots
                 for t in range(1, n_slots + 1):
-                    est = downlink[k - 1][t - 1]
-                    if slots[k - 1, t - 1] > est.mean + 2 * est.stderr:
+                    mean = estimate.downlink[k - 1, t - 1]
+                    stderr = estimate.downlink_stderr[k - 1, t - 1]
+                    if slots[k - 1, t - 1] > mean + 2 * stderr:
                         failures.append(
                             f"{scheme} slot bound above MC at K={K} M={M} k={k} t={t}"
                         )
@@ -88,8 +89,8 @@ def test_criterion_1_bound_tightness(link_tables):
 def test_criterion_2_near_doubling(link_tables):
     """Proposed/conventional sum-SE ratio in [1.5, 2.0] at K=10, M=100."""
     cell = link_tables[(10, 100)]
-    proposed = sum_se(*cell["proposed"], "proposed", 10)
-    conventional = sum_se(*cell["conventional"], "conventional", 10)
+    proposed = sum_se(cell["proposed"], "proposed")
+    conventional = sum_se(cell["conventional"], "conventional")
     assert proposed.pre_log / conventional.pre_log == pytest.approx(10 / 6, rel=1e-12)
     ratio = proposed.sum_se / conventional.sum_se
     ok = 1.5 <= ratio <= 2.0

@@ -193,10 +193,9 @@ def test_jensen_ordering_smoke():
     beta = np.array([0.5, 1.0, 1.5, 0.8, 1.2])
     report = bound_report(config, beta)
     for scheme in ("conventional", "proposed"):
-        uplink, downlink = estimate_link_se(config, beta, scheme, 3000, seed=17)
+        estimate = estimate_link_se(config, beta, scheme, 3000, seed=17)
         for k in range(5):
-            assert report.uplink[k] <= uplink[k].mean + 2 * uplink[k].stderr
+            assert report.uplink[k] <= estimate.uplink[k] + 2 * estimate.uplink_stderr[k]
             slots = report.dl_conventional[k] if scheme == "conventional" else report.dl_proposed[k]
             for t, bound in enumerate(slots, start=1):
-                est = downlink[k][t - 1]
-                assert bound <= est.mean + 2 * est.stderr
+                assert bound <= estimate.downlink[k, t - 1] + 2 * estimate.downlink_stderr[k, t - 1]

@@ -156,6 +156,42 @@ def test_cdf_rejects_m_range_and_beta_file(tmp_path):
     ) == 1
 
 
+def test_cdf_zero_trials_nonzero(tmp_path):
+    out = tmp_path / "cdf.csv"
+    assert parse_and_dispatch(
+        ["cdf", "--k", "4", "--m", "8", "--profiles", "3", "--trials", "0",
+         "--out", str(out)]
+    ) == 1
+    assert not out.exists()
+
+
+def _closed_form_rows(path):
+    """(scheme, M, K, user, slot, metric) -> value of the per-user closed-form rows."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return {
+        (r[1], r[2], r[3], r[4], r[5], r[6]): r[7]
+        for r in (l.split(",") for l in lines[1:])
+        if r[6] in {"se_bound", "se_asym"} and r[4] != "0"
+    }
+
+
+def test_bounds_table_matches_sweep_closed_forms(tmp_path, monkeypatch):
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    beta_path = tmp_path / "beta.txt"
+    write_beta_file(beta_path, np.array([0.4, 1.0, 1.7, 0.9, 2.5]))
+    common = ["--k", "5", "--m", "24", "--beta", f"file:{beta_path}", "--scheme", "both"]
+    table, sweep = tmp_path / "table.csv", tmp_path / "sweep.csv"
+    assert parse_and_dispatch(["bounds-table", *common, "--out", str(table)]) == 0
+    assert parse_and_dispatch(
+        ["sweep-m", *common, "--trials", "20", "--out", str(sweep)]
+    ) == 0
+    from_table = _closed_form_rows(table)
+    # Every user/slot of both schemes: uplink plus K-1 broadcast slots.
+    assert len(from_table) == 2 * 5 * 5
+    assert {key[5] for key in from_table} == {"se_bound", "se_asym"}
+    assert _closed_form_rows(sweep) == from_table
+
+
 def test_beta_file_flow(tmp_path, monkeypatch):
     monkeypatch.setenv("MWRELAY_THREADS", "2")
     beta_path = tmp_path / "beta.txt"

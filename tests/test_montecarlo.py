@@ -7,14 +7,12 @@ import pytest
 
 from mwrelay import (
     GeometryModel,
-    MonteCarloEstimate,
+    LinkEstimate,
     SystemConfig,
     build_zf_stage,
     cdf_experiment,
     conventional_dl_sinr,
-    estimate_downlink_se,
     estimate_link_se,
-    estimate_uplink_se,
     proposed_dl_sinr,
     sum_se,
     sum_se_once,
@@ -26,6 +24,12 @@ from mwrelay.schedule import SlotIndexer
 
 CONFIG = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
 BETA = np.array([0.5, 1.0, 2.0, 0.8, 1.3])
+
+
+def link_estimate(uplink, downlink, stderr, trials):
+    """LinkEstimate with the given means and one standard error everywhere."""
+    return LinkEstimate(uplink, np.full(uplink.shape, stderr),
+                        downlink, np.full(downlink.shape, stderr), trials)
 
 
 def scalar_rate_tables(config, beta, scheme, trials, seed):
@@ -60,17 +64,16 @@ def scalar_rate_tables(config, beta, scheme, trials, seed):
 @pytest.mark.parametrize("scheme", ["conventional", "proposed"])
 def test_kernel_matches_scalar_operations(scheme):
     trials = 6
-    uplink, downlink = estimate_link_se(CONFIG, BETA, scheme, trials, seed=99)
+    estimate = estimate_link_se(CONFIG, BETA, scheme, trials, seed=99)
     ul_ref, dl_ref = scalar_rate_tables(CONFIG, BETA, scheme, trials, seed=99)
-    assert np.allclose([e.mean for e in uplink], ul_ref.mean(axis=0), rtol=1e-10)
-    got = np.array([[e.mean for e in row] for row in downlink])
-    assert np.allclose(got, dl_ref.mean(axis=0), rtol=1e-10)
+    assert np.allclose(estimate.uplink, ul_ref.mean(axis=0), rtol=1e-10)
+    assert np.allclose(estimate.downlink, dl_ref.mean(axis=0), rtol=1e-10)
 
 
 def test_same_seed_same_estimates():
-    a = estimate_uplink_se(CONFIG, BETA, 50, seed=4)
-    b = estimate_uplink_se(CONFIG, BETA, 50, seed=4)
-    assert all(x.mean == y.mean and x.stderr == y.stderr for x, y in zip(a, b))
+    a = estimate_link_se(CONFIG, BETA, "proposed", 50, seed=4)
+    b = estimate_link_se(CONFIG, BETA, "proposed", 50, seed=4)
+    assert np.array_equal(a.uplink, b.uplink) and np.array_equal(a.uplink_stderr, b.uplink_stderr)
 
 
 def test_worker_count_invariance(monkeypatch):
@@ -78,41 +81,39 @@ def test_worker_count_invariance(monkeypatch):
     one = estimate_link_se(CONFIG, BETA, "proposed", 300, seed=6)
     monkeypatch.setenv("MWRELAY_THREADS", "8")
     eight = estimate_link_se(CONFIG, BETA, "proposed", 300, seed=6)
-    assert all(x.mean == y.mean for x, y in zip(one[0], eight[0]))
-    for ra, rb in zip(one[1], eight[1]):
-        assert all(x.mean == y.mean and x.stderr == y.stderr for x, y in zip(ra, rb))
+    assert np.array_equal(one.uplink, eight.uplink)
+    assert np.array_equal(one.downlink, eight.downlink)
+    assert np.array_equal(one.downlink_stderr, eight.downlink_stderr)
 
 
 def test_single_trial_flagged():
-    estimates = estimate_uplink_se(CONFIG, BETA, 1, seed=2)
-    assert all(e.stderr == 0.0 and e.single_trial for e in estimates)
-    many = estimate_uplink_se(CONFIG, BETA, 10, seed=2)
-    assert all(not e.single_trial and e.stderr > 0 for e in many)
+    one = estimate_link_se(CONFIG, BETA, "proposed", 1, seed=2)
+    assert one.trials == 1 and np.all(one.uplink_stderr == 0.0)
+    many = estimate_link_se(CONFIG, BETA, "proposed", 10, seed=2)
+    assert many.trials == 10 and np.all(many.uplink_stderr > 0)
 
 
 def test_uplink_respects_jensen_bound():
     from mwrelay import uplink_bound
 
     config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
-    estimates = estimate_uplink_se(config, np.ones(10), 3000, seed=12)
+    estimate = estimate_link_se(config, np.ones(10), "proposed", 3000, seed=12)
     bound = uplink_bound(np.ones(10), 1.0, 100, 1)
-    for e in estimates:
-        assert bound <= e.mean + 2 * e.stderr
+    assert np.all(bound <= estimate.uplink + 2 * estimate.uplink_stderr)
 
 
 def test_proposed_slot_one_equals_conventional():
-    prop = estimate_downlink_se(CONFIG, BETA, "proposed", 40, seed=3)
-    conv = estimate_downlink_se(CONFIG, BETA, "conventional", 40, seed=3)
-    for k in range(5):
-        assert prop[k][0].mean == conv[k][0].mean
-        assert prop[k][0].stderr == conv[k][0].stderr
+    prop = estimate_link_se(CONFIG, BETA, "proposed", 40, seed=3)
+    conv = estimate_link_se(CONFIG, BETA, "conventional", 40, seed=3)
+    assert np.array_equal(prop.downlink[:, 0], conv.downlink[:, 0])
+    assert np.array_equal(prop.downlink_stderr[:, 0], conv.downlink_stderr[:, 0])
 
 
 def test_stderr_scales_like_sqrt_trials():
-    small = estimate_uplink_se(CONFIG, BETA, 2000, seed=8)
-    large = estimate_uplink_se(CONFIG, BETA, 4000, seed=8)
-    for s, l in zip(small, large):
-        ratio = l.stderr / s.stderr
+    small = estimate_link_se(CONFIG, BETA, "proposed", 2000, seed=8)
+    large = estimate_link_se(CONFIG, BETA, "proposed", 4000, seed=8)
+    for s, l in zip(small.uplink_stderr, large.uplink_stderr):
+        ratio = l / s
         assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2)
 
 
@@ -120,21 +121,19 @@ def test_sum_se_min_collapse():
     # When every downlink rate dominates, the sum reduces to the pre-logged
     # uplink total repeated over K-1 slots.
     K = 4
-    ul = [MonteCarloEstimate(1.0, 0.01, 100) for _ in range(K)]
-    dl = [[MonteCarloEstimate(5.0, 0.01, 100) for _ in range(K - 1)] for _ in range(K)]
-    conv = sum_se(ul, dl, "conventional", K)
+    est = link_estimate(np.full(K, 1.0), np.full((K, K - 1), 5.0), stderr=0.01, trials=100)
+    conv = sum_se(est, "conventional")
     assert conv.sum_se == pytest.approx((K - 1) * K * 1.0 / K, rel=1e-12)
-    prop = sum_se(ul, dl, "proposed", K)
+    prop = sum_se(est, "proposed")
     assert prop.pre_log == pytest.approx(1 / 3)
     assert prop.sum_se / conv.sum_se == pytest.approx(4 / 3, rel=1e-12)
 
 
 def test_sum_se_prelog_ratio_k10():
     K = 10
-    ul = [MonteCarloEstimate(2.0, 0.0, 10) for _ in range(K)]
-    dl = [[MonteCarloEstimate(1.5, 0.0, 10) for _ in range(K - 1)] for _ in range(K)]
-    conv = sum_se(ul, dl, "conventional", K)
-    prop = sum_se(ul, dl, "proposed", K)
+    est = link_estimate(np.full(K, 2.0), np.full((K, K - 1), 1.5), stderr=0.0, trials=10)
+    conv = sum_se(est, "conventional")
+    prop = sum_se(est, "proposed")
     assert prop.sum_se / conv.sum_se == pytest.approx(10 / 6, rel=1e-12)
 
 
@@ -147,20 +146,25 @@ def test_sum_se_symmetric_users():
 
 
 def test_sum_se_validates_coverage():
-    ul = [MonteCarloEstimate(1.0, 0.0, 5)] * 4
-    short = [[MonteCarloEstimate(1.0, 0.0, 5)] * 2] * 4
+    ul = np.ones(4)
+    short = np.ones((4, 2))
     with pytest.raises(ValueError):
-        sum_se(ul, short, "proposed", 4)
+        sum_se(link_estimate(ul, short, stderr=0.0, trials=5), "proposed")
     with pytest.raises(ValueError):
-        sum_se(ul[:3], short, "proposed", 4)
+        sum_se(link_estimate(ul[:3], short, stderr=0.0, trials=5), "proposed")
     with pytest.raises(ValueError):
-        sum_se(ul, [[MonteCarloEstimate(1.0, 0.0, 5)] * 3] * 4, "mixed", 4)
+        sum_se(link_estimate(ul, np.ones((4, 3)), stderr=0.0, trials=5), "mixed")
 
 
 def test_cdf_unit_profiles_degenerate():
     result = cdf_experiment(CONFIG, None, 7, 60, seed=5)
     assert np.ptp(result.samples) == 0.0
     assert result.likely_95 == result.samples[0]
+
+
+def test_cdf_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        cdf_experiment(CONFIG, None, 3, 0, seed=1)
 
 
 def test_cdf_substream_determinism():
@@ -178,7 +182,7 @@ def test_cdf_matches_direct_scoring():
     for p in range(4):
         beta = draw_large_scale(geometry, CONFIG.K, substream(14, STREAM_PROFILE, p)).beta
         direct = sum_se_once(CONFIG, beta, "proposed", 80, seed=14).sum_se
-        assert result.samples[p] == pytest.approx(direct, rel=1e-9)
+        assert result.samples[p] == direct
 
 
 def test_cdf_k_ordering_smoke():
@@ -209,8 +213,8 @@ def test_zf_slot_rate_m_stable_below_asymptote():
     tp = SlotIndexer(10).sic_slots
     rates = {}
     for config in (config_small, config_large):
-        _, dl = estimate_link_se(config, beta, "proposed", 1500, seed=13)
-        rates[config.M] = np.mean([[e.mean for e in row[tp:]] for row in dl])
+        dl = estimate_link_se(config, beta, "proposed", 1500, seed=13).downlink
+        rates[config.M] = np.mean(dl[:, tp:])
     assert abs(rates[128] - rates[1024]) / rates[1024] < 0.05
     asym = zf_asymptotic_rate(beta, 10.0, 10, 1, 1)
     assert rates[1024] < asym - 0.5
@@ -219,9 +223,9 @@ def test_zf_slot_rate_m_stable_below_asymptote():
 def test_two_user_downlink_single_slot():
     config = SystemConfig(M=16, K=2, p_u=1.0, p_r=10.0)
     beta = np.ones(2)
-    prop = estimate_downlink_se(config, beta, "proposed", 30, seed=1)
-    conv = estimate_downlink_se(config, beta, "conventional", 30, seed=1)
-    assert len(prop) == 2 and len(prop[0]) == 1
-    assert prop[0][0].mean == conv[0][0].mean
-    report = sum_se(estimate_uplink_se(config, beta, 30, seed=1), prop, "proposed", 2)
+    prop = estimate_link_se(config, beta, "proposed", 30, seed=1)
+    conv = estimate_link_se(config, beta, "conventional", 30, seed=1)
+    assert prop.downlink.shape == (2, 1)
+    assert prop.downlink[0, 0] == conv.downlink[0, 0]
+    report = sum_se(prop, "proposed")
     assert report.pre_log == 0.5

@@ -123,6 +123,12 @@ def test_noisy_rejects_negative_power():
         run_round_noisy(config, np.ones(3), trials=5, seed=1, p_r=-0.5)
 
 
+def test_noisy_rejects_zero_trials():
+    config = SystemConfig(M=8, K=3, p_u=1.0, p_r=1.0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_round_noisy(config, np.ones(3), trials=0, seed=1)
+
+
 def test_knowledge_state_api():
     state = KnowledgeState(3)
     assert state.decoded(1) == frozenset({1})
