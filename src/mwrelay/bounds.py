@@ -37,11 +37,17 @@ def _beta_array(beta):
     return beta
 
 
+def _check_user(k, K):
+    if not 1 <= k <= K:
+        raise ValueError(f"user {k} outside 1..{K}")
+
+
 def uplink_bound(beta, p_u, M, k):
     """Jensen lower bound on the uplink ergodic SE of user k, bit/s/Hz."""
     if M < 2:
         raise ValueError("uplink bound needs M >= 2")
     beta = _beta_array(beta)
+    _check_user(k, beta.size)
     others = beta.sum() - beta[k - 1]
     return float(np.log2(1.0 + p_u * (M - 1) * beta[k - 1] / (p_u * others + 1.0)))
 
@@ -53,6 +59,7 @@ def conventional_dl_bound(beta, p_r, M, K, k, t):
     beta = _beta_array(beta)
     if beta.size != K:
         raise ValueError(f"beta has {beta.size} entries, expected K={K}")
+    _check_user(k, K)
     if not 1 <= t <= K - 1:
         raise ValueError(f"slot {t} outside 1..{K - 1}")
     interfering = beta.sum() - beta[k - 1] - beta[partner_index(k, -t, K) - 1]
@@ -68,6 +75,7 @@ def proposed_dl_bound(beta, p_r, M, K, k, t):
     beta = _beta_array(beta)
     if beta.size != K:
         raise ValueError(f"beta has {beta.size} entries, expected K={K}")
+    _check_user(k, K)
     limit = slot_count(K)
     if not 1 <= t <= limit:
         raise ValueError(f"slot {t} outside 1..{limit}")
@@ -89,6 +97,7 @@ def zf_asymptotic_rate(beta, p_r, K, k, n):
     beta = _beta_array(beta)
     if beta.size != K:
         raise ValueError(f"beta has {beta.size} entries, expected K={K}")
+    _check_user(k, K)
     idx = SlotIndexer(K)
     if not 1 <= n <= idx.n_unknowns:
         raise ValueError(f"unknown index {n} outside 1..{idx.n_unknowns}")
@@ -117,6 +126,7 @@ def trace_lemma_statistic(G, k, i):
     concentrate around the mean.
     """
     M, K = G.shape
+    _check_user(k, K)
     j = partner_index(k, i, K)
     if j == k:
         raise ValueError("offset i must not map user k onto itself")

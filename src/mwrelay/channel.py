@@ -30,8 +30,8 @@ __all__ = [
     "read_beta_file",
 ]
 
-# Substream namespaces. Channel paths are (trial,) for flat experiments and
-# (profile, trial) inside placement sweeps; lengths differ, so they never collide.
+# Substream namespaces. Every channel draw uses (STREAM_CHANNEL, trial), which
+# placement sweeps share across profiles; profiles use (STREAM_PROFILE, p).
 STREAM_CHANNEL = 0
 STREAM_PROFILE = 1
 

@@ -5,7 +5,8 @@ cancelation broadcast slots, zero-forcing extraction — and checks that every
 user ends up holding all K-1 foreign symbols. Relay decoding and
 cancelation are genie-aided (prior decisions assumed correct), matching the
 assumptions of the rate expressions; the noisy variant measures per-slot
-symbol error rates under that assumption.
+symbol error rates under that assumption. Both variants share one
+decoding walk that decodes every user of a round at once.
 """
 
 import math
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import STREAM_CHANNEL, compose_channel, draw_small_scale, substream
+from .channel import (
+    STREAM_CHANNEL,
+    LargeScaleProfile,
+    compose_channel,
+    draw_small_scale,
+    substream,
+)
 from .exceptions import SingularSystemError
 from .rates import build_zf_stage, relay_precode
 from .schedule import SlotIndexer
@@ -95,28 +102,46 @@ class NoiselessRound:
     attempts: int
 
 
-def _broadcast_signals(G, beta, p_r, x, sic_slots, noise=None):
-    """Received samples y[t-1, k-1] for broadcast slots 1..sic_slots."""
-    K = G.shape[1]
-    received = np.empty((sic_slots, K), dtype=complex)
-    for t in range(1, sic_slots + 1):
-        sent = relay_precode(G, beta, p_r, np.roll(x, -t))
-        received[t - 1] = G.conj().T @ sent
-    if noise is not None:
-        received += noise
-    return received
+def _amplitude(beta, p_r, M):
+    """Broadcast scale sqrt(p_r / (M sum(beta))) that a clean received symbol carries."""
+    return math.sqrt(p_r / (M * np.sum(beta)))
 
 
-def _known_contribution(cross_row, x, held, t, K):
-    """Sum of slot-t contributions of all symbols in ``held`` at one user.
+def _decoding_order(K):
+    """order[k-1, j] = 0-based index of the j-th symbol user k ends up holding (j = 0 is its own)."""
+    return (np.arange(K)[:, None] + np.arange(K)) % K
 
-    Symbol v rides on the beam of user v - t (cyclically) in slot t, so its
-    coefficient is the cross product with that column.
+
+def _decode_round(G, beta, p_r, x, idx, noise=None):
+    """Decode one round at every user at once; returns (slot, zf).
+
+    Both tables are in units of the broadcast scale: a clean copy of the
+    wanted symbol reads as scale * symbol. ``slot[k-1, t-1]`` is user k's
+    matched-filter estimate of its slot-t target after it cancels the t
+    symbols it holds, and ``zf[k-1, n-1]`` the zero-forcing estimate of its
+    n-th remaining unknown once all sic_slots + 1 held symbols are canceled.
+    Cancelation subtracts the true symbols (genie-aided); ``noise``, if
+    given, is the (sic_slots, K) table of receiver noise samples.
     """
-    total = 0.0 + 0.0j
-    for v in sorted(held):
-        total += cross_row[(v - 1 - t) % K] * x[v - 1]
-    return total
+    M, K = G.shape
+    T = idx.sic_slots
+    scale = _amplitude(beta, p_r, M)
+    cross = G.conj().T @ G
+    received = np.stack([G.conj().T @ relay_precode(G, beta, p_r, np.roll(x, -t))
+                         for t in range(1, T + 1)], axis=1)
+    if noise is not None:
+        received += noise.T
+    # In slot t, symbol v rides on beam (v - t) % K.
+    users = np.arange(K)[:, None, None]
+    held = _decoding_order(K)[:, None, :T + 1]
+    beams = (held - np.arange(1, T + 1)[:, None]) % K
+    # canceled[k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
+    canceled = np.cumsum(scale * cross[users, beams] * x[held], axis=2)
+    slots = np.arange(T)
+    slot = (received - canceled[:, slots, slots]) / np.diag(cross).real[:, None]
+    combiners = np.stack([build_zf_stage(G, k, idx).combiner() for k in range(1, K + 1)])
+    zf = np.einsum("knm,km->kn", combiners, received - canceled[:, :, T])
+    return slot, zf
 
 
 def run_round_noiseless(config, beta, seed, frame=None):
@@ -126,9 +151,10 @@ def run_round_noiseless(config, beta, seed, frame=None):
     user is numerically singular, and reports the attempt count.
     """
     M, K = config.M, config.K
-    beta = np.asarray(getattr(beta, "beta", beta), dtype=float)
+    beta = LargeScaleProfile(getattr(beta, "beta", beta)).beta
     idx = SlotIndexer(K)
-    scale = math.sqrt(config.p_r / (M * beta.sum()))
+    scale = _amplitude(beta, config.p_r, M)
+    order = _decoding_order(K)
     last_error = None
     for attempt in range(8):
         rng = substream(seed, STREAM_CHANNEL, attempt)
@@ -137,54 +163,24 @@ def run_round_noiseless(config, beta, seed, frame=None):
         if x.shape != (K,):
             raise ValueError(f"frame must hold {K} symbols")
         try:
-            stages = [build_zf_stage(G, k, idx) for k in range(1, K + 1)] if idx.n_unknowns else None
+            slot, zf = _decode_round(G, beta, config.p_r, x, idx)
         except SingularSystemError as exc:
             last_error = exc
             continue
 
-        cross = G.conj().T @ G
-        norms = np.diag(cross).real
-        received = _broadcast_signals(G, beta, config.p_r, x, idx.sic_slots)
-        knowledge = KnowledgeState(K)
-        history = [knowledge.snapshot()]
-        recovered = np.zeros((K, K), dtype=complex)
-        recovered[np.arange(K), np.arange(K)] = x
-        slot_estimates = np.zeros((K, idx.sic_slots), dtype=complex)
-
-        for t in range(1, idx.sic_slots + 1):
-            for k in range(1, K + 1):
-                held = knowledge.decoded(k)
-                residual = received[t - 1, k - 1] - scale * _known_contribution(
-                    cross[k - 1], x, held, t, K
-                )
-                target = idx.partner(k, t)
-                # The raw estimate still carries the not-yet-decoded symbols
-                # as interference; the decision it feeds is genie-corrected.
-                slot_estimates[k - 1, t - 1] = residual / (scale * norms[k - 1])
-                recovered[k - 1, target - 1] = x[target - 1]
-                knowledge.learn(k, target)
-            history.append(knowledge.snapshot())
-
-        if stages is not None:
-            for k in range(1, K + 1):
-                held = knowledge.decoded(k)
-                residual = np.array([
-                    received[m - 1, k - 1]
-                    - scale * _known_contribution(cross[k - 1], x, held, m, K)
-                    for m in range(1, idx.sic_slots + 1)
-                ])
-                estimates = stages[k - 1].combiner() @ residual / scale
-                for n, v in enumerate(idx.remaining(k), start=1):
-                    recovered[k - 1, v - 1] = estimates[n - 1]
-                    knowledge.learn(k, v)
-            history.append(knowledge.snapshot())
-
-        deviation = float(np.max(np.abs(recovered - x[None, :])))
+        # Slot decisions are genie-corrected (the raw estimates still carry
+        # the not-yet-decoded symbols as interference); the rest is the raw solve.
+        recovered = np.tile(x, (K, 1))
+        recovered[np.arange(K)[:, None], order[:, idx.sic_slots + 1:]] = zf / scale
+        history = [tuple(frozenset((row[:t + 1] + 1).tolist()) for row in order)
+                   for t in range(idx.sic_slots + 1)]
+        if idx.n_unknowns:
+            history.append((frozenset(range(1, K + 1)),) * K)
         return NoiselessRound(
             recovered=recovered,
             true_symbols=x,
-            slot_estimates=slot_estimates,
-            max_deviation=deviation,
+            slot_estimates=slot / scale,
+            max_deviation=float(np.max(np.abs(recovered - x[None, :]))),
             slots_used=idx.proposed_slots,
             knowledge_history=tuple(history),
             attempts=attempt + 1,
@@ -195,11 +191,9 @@ def run_round_noiseless(config, beta, seed, frame=None):
 
 
 def _nearest_qpsk(values, reference_scale):
-    """Indices of the constellation points minimizing |value - scale * point|."""
-    values = np.atleast_1d(np.asarray(values, dtype=complex))
-    reference_scale = np.atleast_1d(np.asarray(reference_scale, dtype=float))
-    distance = np.abs(values[:, None] - reference_scale[:, None] * QPSK[None, :])
-    return np.argmin(distance, axis=1)
+    """Indices of the constellation points minimizing |value - scale * point|, elementwise."""
+    values = np.asarray(values, dtype=complex)
+    return np.argmin(np.abs(values[..., None] - reference_scale * QPSK), axis=-1)
 
 
 def run_round_noisy(config, beta, trials, seed, p_r=None):
@@ -211,7 +205,7 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
     (genie-aided), so errors never propagate across slots.
     """
     M, K = config.M, config.K
-    beta = np.asarray(getattr(beta, "beta", beta), dtype=float)
+    beta = LargeScaleProfile(getattr(beta, "beta", beta)).beta
     if p_r is None:
         p_r = config.p_r
     if p_r < 0:
@@ -219,41 +213,17 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     idx = SlotIndexer(K)
-    scale = math.sqrt(p_r / (M * beta.sum())) if p_r > 0 else 0.0
+    scale = _amplitude(beta, p_r, M)
+    targets = _decoding_order(K)[:, 1:]
     errors = np.zeros((K, K - 1))
 
     for trial in range(trials):
         rng = substream(seed, STREAM_CHANNEL, trial)
         G = compose_channel(draw_small_scale(M, K, rng), beta).G
         x = qpsk_frame(K, rng).symbols
-        true_index = _nearest_qpsk(x, np.ones(K))
         noise = draw_small_scale(idx.sic_slots, K, rng)  # unit-variance CN per sample
-        cross = G.conj().T @ G
-        norms = np.diag(cross).real
-        received = _broadcast_signals(G, beta, p_r, x, idx.sic_slots, noise=noise)
-
-        for t in range(1, idx.sic_slots + 1):
-            for k in range(1, K + 1):
-                held = {k} | {idx.partner(k, d) for d in range(1, t)}
-                residual = received[t - 1, k - 1] - scale * _known_contribution(
-                    cross[k - 1], x, held, t, K
-                )
-                decision = int(_nearest_qpsk(residual, scale * norms[k - 1])[0])
-                target = idx.partner(k, t)
-                errors[k - 1, t - 1] += decision != true_index[target - 1]
-
-        if idx.n_unknowns:
-            for k in range(1, K + 1):
-                stage = build_zf_stage(G, k, idx)
-                held = {k} | {idx.partner(k, d) for d in range(1, idx.sic_slots + 1)}
-                residual = np.array([
-                    received[m - 1, k - 1]
-                    - scale * _known_contribution(cross[k - 1], x, held, m, K)
-                    for m in range(1, idx.sic_slots + 1)
-                ])
-                projected = stage.combiner() @ residual
-                decisions = _nearest_qpsk(projected, np.full(idx.n_unknowns, scale))
-                for n, v in enumerate(idx.remaining(k), start=1):
-                    errors[k - 1, idx.sic_slots + n - 1] += decisions[n - 1] != true_index[v - 1]
+        slot, zf = _decode_round(G, beta, p_r, x, idx, noise)
+        decisions = _nearest_qpsk(np.hstack([slot, zf]), scale)
+        errors += decisions != _nearest_qpsk(x, 1.0)[targets]
 
     return errors / trials

@@ -142,6 +142,23 @@ def test_trace_statistic_rejects_self_offset():
         trace_lemma_statistic(G, 1, 3)
 
 
+_BETA4 = np.array([1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("bound", [
+    lambda k: uplink_bound(_BETA4, 1.0, 10, k),
+    lambda k: conventional_dl_bound(_BETA4, 10.0, 10, 4, k, 1),
+    lambda k: proposed_dl_bound(_BETA4, 10.0, 10, 4, k, 1),
+    lambda k: zf_asymptotic_rate(_BETA4, 10.0, 4, k, 1),
+    lambda k: trace_lemma_statistic(np.ones((8, 4), dtype=complex), k, 1),
+], ids=["uplink", "conventional", "proposed", "zf_asymptotic", "trace_lemma"])
+def test_bounds_reject_user_outside_range(bound, k):
+    # k = 0 would otherwise wrap around to user K through negative indexing.
+    with pytest.raises(ValueError, match=f"user {k} outside 1..4"):
+        bound(k)
+
+
 def test_cross_term_mean_zero():
     # (1/M) g_j^H g_k g_k^H g_j' has zero mean for j != j'.
     rng = substream(33, STREAM_CHANNEL, 2)

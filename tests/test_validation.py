@@ -8,11 +8,14 @@ from mwrelay import (
     SystemConfig,
     fixed_frame,
     known_set,
+    partner_index,
     qpsk_frame,
     run_round_noiseless,
     run_round_noisy,
 )
-from mwrelay.channel import substream
+import mwrelay.validation as validation
+from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
+from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.validation import QPSK, KnowledgeState
 
 
@@ -90,6 +93,25 @@ def test_slot_estimates_carry_interference():
     assert np.max(np.abs(outcome.slot_estimates - targets)) > 1e-3
 
 
+def test_slot_estimates_match_remaining_interference():
+    # Reference loop that never cancels: what is left in slot t is the target
+    # plus every symbol user k does not hold yet, each on its slot-t beam.
+    K = 7
+    config = SystemConfig(M=12, K=K, p_u=1.0, p_r=3.0)
+    outcome = run_round_noiseless(config, np.ones(K), seed=2)
+    assert outcome.attempts == 1
+    G = draw_small_scale(12, K, substream(2, STREAM_CHANNEL, 0))
+    cross = G.conj().T @ G
+    x = outcome.true_symbols
+    for k in range(1, K + 1):
+        for t in range(1, SlotIndexer(K).sic_slots + 1):
+            held = known_set(k, t - 1, K)
+            left = sum(cross[k - 1, partner_index(v, -t, K) - 1] * x[v - 1]
+                       for v in range(1, K + 1) if v not in held)
+            expected = left / cross[k - 1, k - 1].real
+            assert abs(outcome.slot_estimates[k - 1, t - 1] - expected) < 1e-12
+
+
 def test_noisy_high_power_error_free():
     config = SystemConfig(M=64, K=5, p_u=1.0, p_r=10.0)
     ser = run_round_noisy(config, np.ones(5), trials=200, seed=7, p_r=1e7)
@@ -137,3 +159,42 @@ def test_knowledge_state_api():
     snap = state.snapshot()
     state.learn(2, 1)
     assert snap[1] == frozenset({2})
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("run", [
+    lambda config, beta: run_round_noiseless(config, beta, seed=1),
+    lambda config, beta: run_round_noisy(config, beta, trials=50, seed=1),
+], ids=["noiseless", "noisy"])
+def test_rounds_reject_bad_gains(run, bad):
+    config = SystemConfig(M=16, K=5, p_u=1.0, p_r=10.0)
+    with pytest.raises(InvalidConfigError):
+        run(config, np.array([1.0, 1.0, bad, 1.0, 1.0]))
+
+
+def test_singular_policy_noiseless_resamples_noisy_propagates(monkeypatch):
+    real = validation.build_zf_stage
+    calls = []
+
+    def first_call_singular(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise SingularSystemError("forced")
+        return real(*args, **kwargs)
+
+    config = SystemConfig(M=16, K=5, p_u=1.0, p_r=10.0)
+    monkeypatch.setattr(validation, "build_zf_stage", first_call_singular)
+    outcome = run_round_noiseless(config, np.ones(5), seed=4)
+    assert outcome.attempts == 2
+    assert outcome.max_deviation <= 1e-9
+
+    calls.clear()
+    with pytest.raises(SingularSystemError, match="forced"):
+        run_round_noisy(config, np.ones(5), trials=3, seed=4)
+
+
+def test_noisy_error_counts_reproducible():
+    config = SystemConfig(M=16, K=5, p_u=1.0, p_r=2.0)
+    counts = run_round_noisy(config, np.ones(5), 40, seed=3) * 40
+    expected = [[4, 3, 26, 22], [8, 2, 21, 23], [5, 2, 16, 22], [3, 0, 20, 14], [4, 5, 15, 19]]
+    assert np.array_equal(counts, expected)
