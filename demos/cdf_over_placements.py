@@ -19,7 +19,7 @@ print(f"{PROFILES} placements x {TRIALS} trials each, M=100, proposed scheme\n")
 results = {}
 for K in (5, 7, 10):
     config = SystemConfig(M=100, K=K, p_u=1.0, p_r=10.0)
-    results[K] = cdf_experiment(config, geometry, PROFILES, TRIALS, seed=3)
+    results[K] = cdf_experiment(config, geometry, PROFILES, TRIALS, seed=3)["proposed"]
     samples = results[K].samples
     print(f"K={K:2d}: 95%-likely {results[K].likely_95:6.3f}   "
           f"median {np.median(samples):6.3f}   mean {samples.mean():6.3f} bit/s/Hz")

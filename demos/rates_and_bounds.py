@@ -22,7 +22,7 @@ beta = np.ones(10)
 trials = 4000
 print(f"M={config.M}, K={config.K}, unit gains, {trials} trials\n")
 
-estimate = estimate_link_se(config, beta, "proposed", trials, seed=42)
+estimate = estimate_link_se(config, beta, ("proposed",), trials, seed=42)["proposed"]
 bounds = bound_report(config, beta)
 idx_sic = bounds.dl_proposed.shape[1]
 

@@ -8,7 +8,7 @@ slots. The printed ratio shows how those two effects net out at each M.
 
 import numpy as np
 
-from mwrelay import SlotIndexer, SystemConfig, sum_se_once
+from mwrelay import SlotIndexer, SystemConfig, estimate_link_se, sum_se
 
 K = 10
 TRIALS = 3000
@@ -22,8 +22,9 @@ print("   M     proposed   conventional   ratio")
 rows = []
 for M in (50, 100, 200, 400):
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
-    prop = sum_se_once(config, beta, "proposed", TRIALS, seed=11).sum_se
-    conv = sum_se_once(config, beta, "conventional", TRIALS, seed=11).sum_se
+    # One set of channel draws scored under both schemes.
+    estimates = estimate_link_se(config, beta, ("proposed", "conventional"), TRIALS, seed=11)
+    prop, conv = (sum_se(estimates[scheme], scheme).sum_se for scheme in ("proposed", "conventional"))
     rows.append((M, prop, conv))
     print(f"{M:5d}   {prop:8.3f}   {conv:12.3f}   {prop / conv:.4f}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig
+from .channel import SystemConfig, checked_gains
 from .schedule import SlotIndexer, known_set, partner_index, slot_count
 
 __all__ = [
@@ -30,13 +30,6 @@ __all__ = [
 ]
 
 
-def _beta_array(beta):
-    beta = np.asarray(getattr(beta, "beta", beta), dtype=float)
-    if beta.ndim != 1 or not np.all(beta > 0):
-        raise ValueError("beta must be a 1-D array of positive gains")
-    return beta
-
-
 def _check_user(k, K):
     if not 1 <= k <= K:
         raise ValueError(f"user {k} outside 1..{K}")
@@ -46,7 +39,7 @@ def uplink_bound(beta, p_u, M, k):
     """Jensen lower bound on the uplink ergodic SE of user k, bit/s/Hz."""
     if M < 2:
         raise ValueError("uplink bound needs M >= 2")
-    beta = _beta_array(beta)
+    beta = checked_gains(beta)
     _check_user(k, beta.size)
     others = beta.sum() - beta[k - 1]
     return float(np.log2(1.0 + p_u * (M - 1) * beta[k - 1] / (p_u * others + 1.0)))
@@ -56,9 +49,7 @@ def conventional_dl_bound(beta, p_r, M, K, k, t):
     """Jensen lower bound for conventional slot t (K - 2 interference terms)."""
     if M < 3:
         raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
-    beta = _beta_array(beta)
-    if beta.size != K:
-        raise ValueError(f"beta has {beta.size} entries, expected K={K}")
+    beta = checked_gains(beta, K)
     _check_user(k, K)
     if not 1 <= t <= K - 1:
         raise ValueError(f"slot {t} outside 1..{K - 1}")
@@ -72,9 +63,7 @@ def proposed_dl_bound(beta, p_r, M, K, k, t):
     """Jensen lower bound for cancelation slot t (K - t - 1 interference terms)."""
     if M < 3:
         raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
-    beta = _beta_array(beta)
-    if beta.size != K:
-        raise ValueError(f"beta has {beta.size} entries, expected K={K}")
+    beta = checked_gains(beta, K)
     _check_user(k, K)
     limit = slot_count(K)
     if not 1 <= t <= limit:
@@ -94,9 +83,7 @@ def zf_asymptotic_rate(beta, p_r, K, k, n):
     M-independent: log2(1 + p_r * beta_k * sum of the sic_slots partner
     gains at offsets n .. n + sic_slots - 1, over sum(beta)).
     """
-    beta = _beta_array(beta)
-    if beta.size != K:
-        raise ValueError(f"beta has {beta.size} entries, expected K={K}")
+    beta = checked_gains(beta, K)
     _check_user(k, K)
     idx = SlotIndexer(K)
     if not 1 <= n <= idx.n_unknowns:
@@ -151,7 +138,7 @@ class BoundReport:
 
 def bound_report(config, beta):
     """Evaluate every closed-form expression for one configuration."""
-    beta = _beta_array(beta)
+    beta = checked_gains(beta)
     M, K = config.M, config.K
     idx = SlotIndexer(K)
     uplink = np.array([uplink_bound(beta, config.p_u, M, k) for k in range(1, K + 1)])

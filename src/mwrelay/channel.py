@@ -18,6 +18,7 @@ __all__ = [
     "SystemConfig",
     "GeometryModel",
     "LargeScaleProfile",
+    "checked_gains",
     "ChannelRealization",
     "substream",
     "STREAM_CHANNEL",
@@ -102,13 +103,25 @@ class LargeScaleProfile:
         beta = np.asarray(self.beta, dtype=float)
         if beta.ndim != 1 or beta.size == 0:
             raise InvalidConfigError("beta must be a nonempty 1-D sequence")
-        if not np.all(beta > 0):
-            raise InvalidConfigError("all large-scale gains must be positive")
+        if not np.all((beta > 0) & np.isfinite(beta)):
+            raise InvalidConfigError("all large-scale gains must be positive and finite")
         object.__setattr__(self, "beta", beta)
 
     @property
     def K(self):
         return self.beta.size
+
+
+def checked_gains(beta, K=None):
+    """Gains from an array or a LargeScaleProfile, checked as LargeScaleProfile does.
+
+    Raises InvalidConfigError unless they are positive, finite and 1-D, and,
+    when K is given, K of them.
+    """
+    beta = LargeScaleProfile(getattr(beta, "beta", beta)).beta
+    if K is not None and beta.size != K:
+        raise InvalidConfigError(f"beta has {beta.size} gains, expected K={K}")
+    return beta
 
 
 @dataclass(frozen=True)

@@ -258,13 +258,14 @@ def _run_sweep_m(options, experiment="sweep-m", aggregates_only=False):
     K = options["k"]
     p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
     profile = _profile(options, K, seed)
+    schemes = _schemes(options, experiment)
     rows = []
     for M in parse_m_range(options["m"]):
         config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
         report = bound_report(config, profile.beta)
-        for scheme in _schemes(options, experiment):
-            estimate = estimate_link_se(config, profile.beta, scheme, options["trials"], seed)
-            cell = _link_rows(experiment, scheme, config, profile.beta, seed, estimate, report)
+        estimates = estimate_link_se(config, profile.beta, schemes, options["trials"], seed)
+        for scheme in schemes:
+            cell = _link_rows(experiment, scheme, config, profile.beta, seed, estimates[scheme], report)
             rows.extend(cell[:2] if aggregates_only else cell)
     return rows
 
@@ -284,10 +285,10 @@ def _run_cdf(options):
     geometry = None if options["beta"] == "unit" else _geometry(options)
     config = SystemConfig(M=m_values[0], K=K,
                           p_u=db_to_linear(options["pu-db"]), p_r=db_to_linear(options["pr-db"]))
+    results = cdf_experiment(config, geometry, options["profiles"], options["trials"], seed,
+                             schemes=_schemes(options, "cdf"))
     rows = []
-    for scheme in _schemes(options, "cdf"):
-        result = cdf_experiment(config, geometry, options["profiles"],
-                                options["trials"], seed, scheme=scheme)
+    for scheme, result in results.items():
         for rank, value in enumerate(result.sorted_samples, start=1):
             rows.append(("cdf", scheme, config.M, K, 0, rank, "cdf_sample", float(value), 0.0, seed))
         rows.append(("cdf", scheme, config.M, K, 0, 0, "p5", result.likely_95, 0.0, seed))

@@ -4,7 +4,9 @@ One kernel, ``_slot_rates``, scores a stack of P large-scale gain profiles
 on shared small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i)
 h_k^H h_i. Fixed-gain estimation (``estimate_link_se``) is the P = 1 case,
 batched over trials; the placement study (``cdf_experiment``) is the P > 1
-case, chunked over profiles.
+case, chunked over profiles. Both take a tuple of schemes and score every
+scheme on the same Grams, so each trial's channel is drawn once however
+many schemes are compared; they return one result per scheme.
 
 Trials are indexed units of work: trial i's channel comes from the
 (seed, trial-index) substream regardless of batching or thread count, and
@@ -18,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import STREAM_CHANNEL, STREAM_PROFILE, draw_large_scale, draw_small_scale, substream
+from .channel import (
+    STREAM_CHANNEL,
+    STREAM_PROFILE,
+    checked_gains,
+    draw_large_scale,
+    draw_small_scale,
+    substream,
+)
 from .exceptions import SingularSystemError
 from .schedule import SlotIndexer
 
@@ -99,6 +108,13 @@ def _check_scheme(scheme):
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
 
+def _check_schemes(schemes):
+    """The requested schemes as a tuple; names are checked by _slot_plan."""
+    if isinstance(schemes, str) or not schemes:
+        raise ValueError(f"schemes must be a nonempty tuple drawn from {SCHEMES}, got {schemes!r}")
+    return tuple(schemes)
+
+
 def _check_trials(trials):
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -137,7 +153,7 @@ def _slot_plan(K, scheme):
 
 
 def _batch_size(M, K):
-    # Keep each batch of channel matrices around 8 MB.
+    # Trials per span: fewer at large M, so spans draw about 8 MB of entries each.
     return int(np.clip(8_000_000 // (16 * M * K), 8, 1024))
 
 
@@ -155,11 +171,16 @@ def _run_spans(fn, total, step, workers=None):
 
 
 def _channel_gram(M, K, seed, start, stop):
-    """Small-scale Gram H^H H of trials start..stop-1, each from its own substream."""
-    H = np.empty((stop - start, M, K), dtype=complex)
+    """Small-scale Gram H^H H of trials start..stop-1, each from its own substream.
+
+    Each H is reduced to its K x K Gram as soon as it is drawn, so no batch
+    of M x K matrices is ever held.
+    """
+    gram = np.empty((stop - start, K, K), dtype=complex)
     for pos, trial in enumerate(range(start, stop)):
-        H[pos] = draw_small_scale(M, K, substream(seed, STREAM_CHANNEL, trial))
-    return H.conj().transpose(0, 2, 1) @ H
+        H = draw_small_scale(M, K, substream(seed, STREAM_CHANNEL, trial))
+        gram[pos] = H.conj().T @ H
+    return gram
 
 
 def _slot_rates(config, gram_h, betas, plan):
@@ -205,31 +226,46 @@ def _min_sum(ul, dl):
     return np.minimum(ul[..., None], dl).sum(axis=(-2, -1))
 
 
-def estimate_link_se(config, beta, scheme, trials, seed, workers=None):
-    """Uplink and downlink ergodic SE from one shared set of channel draws.
+def estimate_link_se(config, beta, schemes, trials, seed, workers=None):
+    """Uplink and downlink ergodic SE of each scheme, from one set of channel draws.
 
-    For the proposed scheme the first sic_slots downlink columns are the
-    cancelation slots and the rest come from the zero-forcing stage.
+    Returns a dict mapping each name in ``schemes`` to its LinkEstimate.
+    Every trial's Gram is drawn once and scored under every scheme, so the
+    schemes are compared on the same channels. For the proposed scheme the
+    first sic_slots downlink columns are the cancelation slots and the rest
+    come from the zero-forcing stage.
     """
     _check_trials(trials)
-    plan = _slot_plan(config.K, scheme)
+    plans = {scheme: _slot_plan(config.K, scheme) for scheme in _check_schemes(schemes)}
     M, K = config.M, config.K
-    betas = np.asarray(getattr(beta, "beta", beta), dtype=float)[None]
+    betas = checked_gains(beta, K)[None]
     # Keep the profile axis so the trial means reduce exactly as in cdf_experiment.
     ul = np.empty((1, trials, K))
-    dl = np.empty((1, trials, K, K - 1))
+    dl = {scheme: np.empty((1, trials, K, K - 1)) for scheme in plans}
 
     def run_batch(lo, hi):
-        ul[:, lo:hi], dl[:, lo:hi] = _slot_rates(config, _channel_gram(M, K, seed, lo, hi), betas, plan)
+        gram_h = _channel_gram(M, K, seed, lo, hi)
+        for scheme, plan in plans.items():
+            # The uplink does not depend on the scheme; each pass writes the same values.
+            ul[:, lo:hi], dl[scheme][:, lo:hi] = _slot_rates(config, gram_h, betas, plan)
 
     _run_spans(run_batch, trials, _batch_size(M, K), workers)
+    ul_mean, ul_err = _mean_stderr(ul)
+    estimates = {}
+    for scheme, samples in dl.items():
+        dl_mean, dl_err = _mean_stderr(samples)
+        estimates[scheme] = LinkEstimate(uplink=ul_mean, uplink_stderr=ul_err,
+                                         downlink=dl_mean, downlink_stderr=dl_err, trials=trials)
+    return estimates
+
+
+def _mean_stderr(samples):
+    """Trial mean and standard error of (1, trials, ...) samples; the error is 0 for one trial."""
+    trials = samples.shape[1]
+    mean = samples.mean(axis=1)[0]
     if trials < 2:
-        ul_err, dl_err = np.zeros(K), np.zeros((K, K - 1))
-    else:
-        ul_err = ul[0].std(axis=0, ddof=1) / np.sqrt(trials)
-        dl_err = dl[0].std(axis=0, ddof=1) / np.sqrt(trials)
-    return LinkEstimate(uplink=ul.mean(axis=1)[0], uplink_stderr=ul_err,
-                        downlink=dl.mean(axis=1)[0], downlink_stderr=dl_err, trials=trials)
+        return mean, np.zeros(mean.shape)
+    return mean, samples[0].std(axis=0, ddof=1) / np.sqrt(trials)
 
 
 def sum_se(estimate, scheme):
@@ -256,23 +292,24 @@ def sum_se(estimate, scheme):
 
 
 def sum_se_once(config, beta, scheme, trials, seed, workers=None):
-    """Run one Monte Carlo pass and reduce it straight to a SumSeReport."""
-    return sum_se(estimate_link_se(config, beta, scheme, trials, seed, workers), scheme)
+    """Run one Monte Carlo pass of one scheme and reduce it straight to a SumSeReport."""
+    return sum_se(estimate_link_se(config, beta, (scheme,), trials, seed, workers)[scheme], scheme)
 
 
 def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
-                   scheme="proposed", workers=None):
-    """Sum-SE distribution over independently drawn placement profiles.
+                   schemes=("proposed",), workers=None):
+    """Sum-SE distribution over independently drawn placement profiles, per scheme.
 
-    Each profile p draws its gains from the (seed, profile-stream, p)
-    substream (or uses the unit profile when geometry is None), so sample p
-    never depends on how many profiles run or on the thread count. All
-    profiles are scored against the same channel draws (common random
+    Returns a dict mapping each name in ``schemes`` to its CdfResult. Each
+    profile p draws its gains from the (seed, profile-stream, p) substream
+    (or uses the unit profile when geometry is None), so sample p never
+    depends on how many profiles run or on the thread count. All profiles
+    and schemes are scored against the same channel draws (common random
     numbers): trial i's small-scale realization is a function of (seed, i)
     alone, so identical profiles score identically, and each sample equals
-    ``sum_se_once`` with that profile's gains.
+    ``sum_se_once`` with that profile's gains and scheme.
     """
-    plan = _slot_plan(config.K, scheme)
+    plans = {scheme: _slot_plan(config.K, scheme) for scheme in _check_schemes(schemes)}
     if profiles < 1:
         raise ValueError("profiles must be >= 1")
     _check_trials(trials_per_profile)
@@ -292,14 +329,18 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
 
     _run_spans(draw, trials, _batch_size(M, K), workers)
 
-    pre_log = _pre_log(K, scheme)
-    samples = np.empty(profiles)
-
-    def score(lo, hi):
-        ul, dl = _slot_rates(config, gram_h, betas[lo:hi], plan)
-        samples[lo:hi] = pre_log * _min_sum(ul.mean(axis=1), dl.mean(axis=1))
-
     # Keep each chunk's scratch arrays, per-trial downlink output included, around ~50 MB.
     chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
-    _run_spans(score, profiles, chunk, workers)
-    return CdfResult(samples=samples)
+    results = {}
+    # One scheme at a time, so the chunk scratch of two schemes is never alive together.
+    for scheme, plan in plans.items():
+        pre_log = _pre_log(K, scheme)
+        samples = np.empty(profiles)
+
+        def score(lo, hi):
+            ul, dl = _slot_rates(config, gram_h, betas[lo:hi], plan)
+            samples[lo:hi] = pre_log * _min_sum(ul.mean(axis=1), dl.mean(axis=1))
+
+        _run_spans(score, profiles, chunk, workers)
+        results[scheme] = CdfResult(samples=samples)
+    return results

@@ -10,7 +10,6 @@ slot indices are 1-based.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 from .exceptions import DegenerateChannelError, SingularSystemError
 from .schedule import SlotIndexer, known_set, partner_index
@@ -122,11 +121,15 @@ class ZfStage:
         """Zero-forcing combiner: gram^(-1) @ mixing^H, satisfying combiner @ mixing = I."""
         if self.n_unknowns == 0:
             return np.zeros((0, self.mixing.shape[0]), dtype=complex)
+        from scipy.linalg import cho_solve  # local imports keep scipy off the figure paths
+
         low = _factor_gram(self.gram)
         return cho_solve((low, True), self.mixing.conj().T)
 
 
 def _factor_gram(gram):
+    from scipy.linalg import cholesky
+
     try:
         low = cholesky(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -164,6 +167,8 @@ def build_zf_stage(G, k, indexer=None):
         for n in range(1, cols + 1):
             mixing[m - 1, n - 1] = cross[indexer.beam(k, m, n) - 1]
     gram = mixing.conj().T @ mixing
+    from scipy.linalg import cho_solve
+
     low = _factor_gram(gram)
     inverse = cho_solve((low, True), np.eye(cols, dtype=complex))
     return ZfStage(user=k, mixing=mixing, gram=gram,

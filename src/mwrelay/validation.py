@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import (
     STREAM_CHANNEL,
-    LargeScaleProfile,
+    checked_gains,
     compose_channel,
     draw_small_scale,
     substream,
@@ -151,7 +151,7 @@ def run_round_noiseless(config, beta, seed, frame=None):
     user is numerically singular, and reports the attempt count.
     """
     M, K = config.M, config.K
-    beta = LargeScaleProfile(getattr(beta, "beta", beta)).beta
+    beta = checked_gains(beta, K)
     idx = SlotIndexer(K)
     scale = _amplitude(beta, config.p_r, M)
     order = _decoding_order(K)
@@ -205,7 +205,7 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
     (genie-aided), so errors never propagate across slots.
     """
     M, K = config.M, config.K
-    beta = LargeScaleProfile(getattr(beta, "beta", beta)).beta
+    beta = checked_gains(beta, K)
     if p_r is None:
         p_r = config.p_r
     if p_r < 0:

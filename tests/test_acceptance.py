@@ -47,8 +47,7 @@ def link_tables():
         for M in (100, 200, 300):
             config = SystemConfig(M=M, K=K, p_u=P_U, p_r=P_R)
             cell = {"config": config, "beta": beta}
-            for scheme in ("conventional", "proposed"):
-                cell[scheme] = estimate_link_se(config, beta, scheme, TRIALS, SEED)
+            cell.update(estimate_link_se(config, beta, ("conventional", "proposed"), TRIALS, SEED))
             tables[(K, M)] = cell
     return tables
 
@@ -196,7 +195,7 @@ def test_criterion_7_cdf_ordering():
     likely = {}
     for K in (5, 7, 10):
         config = SystemConfig(M=100, K=K, p_u=P_U, p_r=P_R)
-        likely[K] = cdf_experiment(config, geometry, 2000, 1000, SEED).likely_95
+        likely[K] = cdf_experiment(config, geometry, 2000, 1000, SEED)["proposed"].likely_95
     ok = likely[5] < likely[7] < likely[10]
     report(7, ok, f"95%-likely sum SE: K=5 {likely[5]:.3f} < K=7 {likely[7]:.3f} < K=10 {likely[10]:.3f}")
     assert ok

@@ -19,6 +19,7 @@ from mwrelay import (
     zf_asymptotic_rate,
 )
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
+from mwrelay.exceptions import InvalidConfigError
 
 
 def test_uplink_bound_values():
@@ -210,9 +211,23 @@ def test_jensen_ordering_smoke():
     beta = np.array([0.5, 1.0, 1.5, 0.8, 1.2])
     report = bound_report(config, beta)
     for scheme in ("conventional", "proposed"):
-        estimate = estimate_link_se(config, beta, scheme, 3000, seed=17)
+        estimate = estimate_link_se(config, beta, (scheme,), 3000, seed=17)[scheme]
         for k in range(5):
             assert report.uplink[k] <= estimate.uplink[k] + 2 * estimate.uplink_stderr[k]
             slots = report.dl_conventional[k] if scheme == "conventional" else report.dl_proposed[k]
             for t, bound in enumerate(slots, start=1):
                 assert bound <= estimate.downlink[k, t - 1] + 2 * estimate.downlink_stderr[k, t - 1]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("bound", [
+    lambda beta: uplink_bound(beta, 1.0, 16, 1),
+    lambda beta: conventional_dl_bound(beta, 10.0, 16, 4, 1, 1),
+    lambda beta: proposed_dl_bound(beta, 10.0, 16, 4, 1, 1),
+    lambda beta: zf_asymptotic_rate(beta, 10.0, 4, 1, 1),
+    lambda beta: bound_report(SystemConfig(M=16, K=4, p_u=1.0, p_r=10.0), beta),
+], ids=["uplink", "conventional", "proposed", "zf_asymptotic", "report"])
+def test_bounds_reject_bad_gains(bound, bad):
+    # The LargeScaleProfile check: InvalidConfigError, which is a ValueError.
+    with pytest.raises(InvalidConfigError):
+        bound(np.array([1.0, bad, 1.0, 1.0]))

@@ -153,3 +153,9 @@ def test_realization_keeps_inputs():
     assert isinstance(out, ChannelRealization)
     assert out.H is H
     assert np.array_equal(out.beta, np.array([1.0, 4.0, 9.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0])
+def test_profile_rejects_nonfinite_and_zero_gains(bad):
+    with pytest.raises(InvalidConfigError):
+        LargeScaleProfile(np.array([1.0, bad, 1.0]))

@@ -246,3 +246,36 @@ def test_trials_default_per_experiment(tmp_path, monkeypatch):
         ["sweep-m", "--k", "4", "--m", "16", "--seed", "1", "--out", str(sweep_out)]
     ) == 0
     assert "# trials = 10000\n" in sweep_out.read_text()
+
+
+def _data_rows(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return [l.split(",") for l in lines[1:]]
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["sweep-m", "--k", "4", "--m", "16:32:16", "--trials", "30"], 30 * 2),
+    (["cdf", "--k", "4", "--m", "16", "--profiles", "3", "--trials", "30", "--beta", "geometry"], 30),
+], ids=["sweep-m", "cdf"])
+def test_both_schemes_share_one_draw_per_trial(tmp_path, monkeypatch, argv, draws):
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    from mwrelay import montecarlo
+
+    real = montecarlo.draw_small_scale
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "draw_small_scale", counted)
+    common = argv + ["--seed", "6"]
+    both = tmp_path / "both.csv"
+    assert parse_and_dispatch(common + ["--scheme", "both", "--out", str(both)]) == 0
+    # Every trial of every M is drawn once, whatever the number of schemes.
+    assert len(calls) == draws
+    rows = _data_rows(both)
+    for scheme in ("conventional", "proposed"):
+        alone = tmp_path / f"{scheme}.csv"
+        assert parse_and_dispatch(common + ["--scheme", scheme, "--out", str(alone)]) == 0
+        assert [r for r in rows if r[1] == scheme] == _data_rows(alone)

@@ -20,6 +20,7 @@ from mwrelay import (
     zf_sinr,
 )
 from mwrelay.channel import STREAM_CHANNEL, compose_channel, draw_small_scale, substream
+from mwrelay.exceptions import InvalidConfigError
 from mwrelay.schedule import SlotIndexer
 
 CONFIG = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
@@ -64,32 +65,32 @@ def scalar_rate_tables(config, beta, scheme, trials, seed):
 @pytest.mark.parametrize("scheme", ["conventional", "proposed"])
 def test_kernel_matches_scalar_operations(scheme):
     trials = 6
-    estimate = estimate_link_se(CONFIG, BETA, scheme, trials, seed=99)
+    estimate = estimate_link_se(CONFIG, BETA, (scheme,), trials, seed=99)[scheme]
     ul_ref, dl_ref = scalar_rate_tables(CONFIG, BETA, scheme, trials, seed=99)
     assert np.allclose(estimate.uplink, ul_ref.mean(axis=0), rtol=1e-10)
     assert np.allclose(estimate.downlink, dl_ref.mean(axis=0), rtol=1e-10)
 
 
 def test_same_seed_same_estimates():
-    a = estimate_link_se(CONFIG, BETA, "proposed", 50, seed=4)
-    b = estimate_link_se(CONFIG, BETA, "proposed", 50, seed=4)
+    a = estimate_link_se(CONFIG, BETA, ("proposed",), 50, seed=4)["proposed"]
+    b = estimate_link_se(CONFIG, BETA, ("proposed",), 50, seed=4)["proposed"]
     assert np.array_equal(a.uplink, b.uplink) and np.array_equal(a.uplink_stderr, b.uplink_stderr)
 
 
 def test_worker_count_invariance(monkeypatch):
     monkeypatch.setenv("MWRELAY_THREADS", "1")
-    one = estimate_link_se(CONFIG, BETA, "proposed", 300, seed=6)
+    one = estimate_link_se(CONFIG, BETA, ("proposed",), 300, seed=6)["proposed"]
     monkeypatch.setenv("MWRELAY_THREADS", "8")
-    eight = estimate_link_se(CONFIG, BETA, "proposed", 300, seed=6)
+    eight = estimate_link_se(CONFIG, BETA, ("proposed",), 300, seed=6)["proposed"]
     assert np.array_equal(one.uplink, eight.uplink)
     assert np.array_equal(one.downlink, eight.downlink)
     assert np.array_equal(one.downlink_stderr, eight.downlink_stderr)
 
 
 def test_single_trial_flagged():
-    one = estimate_link_se(CONFIG, BETA, "proposed", 1, seed=2)
+    one = estimate_link_se(CONFIG, BETA, ("proposed",), 1, seed=2)["proposed"]
     assert one.trials == 1 and np.all(one.uplink_stderr == 0.0)
-    many = estimate_link_se(CONFIG, BETA, "proposed", 10, seed=2)
+    many = estimate_link_se(CONFIG, BETA, ("proposed",), 10, seed=2)["proposed"]
     assert many.trials == 10 and np.all(many.uplink_stderr > 0)
 
 
@@ -97,21 +98,21 @@ def test_uplink_respects_jensen_bound():
     from mwrelay import uplink_bound
 
     config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
-    estimate = estimate_link_se(config, np.ones(10), "proposed", 3000, seed=12)
+    estimate = estimate_link_se(config, np.ones(10), ("proposed",), 3000, seed=12)["proposed"]
     bound = uplink_bound(np.ones(10), 1.0, 100, 1)
     assert np.all(bound <= estimate.uplink + 2 * estimate.uplink_stderr)
 
 
 def test_proposed_slot_one_equals_conventional():
-    prop = estimate_link_se(CONFIG, BETA, "proposed", 40, seed=3)
-    conv = estimate_link_se(CONFIG, BETA, "conventional", 40, seed=3)
+    prop = estimate_link_se(CONFIG, BETA, ("proposed",), 40, seed=3)["proposed"]
+    conv = estimate_link_se(CONFIG, BETA, ("conventional",), 40, seed=3)["conventional"]
     assert np.array_equal(prop.downlink[:, 0], conv.downlink[:, 0])
     assert np.array_equal(prop.downlink_stderr[:, 0], conv.downlink_stderr[:, 0])
 
 
 def test_stderr_scales_like_sqrt_trials():
-    small = estimate_link_se(CONFIG, BETA, "proposed", 2000, seed=8)
-    large = estimate_link_se(CONFIG, BETA, "proposed", 4000, seed=8)
+    small = estimate_link_se(CONFIG, BETA, ("proposed",), 2000, seed=8)["proposed"]
+    large = estimate_link_se(CONFIG, BETA, ("proposed",), 4000, seed=8)["proposed"]
     for s, l in zip(small.uplink_stderr, large.uplink_stderr):
         ratio = l / s
         assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2)
@@ -157,7 +158,7 @@ def test_sum_se_validates_coverage():
 
 
 def test_cdf_unit_profiles_degenerate():
-    result = cdf_experiment(CONFIG, None, 7, 60, seed=5)
+    result = cdf_experiment(CONFIG, None, 7, 60, seed=5)["proposed"]
     assert np.ptp(result.samples) == 0.0
     assert result.likely_95 == result.samples[0]
 
@@ -169,8 +170,8 @@ def test_cdf_rejects_zero_trials():
 
 def test_cdf_substream_determinism():
     geometry = GeometryModel()
-    first = cdf_experiment(CONFIG, geometry, 6, 50, seed=9)
-    doubled = cdf_experiment(CONFIG, geometry, 12, 50, seed=9)
+    first = cdf_experiment(CONFIG, geometry, 6, 50, seed=9)["proposed"]
+    doubled = cdf_experiment(CONFIG, geometry, 12, 50, seed=9)["proposed"]
     assert np.array_equal(first.samples, doubled.samples[:6])
 
 
@@ -178,7 +179,7 @@ def test_cdf_matches_direct_scoring():
     from mwrelay.channel import STREAM_PROFILE, draw_large_scale
 
     geometry = GeometryModel()
-    result = cdf_experiment(CONFIG, geometry, 4, 80, seed=14)
+    result = cdf_experiment(CONFIG, geometry, 4, 80, seed=14)["proposed"]
     for p in range(4):
         beta = draw_large_scale(geometry, CONFIG.K, substream(14, STREAM_PROFILE, p)).beta
         direct = sum_se_once(CONFIG, beta, "proposed", 80, seed=14).sum_se
@@ -190,12 +191,12 @@ def test_cdf_k_ordering_smoke():
     values = {}
     for K in (5, 10):
         config = SystemConfig(M=64, K=K, p_u=1.0, p_r=10.0)
-        values[K] = cdf_experiment(config, geometry, 60, 150, seed=10).likely_95
+        values[K] = cdf_experiment(config, geometry, 60, 150, seed=10)["proposed"].likely_95
     assert values[10] > values[5]
 
 
 def test_sorted_samples_and_percentile():
-    result = cdf_experiment(CONFIG, GeometryModel(), 20, 40, seed=2)
+    result = cdf_experiment(CONFIG, GeometryModel(), 20, 40, seed=2)["proposed"]
     ordered = result.sorted_samples
     assert np.all(np.diff(ordered) >= 0)
     assert ordered[0] <= result.likely_95 <= ordered[-1]
@@ -213,7 +214,7 @@ def test_zf_slot_rate_m_stable_below_asymptote():
     tp = SlotIndexer(10).sic_slots
     rates = {}
     for config in (config_small, config_large):
-        dl = estimate_link_se(config, beta, "proposed", 1500, seed=13).downlink
+        dl = estimate_link_se(config, beta, ("proposed",), 1500, seed=13)["proposed"].downlink
         rates[config.M] = np.mean(dl[:, tp:])
     assert abs(rates[128] - rates[1024]) / rates[1024] < 0.05
     asym = zf_asymptotic_rate(beta, 10.0, 10, 1, 1)
@@ -223,9 +224,62 @@ def test_zf_slot_rate_m_stable_below_asymptote():
 def test_two_user_downlink_single_slot():
     config = SystemConfig(M=16, K=2, p_u=1.0, p_r=10.0)
     beta = np.ones(2)
-    prop = estimate_link_se(config, beta, "proposed", 30, seed=1)
-    conv = estimate_link_se(config, beta, "conventional", 30, seed=1)
+    prop = estimate_link_se(config, beta, ("proposed",), 30, seed=1)["proposed"]
+    conv = estimate_link_se(config, beta, ("conventional",), 30, seed=1)["conventional"]
     assert prop.downlink.shape == (2, 1)
     assert prop.downlink[0, 0] == conv.downlink[0, 0]
     report = sum_se(prop, "proposed")
     assert report.pre_log == 0.5
+
+
+SCHEMES = ("conventional", "proposed")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("K", [2, 10])
+def test_shared_draw_matches_single_scheme_runs(K, workers):
+    config = SystemConfig(M=24, K=K, p_u=1.0, p_r=10.0)
+    beta = np.linspace(0.5, 1.5, K)
+    both = estimate_link_se(config, beta, SCHEMES, 70, seed=5, workers=workers)
+    assert list(both) == list(SCHEMES)
+    for scheme in SCHEMES:
+        alone = estimate_link_se(config, beta, (scheme,), 70, seed=5, workers=workers)[scheme]
+        for field in ("uplink", "uplink_stderr", "downlink", "downlink_stderr"):
+            assert np.array_equal(getattr(both[scheme], field), getattr(alone, field))
+        assert both[scheme].trials == alone.trials == 70
+    for field in ("uplink", "uplink_stderr"):
+        assert np.array_equal(getattr(both["conventional"], field), getattr(both["proposed"], field))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("K", [2, 10])
+def test_cdf_shared_draw_matches_single_scheme_runs(K, workers):
+    config = SystemConfig(M=24, K=K, p_u=1.0, p_r=10.0)
+    both = cdf_experiment(config, GeometryModel(), 5, 40, seed=8, schemes=SCHEMES, workers=workers)
+    assert list(both) == list(SCHEMES)
+    for scheme in SCHEMES:
+        alone = cdf_experiment(config, GeometryModel(), 5, 40, seed=8, schemes=(scheme,),
+                               workers=workers)[scheme]
+        assert np.array_equal(both[scheme].samples, alone.samples)
+
+
+@pytest.mark.parametrize("schemes", ["proposed", (), ("proposed", "hybrid")])
+def test_estimators_reject_bad_scheme_lists(schemes):
+    with pytest.raises(ValueError):
+        estimate_link_se(CONFIG, BETA, schemes, 5, seed=1)
+    with pytest.raises(ValueError):
+        cdf_experiment(CONFIG, None, 2, 5, seed=1, schemes=schemes)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan])
+def test_estimate_rejects_bad_gains(bad):
+    beta = BETA.copy()
+    beta[2] = bad
+    with pytest.raises(InvalidConfigError):
+        estimate_link_se(CONFIG, beta, ("proposed",), 5, seed=1)
+
+
+@pytest.mark.parametrize("size", [CONFIG.K - 1, CONFIG.K + 1])
+def test_estimate_rejects_wrong_gain_count(size):
+    with pytest.raises(InvalidConfigError, match=f"beta has {size} gains, expected K={CONFIG.K}"):
+        estimate_link_se(CONFIG, np.ones(size), ("proposed",), 5, seed=1)

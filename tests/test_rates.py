@@ -1,6 +1,10 @@
 """Per-realization SINR machinery against hand and brute-force oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +290,14 @@ def test_relay_precode_average_power():
         x = np.exp(2j * np.pi * rng.uniform(size=K))
         total += float(np.linalg.norm(relay_precode(G, beta, p_r, x)) ** 2)
     assert abs(total / trials - p_r) / p_r < 0.02
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is imported only where a zero-forcing system is factored, so the
+    # figure paths (sweep-m, cdf) never load it.
+    code = "import sys, mwrelay, mwrelay.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

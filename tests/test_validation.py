@@ -161,7 +161,7 @@ def test_knowledge_state_api():
     assert snap[1] == frozenset({2})
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
 @pytest.mark.parametrize("run", [
     lambda config, beta: run_round_noiseless(config, beta, seed=1),
     lambda config, beta: run_round_noisy(config, beta, trials=50, seed=1),
