@@ -63,7 +63,6 @@ from .schedule import (
     zf_coefficient_offset,
 )
 from .validation import (
-    KnowledgeState,
     NoiselessRound,
     SymbolFrame,
     fixed_frame,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig, checked_gains
-from .schedule import SlotIndexer, known_set, partner_index, slot_count
+from .schedule import SlotIndexer, partner_index
 
 __all__ = [
     "uplink_bound",
@@ -53,7 +53,7 @@ def conventional_dl_bound(beta, p_r, M, K, k, t):
     _check_user(k, K)
     if not 1 <= t <= K - 1:
         raise ValueError(f"slot {t} outside 1..{K - 1}")
-    interfering = beta.sum() - beta[k - 1] - beta[partner_index(k, -t, K) - 1]
+    interfering = beta.sum() - beta[k - 1] - beta[SlotIndexer(K).beams[k - 1, t - 1, 0]]
     num = p_r * (M - 1) * (M - 2) * beta[k - 1] ** 2
     den = p_r * (M - 2) * beta[k - 1] * interfering + M * beta.sum()
     return float(np.log2(1.0 + num / den))
@@ -65,13 +65,11 @@ def proposed_dl_bound(beta, p_r, M, K, k, t):
         raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
     beta = checked_gains(beta, K)
     _check_user(k, K)
-    limit = slot_count(K)
-    if not 1 <= t <= limit:
-        raise ValueError(f"slot {t} outside 1..{limit}")
-    held = known_set(k, t, K)
-    interfering = sum(
-        beta[i - 1] for i in range(1, K + 1) if partner_index(i, t, K) not in held
-    )
+    idx = SlotIndexer(K)
+    if not 1 <= t <= idx.sic_slots:
+        raise ValueError(f"slot {t} outside 1..{idx.sic_slots}")
+    # Gains of the beams outside the held window, summed in ascending beam order.
+    interfering = sum(np.delete(beta, idx.beams[k - 1, t - 1, :t + 1]))
     num = p_r * (M - 1) * (M - 2) * beta[k - 1] ** 2
     den = p_r * (M - 2) * beta[k - 1] * interfering + M * beta.sum()
     return float(np.log2(1.0 + num / den))
@@ -88,7 +86,7 @@ def zf_asymptotic_rate(beta, p_r, K, k, n):
     idx = SlotIndexer(K)
     if not 1 <= n <= idx.n_unknowns:
         raise ValueError(f"unknown index {n} outside 1..{idx.n_unknowns}")
-    partners = sum(beta[partner_index(k, n + i - 1, K) - 1] for i in range(1, idx.sic_slots + 1))
+    partners = sum(beta[idx.order[k - 1, n:n + idx.sic_slots]])
     return float(np.log2(1.0 + p_r * beta[k - 1] * partners / beta.sum()))
 
 

@@ -128,28 +128,19 @@ def _pre_log(K, scheme):
 def _slot_plan(K, scheme):
     """Held-column windows of the interference-limited slots, and the ZF beam table.
 
-    Windows are (K, held) 0-based column indices per slot. The conventional
-    pair is ordered like the t=1 cancelation window so the two schemes give
-    bit-identical slot-1 values. The beam table is (K, sic_slots, n_unknowns)
-    from SlotIndexer.beam, or None when no slot is zero-forced.
+    Windows are (K, held) 0-based column indices per slot, read from
+    SlotIndexer.beams. The conventional pair is ordered like the t=1
+    cancelation window so the two schemes give bit-identical slot-1 values.
+    The beam table is (K, sic_slots, n_unknowns), or None when no slot is
+    zero-forced.
     """
     _check_scheme(scheme)
     idx = SlotIndexer(K)
+    T, beams = idx.sic_slots, idx.beams
     if scheme == "conventional":
-        windows = [np.array([[(k0 - t) % K, k0] for k0 in range(K)]) for t in range(1, K)]
-        return windows, None
-    windows = [
-        np.array([[(k0 - t + d) % K for d in range(t + 1)] for k0 in range(K)])
-        for t in range(1, idx.sic_slots + 1)
-    ]
-    if not idx.n_unknowns:
-        return windows, None
-    beams = np.array([
-        [[idx.beam(k, m, n) - 1 for n in range(1, idx.n_unknowns + 1)]
-         for m in range(1, idx.sic_slots + 1)]
-        for k in range(1, K + 1)
-    ])
-    return windows, beams
+        return [beams[:, t - 1, [0, t]] for t in range(1, K)], None
+    windows = [beams[:, t - 1, :t + 1] for t in range(1, T + 1)]
+    return windows, (beams[:, :T, T + 1:] if idx.n_unknowns else None)
 
 
 def _batch_size(M, K):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateChannelError, SingularSystemError
-from .schedule import SlotIndexer, known_set, partner_index
+from .schedule import SlotIndexer
 
 __all__ = [
     "ZfStage",
@@ -55,6 +55,11 @@ def uplink_sinr(G, p_u, k):
     return p_u * n2**2 / (p_u * interference + n2)
 
 
+def _outside_power(cross, window):
+    """Sum of |cross[i]|^2 over the beams i outside ``window``, in ascending beam order."""
+    return sum(float(abs(c) ** 2) for c in np.delete(cross, window))
+
+
 def conventional_dl_sinr(G, beta, p_r, k, t):
     """Downlink SINR of user k in conventional broadcast slot t.
 
@@ -66,12 +71,7 @@ def conventional_dl_sinr(G, beta, p_r, k, t):
         raise ValueError(f"slot {t} outside 1..{K - 1}")
     cross, n2 = _column_products(G, k)
     c = _broadcast_scale(beta, p_r, G.shape[0])
-    keep_out = {partner_index(k, t, K), k}
-    interference = sum(
-        float(abs(cross[i - 1]) ** 2)
-        for i in range(1, K + 1)
-        if partner_index(i, t, K) not in keep_out
-    )
+    interference = _outside_power(cross, SlotIndexer(K).beams[k - 1, t - 1, [0, t]])
     return c * n2**2 / (c * interference + 1.0)
 
 
@@ -84,17 +84,12 @@ def proposed_dl_sinr(G, beta, p_r, k, t):
     t = 1 and is nondecreasing in t on any fixed realization.
     """
     K = G.shape[1]
-    limit = SlotIndexer(K).sic_slots
-    if not 1 <= t <= limit:
-        raise ValueError(f"slot {t} outside 1..{limit}")
+    idx = SlotIndexer(K)
+    if not 1 <= t <= idx.sic_slots:
+        raise ValueError(f"slot {t} outside 1..{idx.sic_slots}")
     cross, n2 = _column_products(G, k)
     c = _broadcast_scale(beta, p_r, G.shape[0])
-    held = known_set(k, t, K)
-    interference = sum(
-        float(abs(cross[i - 1]) ** 2)
-        for i in range(1, K + 1)
-        if partner_index(i, t, K) not in held
-    )
+    interference = _outside_power(cross, idx.beams[k - 1, t - 1, :t + 1])
     return c * n2**2 / (c * interference + 1.0)
 
 
@@ -103,14 +98,16 @@ class ZfStage:
     """Residual linear system of one user after the cancelation slots.
 
     ``mixing`` is the sic_slots x n_unknowns coefficient matrix (row m is
-    residual equation m), ``gram`` its Hermitian Gram matrix, and
-    ``noise_gain`` the diagonal of the Gram inverse — the per-unknown noise
-    amplification of the zero-forcing combiner.
+    residual equation m), ``gram`` its Hermitian Gram matrix, ``factor``
+    the lower Cholesky factor of ``gram``, and ``noise_gain`` the diagonal
+    of the Gram inverse — the per-unknown noise amplification of the
+    zero-forcing combiner.
     """
 
     user: int
     mixing: np.ndarray
     gram: np.ndarray
+    factor: np.ndarray
     noise_gain: np.ndarray
 
     @property
@@ -123,8 +120,7 @@ class ZfStage:
             return np.zeros((0, self.mixing.shape[0]), dtype=complex)
         from scipy.linalg import cho_solve  # local imports keep scipy off the figure paths
 
-        low = _factor_gram(self.gram)
-        return cho_solve((low, True), self.mixing.conj().T)
+        return cho_solve((self.factor, True), self.mixing.conj().T)
 
 
 def _factor_gram(gram):
@@ -148,30 +144,27 @@ def build_zf_stage(G, k, indexer=None):
     """Assemble user k's residual system and its noise gains.
 
     Entry (m, n) is g_k^H g_j with j the beam that carries the n-th unknown
-    in broadcast slot m (offset rule sic_slots + n - m). Noise gains come
-    from Hermitian solves against the Gram factor, not an explicit inverse.
-    For K = 2 there is nothing left to solve and the stage is empty.
+    in broadcast slot m, read from the indexer's beam table. Noise gains
+    come from Hermitian solves against the Gram factor, not an explicit
+    inverse. For K = 2 there is nothing left to solve and the stage is empty.
     """
     M, K = G.shape
     indexer = indexer if indexer is not None else SlotIndexer(K)
     if indexer.K != K:
         raise ValueError(f"indexer is for K={indexer.K}, channel has K={K}")
-    rows, cols = indexer.sic_slots, indexer.n_unknowns
-    if cols == 0:
-        empty = np.zeros((rows, 0), dtype=complex)
-        return ZfStage(user=k, mixing=empty, gram=np.zeros((0, 0), dtype=complex),
-                       noise_gain=np.zeros(0))
     cross, _ = _column_products(G, k)
-    mixing = np.empty((rows, cols), dtype=complex)
-    for m in range(1, rows + 1):
-        for n in range(1, cols + 1):
-            mixing[m - 1, n - 1] = cross[indexer.beam(k, m, n) - 1]
+    T = indexer.sic_slots
+    mixing = cross[indexer.beams[k - 1, :T, T + 1:]]
+    cols = mixing.shape[1]
+    if cols == 0:
+        empty = np.zeros((0, 0), dtype=complex)
+        return ZfStage(user=k, mixing=mixing, gram=empty, factor=empty, noise_gain=np.zeros(0))
     gram = mixing.conj().T @ mixing
     from scipy.linalg import cho_solve
 
     low = _factor_gram(gram)
     inverse = cho_solve((low, True), np.eye(cols, dtype=complex))
-    return ZfStage(user=k, mixing=mixing, gram=gram,
+    return ZfStage(user=k, mixing=mixing, gram=gram, factor=low,
                    noise_gain=np.diag(inverse).real.copy())
 
 

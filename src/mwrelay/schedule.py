@@ -3,11 +3,22 @@
 Everything here is pure bookkeeping: how many broadcast slots each scheme
 needs, which symbol the relay routes to which user in a given slot, which
 symbols a user already knows after successive cancelation, and where the
-remaining unknowns sit inside the residual zero-forcing system. User and
-slot indices are 1-based throughout.
+remaining unknowns sit inside the residual zero-forcing system.
+
+The whole protocol is one cyclic rule: in broadcast slot t, user k's d-th
+symbol (d = 0 is its own) rides on beam (k + d - t) mod K. ``SlotIndexer``
+holds it as two read-only 0-based tables, built once per K, that every
+other module slices: ``order[k-1, d]`` is the d-th symbol user k ends up
+holding (column t is the slot-t target, columns sic_slots+1.. the
+remaining unknowns), and ``beams[k-1, t-1, d]`` the beam that carries it
+in slot t. The scalar functions (1-based indices) are the oracle the
+tables are tested against.
 """
 
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .exceptions import InvalidConfigError
 
@@ -72,6 +83,17 @@ def zf_coefficient_offset(m, n, sic_slots):
     return sic_slots + n - m
 
 
+@functools.cache
+def _tables(K):
+    """The read-only (order, beams) tables of a K-user exchange."""
+    K = _check_users(K)
+    order = (np.arange(K)[:, None] + np.arange(K)) % K
+    beams = (order[:, None, :] - np.arange(1, K)[:, None]) % K
+    order.flags.writeable = False
+    beams.flags.writeable = False
+    return order, beams
+
+
 @dataclass(frozen=True)
 class SlotIndexer:
     """Slot bookkeeping for a K-user exchange.
@@ -99,6 +121,16 @@ class SlotIndexer:
     def conventional_slots(self):
         """Total slots for the conventional scheme: one access slot + K - 1."""
         return self.K
+
+    @property
+    def order(self):
+        """(K, K) table: order[k-1, d] is the 0-based d-th symbol user k holds."""
+        return _tables(self.K)[0]
+
+    @property
+    def beams(self):
+        """(K, K-1, K) table: beams[k-1, t-1, d] carries order[k-1, d] in slot t."""
+        return _tables(self.K)[1]
 
     def partner(self, k, t):
         return partner_index(k, t, self.K)

@@ -30,7 +30,6 @@ __all__ = [
     "SymbolFrame",
     "qpsk_frame",
     "fixed_frame",
-    "KnowledgeState",
     "NoiselessRound",
     "run_round_noiseless",
     "run_round_noisy",
@@ -63,23 +62,6 @@ def fixed_frame(K):
     return SymbolFrame(QPSK[np.arange(int(K)) % 4], "unit-test-fixed")
 
 
-class KnowledgeState:
-    """Which symbol indices each user currently holds (1-based)."""
-
-    def __init__(self, K):
-        self.K = K
-        self._held = [{k} for k in range(1, K + 1)]
-
-    def decoded(self, k):
-        return frozenset(self._held[k - 1])
-
-    def learn(self, k, symbol_index):
-        self._held[k - 1].add(symbol_index)
-
-    def snapshot(self):
-        return tuple(frozenset(s) for s in self._held)
-
-
 @dataclass(frozen=True)
 class NoiselessRound:
     """Outcome of one noise-free exchange round.
@@ -107,11 +89,6 @@ def _amplitude(beta, p_r, M):
     return math.sqrt(p_r / (M * np.sum(beta)))
 
 
-def _decoding_order(K):
-    """order[k-1, j] = 0-based index of the j-th symbol user k ends up holding (j = 0 is its own)."""
-    return (np.arange(K)[:, None] + np.arange(K)) % K
-
-
 def _decode_round(G, beta, p_r, x, idx, noise=None):
     """Decode one round at every user at once; returns (slot, zf).
 
@@ -131,12 +108,10 @@ def _decode_round(G, beta, p_r, x, idx, noise=None):
                          for t in range(1, T + 1)], axis=1)
     if noise is not None:
         received += noise.T
-    # In slot t, symbol v rides on beam (v - t) % K.
     users = np.arange(K)[:, None, None]
-    held = _decoding_order(K)[:, None, :T + 1]
-    beams = (held - np.arange(1, T + 1)[:, None]) % K
+    held = idx.order[:, None, :T + 1]
     # canceled[k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
-    canceled = np.cumsum(scale * cross[users, beams] * x[held], axis=2)
+    canceled = np.cumsum(scale * cross[users, idx.beams[:, :T, :T + 1]] * x[held], axis=2)
     slots = np.arange(T)
     slot = (received - canceled[:, slots, slots]) / np.diag(cross).real[:, None]
     combiners = np.stack([build_zf_stage(G, k, idx).combiner() for k in range(1, K + 1)])
@@ -154,7 +129,6 @@ def run_round_noiseless(config, beta, seed, frame=None):
     beta = checked_gains(beta, K)
     idx = SlotIndexer(K)
     scale = _amplitude(beta, config.p_r, M)
-    order = _decoding_order(K)
     last_error = None
     for attempt in range(8):
         rng = substream(seed, STREAM_CHANNEL, attempt)
@@ -171,8 +145,8 @@ def run_round_noiseless(config, beta, seed, frame=None):
         # Slot decisions are genie-corrected (the raw estimates still carry
         # the not-yet-decoded symbols as interference); the rest is the raw solve.
         recovered = np.tile(x, (K, 1))
-        recovered[np.arange(K)[:, None], order[:, idx.sic_slots + 1:]] = zf / scale
-        history = [tuple(frozenset((row[:t + 1] + 1).tolist()) for row in order)
+        recovered[np.arange(K)[:, None], idx.order[:, idx.sic_slots + 1:]] = zf / scale
+        history = [tuple(frozenset((row[:t + 1] + 1).tolist()) for row in idx.order)
                    for t in range(idx.sic_slots + 1)]
         if idx.n_unknowns:
             history.append((frozenset(range(1, K + 1)),) * K)
@@ -214,7 +188,7 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
         raise ValueError("trials must be >= 1")
     idx = SlotIndexer(K)
     scale = _amplitude(beta, p_r, M)
-    targets = _decoding_order(K)[:, 1:]
+    targets = idx.order[:, 1:]
     errors = np.zeros((K, K - 1))
 
     for trial in range(trials):

@@ -21,6 +21,7 @@ from mwrelay import (
     uplink_sinr,
     zf_sinr,
 )
+import mwrelay.rates as rates
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
 
 
@@ -157,6 +158,17 @@ def test_slot_range_validation():
         conventional_dl_sinr(G, beta, 1.0, 1, 4)
     with pytest.raises(ValueError):
         proposed_dl_sinr(G, beta, 1.0, 1, 3)  # sic slots = 2 for K=4
+    # Index 0 or -1 would wrap silently in the schedule tables, so the checks
+    # must come before any table read.
+    for dl_sinr in (conventional_dl_sinr, proposed_dl_sinr):
+        with pytest.raises(ValueError):
+            dl_sinr(G, beta, 1.0, 1, 0)
+        for k in (0, 5):
+            with pytest.raises(ValueError):
+                dl_sinr(G, beta, 1.0, k, 1)
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            build_zf_stage(G, k)
 
 
 def test_zf_stage_k3_closed_form():
@@ -201,6 +213,20 @@ def test_zf_combiner_inverts_mixing():
         stage = build_zf_stage(G, k)
         eye = stage.combiner() @ stage.mixing
         assert np.max(np.abs(eye - np.eye(stage.n_unknowns))) < 1e-9
+
+
+def test_zf_stage_factors_its_gram_once(monkeypatch):
+    calls = []
+    factor = rates._factor_gram
+
+    def counting(gram):
+        calls.append(gram.shape)
+        return factor(gram)
+
+    monkeypatch.setattr(rates, "_factor_gram", counting)
+    stage = build_zf_stage(random_channel(16, 9, seed=4), 1)
+    stage.combiner()
+    assert calls == [(stage.n_unknowns, stage.n_unknowns)]
 
 
 def test_zf_singular_gram_detected():

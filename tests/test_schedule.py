@@ -135,6 +135,29 @@ def test_indexer_slot_budget(K):
     assert idx.proposed_slots <= idx.conventional_slots
 
 
+@given(users, st.data())
+@settings(max_examples=50)
+def test_tables_match_scalar_oracle(K, data):
+    idx = SlotIndexer(K)
+    order, beams = idx.order, idx.beams
+    assert order.shape == (K, K) and beams.shape == (K, K - 1, K)
+    k = data.draw(st.integers(1, K), label="k")
+    held = (order[k - 1] + 1).tolist()
+    assert held == [partner_index(k, t, K) for t in range(K)]
+    for t in range(1, K):
+        assert [partner_index(b + 1, t, K) for b in beams[k - 1, t - 1]] == held
+    for t in range(idx.sic_slots + 1):
+        assert set(held[:t + 1]) == known_set(k, t, K)
+    T = idx.sic_slots
+    zf_beams = [[idx.beam(k, m, n) - 1 for n in range(1, idx.n_unknowns + 1)]
+                for m in range(1, T + 1)]
+    assert beams[k - 1, :T, T + 1:].tolist() == zf_beams
+    for table in (order, beams):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    assert SlotIndexer(K).beams is beams
+
+
 def test_gram_invariant_under_row_order():
     # Slot-ordered rows are the reverse of offset-ordered rows; the Gram
     # matrix cannot tell them apart.

@@ -16,7 +16,7 @@ from mwrelay import (
 import mwrelay.validation as validation
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
-from mwrelay.validation import QPSK, KnowledgeState
+from mwrelay.validation import QPSK
 
 
 def test_qpsk_constellation_unit_energy():
@@ -149,16 +149,6 @@ def test_noisy_rejects_zero_trials():
     config = SystemConfig(M=8, K=3, p_u=1.0, p_r=1.0)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run_round_noisy(config, np.ones(3), trials=0, seed=1)
-
-
-def test_knowledge_state_api():
-    state = KnowledgeState(3)
-    assert state.decoded(1) == frozenset({1})
-    state.learn(1, 3)
-    assert state.decoded(1) == frozenset({1, 3})
-    snap = state.snapshot()
-    state.learn(2, 1)
-    assert snap[1] == frozenset({2})
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
