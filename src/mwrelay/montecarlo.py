@@ -1,12 +1,18 @@
 """Ergodic spectral-efficiency estimation over Rayleigh channel draws.
 
-One kernel, ``_slot_rates``, scores a stack of P large-scale gain profiles
-on shared small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i)
-h_k^H h_i. Fixed-gain estimation (``estimate_link_se``) is the P = 1 case,
-batched over trials; the placement study (``cdf_experiment``) is the P > 1
-case, chunked over profiles. Both take a tuple of schemes and score every
-scheme on the same Grams, so each trial's channel is drawn once however
-many schemes are compared; they return one result per scheme.
+One kernel scores a stack of P large-scale gain profiles on shared
+small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i) h_k^H h_i.
+``_block_terms`` does the scheme-independent work of a block once (power
+table, norms, row sums, uplink SE), and ``_downlink_rates`` scores one
+scheme's broadcast slots on it. The proposed scheme's zero-forcing slots
+come from ``_zf_noise_gains``, a numpy-only batched Cholesky of every
+user's residual Gram that applies the scalar oracle's pivot rule
+(``rates.PIVOT_RTOL``) and raises SingularSystemError where it fails.
+Fixed-gain estimation (``estimate_link_se``) is the P = 1 case, batched
+over trials; the placement study (``cdf_experiment``) is the P > 1 case,
+chunked over profiles. Both take a tuple of schemes and score every scheme
+on the same Grams, so each trial's channel is drawn once however many
+schemes are compared; they return one result per scheme.
 
 Trials are indexed units of work: trial i's channel comes from the
 (seed, trial-index) substream regardless of batching or thread count, and
@@ -29,6 +35,7 @@ from .channel import (
     substream,
 )
 from .exceptions import SingularSystemError
+from .rates import PIVOT_RTOL
 from .schedule import SlotIndexer
 
 __all__ = [
@@ -44,6 +51,8 @@ __all__ = [
 ]
 
 SCHEMES = ("conventional", "proposed")
+# Entries per (profile, user, trial) array in one zero-forcing block.
+_ZF_BLOCK_ENTRIES = 16_384
 
 
 def resolve_workers(requested=None):
@@ -131,16 +140,15 @@ def _slot_plan(K, scheme):
     Windows are (K, held) 0-based column indices per slot, read from
     SlotIndexer.beams. The conventional pair is ordered like the t=1
     cancelation window so the two schemes give bit-identical slot-1 values.
-    The beam table is (K, sic_slots, n_unknowns), or None when no slot is
-    zero-forced.
+    The beam table is (K, sic_slots, n_unknowns) for the proposed scheme
+    (no columns at K = 2) and None for the conventional one.
     """
     _check_scheme(scheme)
     idx = SlotIndexer(K)
     T, beams = idx.sic_slots, idx.beams
     if scheme == "conventional":
         return [beams[:, t - 1, [0, t]] for t in range(1, K)], None
-    windows = [beams[:, t - 1, :t + 1] for t in range(1, T + 1)]
-    return windows, (beams[:, :T, T + 1:] if idx.n_unknowns else None)
+    return [beams[:, t - 1, :t + 1] for t in range(1, T + 1)], beams[:, :T, T + 1:]
 
 
 def _batch_size(M, K):
@@ -174,42 +182,136 @@ def _channel_gram(M, K, seed, start, stop):
     return gram
 
 
-def _slot_rates(config, gram_h, betas, plan):
-    """Per-trial SE of P gain profiles on T shared small-scale Grams.
+@dataclass(frozen=True)
+class _BlockTerms:
+    """Scheme-independent terms of P gain profiles on T shared small-scale Grams.
 
-    ``gram_h`` is (T, K, K), ``betas`` (P, K) and ``plan`` comes from
-    ``_slot_plan``. Returns uplink (P, T, K) and downlink (P, T, K, K-1).
+    ``gram_h`` is (T, K, K) and ``betas`` (P, K). ``power`` (P, T, K, K)
+    holds |g_k^H g_i|^2, ``norms`` (P, T, K) ||g_k||^2, ``row_sum`` the sum
+    of ``power`` over i, ``scale`` (P, 1, 1) the broadcast scale
+    p_r / (M sum(beta)), and ``uplink`` (P, T, K) the uplink SE.
     """
-    windows, beams = plan
-    K = gram_h.shape[-1]
-    users = np.arange(K)[:, None]
+
+    gram_h: np.ndarray
+    betas: np.ndarray
+    power: np.ndarray
+    norms: np.ndarray
+    row_sum: np.ndarray
+    scale: np.ndarray
+    uplink: np.ndarray
+
+
+def _block_terms(config, gram_h, betas):
+    """The work every scheme shares on one block, uplink SE included."""
     power = (gram_h.real**2 + gram_h.imag**2)[None] * (betas[:, None, :, None] * betas[:, None, None, :])
     norms = np.einsum("tkk->tk", gram_h).real[None] * betas[:, None, :]
     row_sum = power.sum(axis=3)
-    c = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
-
     interference = row_sum - norms**2
-    ul = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
+    uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
+    scale = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
+    return _BlockTerms(gram_h, betas, power, norms, row_sum, scale, uplink)
 
-    dl = np.empty(ul.shape + (K - 1,))
-    signal = c * norms**2
+
+def _downlink_rates(terms, plan):
+    """Per-trial downlink SE (P, T, K, K-1) of one scheme; ``plan`` comes from ``_slot_plan``."""
+    windows, beams = plan
+    K = terms.gram_h.shape[-1]
+    users = np.arange(K)[:, None]
+    c = terms.scale
+    dl = np.empty(terms.uplink.shape + (K - 1,))
+    signal = c * terms.norms**2
     for t, window in enumerate(windows):
-        held = power[:, :, users, window].sum(axis=3)
-        dl[..., t] = np.log2(1.0 + signal / (c * (row_sum - held) + 1.0))
+        held = terms.power[:, :, users, window].sum(axis=3)
+        dl[..., t] = np.log2(1.0 + signal / (c * (terms.row_sum - held) + 1.0))
     if beams is not None:
-        sqrt_b = np.sqrt(betas)
-        scale = sqrt_b[:, :, None, None] * sqrt_b[:, beams]  # (P, K, rows, cols)
-        mixing = gram_h[:, users[:, :, None], beams][None] * scale[:, None]
-        zf_gram = mixing.conj().swapaxes(-2, -1) @ mixing
-        try:
-            inverse = np.linalg.inv(zf_gram)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("singular residual Gram") from exc
-        noise_gain = np.einsum("...nn->...n", inverse).real
-        if not np.all(np.isfinite(noise_gain)) or np.any(noise_gain <= 0):
-            raise SingularSystemError("nonpositive noise gain")
+        noise_gain = np.empty(dl.shape[:-1] + (beams.shape[-1],))
+        # Trial blocks small enough that the factor's (P, K, trials) temporaries stay in cache.
+        step = max(1, _ZF_BLOCK_ENTRIES // (len(terms.betas) * K))
+        for lo in range(0, len(terms.gram_h), step):
+            noise_gain[:, lo:lo + step] = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas, beams)
         dl[..., len(windows):] = np.log2(1.0 + c[..., None] / noise_gain)
-    return ul, dl
+    return dl
+
+
+def _zf_noise_gains(gram_h, betas, beams):
+    """Zero-forcing noise gains (P, T, K, n_unknowns): the residual-Gram inverse diagonals.
+
+    User k's residual system has entries g_k^H g_j = sqrt(beta_k beta_j)
+    h_k^H h_j, with j read from ``beams`` (K, rows, n_unknowns). The entries
+    h_k^H h_j are gathered once, with no profile axis. Each lower Gram entry
+    is a multiply-accumulate over the rows, weighted by the profile's
+    sqrt(beta) products, on a (P, K, T) array. An unrolled Cholesky over the
+    unknowns checks each pivot against ``PIVOT_RTOL`` before its square
+    root, as ``rates._factor_gram`` does, and the noise gains are the
+    squared column norms of L^-1. Everything runs in real arithmetic, one
+    IEEE operation per ufunc, so a trial's value does not depend on the
+    batch shape it is scored in.
+    """
+    K, rows, n = beams.shape
+    mix = gram_h[:, np.arange(K)[:, None, None], beams].transpose(3, 2, 1, 0)  # (n, rows, K, T)
+    x_re, x_im = mix.real, mix.imag
+    root = np.sqrt(betas)
+    weight = (root[:, :, None, None] * root[:, beams]).transpose(3, 2, 0, 1)[..., None]  # (n, rows, P, K, 1)
+    gram = {}  # gram[i, j], i >= j: (Re, Im) of sum_r conj(mixing_ri) mixing_rj
+    for i in range(n):
+        for j in range(i + 1):
+            w = weight[i] * weight[j]
+            gram[i, j] = (_row_sum(w, x_re[i] * x_re[j] + x_im[i] * x_im[j]),
+                          _row_sum(w, x_re[i] * x_im[j] - x_im[i] * x_re[j]) if i != j else None)
+    # Cholesky A = L L^H: low[i, j] = (Re, Im) of L_ij for i > j, inv[j] = 1 / L_jj.
+    low, inv = {}, {}
+    for j in range(n):
+        pivot = gram[j, j][0]
+        for m in range(j):
+            pivot -= low[j, m][0] ** 2 + low[j, m][1] ** 2
+        least = pivot if j == 0 else np.minimum(least, pivot)
+        largest = pivot if j == 0 else np.maximum(largest, pivot)
+        _check_pivots(least, largest)
+        inv[j] = 1.0 / np.sqrt(pivot)
+        for i in range(j + 1, n):
+            a_re, a_im = gram[i, j]
+            for m in range(j):
+                (p_re, p_im), (q_re, q_im) = low[i, m], low[j, m]
+                a_re -= p_re * q_re + p_im * q_im
+                a_im -= p_im * q_re - p_re * q_im
+            low[i, j] = (a_re * inv[j], a_im * inv[j])
+    # Column j of L^-1 by forward substitution; its squared norm is gain j.
+    gains = np.empty((n, len(betas), K, len(gram_h)))
+    for j in range(n):
+        col = {}
+        gains[j] = inv[j] ** 2
+        for i in range(j + 1, n):
+            acc_re, acc_im = low[i, j][0] * inv[j], low[i, j][1] * inv[j]
+            for m in range(j + 1, i):
+                (l_re, l_im), (v_re, v_im) = low[i, m], col[m]
+                acc_re += l_re * v_re - l_im * v_im
+                acc_im += l_re * v_im + l_im * v_re
+            scale = -inv[i]
+            col[i] = (acc_re * scale, acc_im * scale)
+            gains[j] += col[i][0] ** 2 + col[i][1] ** 2
+    return gains.transpose(1, 3, 2, 0)
+
+
+def _row_sum(w, part):
+    """sum_r w[r] * part[r], added in row order."""
+    total = w[0] * part[0]
+    for r in range(1, len(part)):
+        total += w[r] * part[r]
+    return total
+
+
+def _check_pivots(least, largest):
+    """Raise SingularSystemError where a Gram's pivots so far break the PIVOT_RTOL rule.
+
+    Checked after every pivot, least >= PIVOT_RTOL * largest becomes the
+    scalar oracle's rule at the last one, and a nonpositive (or NaN) pivot
+    is rejected before its square root is taken.
+    """
+    bad = ~((least > 0) & (least >= PIVOT_RTOL * largest))
+    if bad.any():
+        least, largest = least[bad], largest[bad]
+        condition = float((largest / least).max()) if np.all(least > 0) else float("inf")
+        raise SingularSystemError("residual Gram matrix numerically singular", condition=condition)
 
 
 def _min_sum(ul, dl):
@@ -235,10 +337,10 @@ def estimate_link_se(config, beta, schemes, trials, seed, workers=None):
     dl = {scheme: np.empty((1, trials, K, K - 1)) for scheme in plans}
 
     def run_batch(lo, hi):
-        gram_h = _channel_gram(M, K, seed, lo, hi)
+        terms = _block_terms(config, _channel_gram(M, K, seed, lo, hi), betas)
+        ul[:, lo:hi] = terms.uplink
         for scheme, plan in plans.items():
-            # The uplink does not depend on the scheme; each pass writes the same values.
-            ul[:, lo:hi], dl[scheme][:, lo:hi] = _slot_rates(config, gram_h, betas, plan)
+            dl[scheme][:, lo:hi] = _downlink_rates(terms, plan)
 
     _run_spans(run_batch, trials, _batch_size(M, K), workers)
     ul_mean, ul_err = _mean_stderr(ul)
@@ -322,16 +424,15 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
 
     # Keep each chunk's scratch arrays, per-trial downlink output included, around ~50 MB.
     chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
-    results = {}
-    # One scheme at a time, so the chunk scratch of two schemes is never alive together.
-    for scheme, plan in plans.items():
-        pre_log = _pre_log(K, scheme)
-        samples = np.empty(profiles)
+    samples = {scheme: np.empty(profiles) for scheme in plans}
 
-        def score(lo, hi):
-            ul, dl = _slot_rates(config, gram_h, betas[lo:hi], plan)
-            samples[lo:hi] = pre_log * _min_sum(ul.mean(axis=1), dl.mean(axis=1))
+    def score(lo, hi):
+        terms = _block_terms(config, gram_h, betas[lo:hi])
+        ul = terms.uplink.mean(axis=1)
+        # One scheme at a time: each downlink array is reduced before the next is made.
+        for scheme, plan in plans.items():
+            dl = _downlink_rates(terms, plan).mean(axis=1)
+            samples[scheme][lo:hi] = _pre_log(K, scheme) * _min_sum(ul, dl)
 
-        _run_spans(score, profiles, chunk, workers)
-        results[scheme] = CdfResult(samples=samples)
-    return results
+    _run_spans(score, profiles, chunk, workers)
+    return {scheme: CdfResult(samples=values) for scheme, values in samples.items()}

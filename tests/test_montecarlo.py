@@ -20,7 +20,8 @@ from mwrelay import (
     zf_sinr,
 )
 from mwrelay.channel import STREAM_CHANNEL, compose_channel, draw_small_scale, substream
-from mwrelay.exceptions import InvalidConfigError
+from mwrelay.exceptions import InvalidConfigError, SingularSystemError
+from mwrelay.montecarlo import _block_terms, _downlink_rates, _slot_plan, _zf_noise_gains
 from mwrelay.schedule import SlotIndexer
 
 CONFIG = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
@@ -179,11 +180,13 @@ def test_cdf_matches_direct_scoring():
     from mwrelay.channel import STREAM_PROFILE, draw_large_scale
 
     geometry = GeometryModel()
-    result = cdf_experiment(CONFIG, geometry, 4, 80, seed=14)["proposed"]
-    for p in range(4):
-        beta = draw_large_scale(geometry, CONFIG.K, substream(14, STREAM_PROFILE, p)).beta
-        direct = sum_se_once(CONFIG, beta, "proposed", 80, seed=14).sum_se
-        assert result.samples[p] == direct
+    for K in (4, 5, 7, 10):
+        config = SystemConfig(M=24, K=K, p_u=1.0, p_r=10.0)
+        result = cdf_experiment(config, geometry, 4, 80, seed=14)["proposed"]
+        for p in range(4):
+            beta = draw_large_scale(geometry, K, substream(14, STREAM_PROFILE, p)).beta
+            direct = sum_se_once(config, beta, "proposed", 80, seed=14).sum_se
+            assert result.samples[p] == direct
 
 
 def test_cdf_k_ordering_smoke():
@@ -200,6 +203,74 @@ def test_sorted_samples_and_percentile():
     ordered = result.sorted_samples
     assert np.all(np.diff(ordered) >= 0)
     assert ordered[0] <= result.likely_95 <= ordered[-1]
+
+
+@pytest.mark.parametrize("K", range(2, 14))
+def test_zf_noise_gains_match_oracle(K):
+    # Every profile, trial and user against the scalar ZF stage: K = 2 has
+    # no unknowns, K = 3 one, and odd K gives square residual systems.
+    rng = np.random.default_rng(40 + K)
+    betas = rng.uniform(0.2, 3.0, size=(3, K))
+    channels = [draw_small_scale(24, K, rng) for _ in range(4)]
+    gram_h = np.stack([H.conj().T @ H for H in channels])
+    gains = _zf_noise_gains(gram_h, betas, _slot_plan(K, "proposed")[1])
+    assert gains.shape == (3, 4, K, SlotIndexer(K).n_unknowns)
+    for p, beta in enumerate(betas):
+        for t, H in enumerate(channels):
+            G = H * np.sqrt(beta)
+            for k in range(1, K + 1):
+                np.testing.assert_allclose(gains[p, t, k - 1], build_zf_stage(G, k).noise_gain,
+                                           rtol=1e-10)
+
+
+def test_zf_noise_gains_independent_of_batch_shape():
+    # A trial's gains must not depend on which profiles or trials share its
+    # batch, so chunked placement scoring equals one-profile estimation.
+    # The batch is large enough (3 x 10 x 1000 entries) that a version of the
+    # kernel built on numpy's mixed real-complex loops fails this check.
+    K = 10
+    rng = np.random.default_rng(8)
+    betas = rng.uniform(0.2, 3.0, size=(3, K))
+    H = draw_small_scale(24, K * 1000, rng).reshape(24, 1000, K).transpose(1, 0, 2)
+    gram_h = H.conj().transpose(0, 2, 1) @ H
+    beams = _slot_plan(K, "proposed")[1]
+    whole = _zf_noise_gains(gram_h, betas, beams)
+    for p in range(3):
+        assert np.array_equal(_zf_noise_gains(gram_h, betas[p:p + 1], beams)[0], whole[p])
+    for lo, hi in ((0, 3), (3, 500), (500, 1000)):
+        assert np.array_equal(_zf_noise_gains(gram_h[lo:hi], betas, beams), whole[:, lo:hi])
+
+
+@pytest.mark.parametrize("K", [5, 6, 10])
+def test_singular_verdict_matches_oracle(K):
+    # Equal channel columns under uniform gains make every residual system
+    # rank one. Columns equal up to 1e-6 leave pivots that are positive but
+    # 1e-14 to 1e-12 of the largest, so only the PIVOT_RTOL rule flags them. A
+    # generic draw is well conditioned. The kernel and the scalar oracle must
+    # agree on all three, with the pivots checked before any root.
+    config = SystemConfig(M=16, K=K, p_u=1.0, p_r=10.0)
+    betas = np.array([np.ones(K), np.full(K, 0.5)])
+    plan = _slot_plan(K, "proposed")
+    assert SlotIndexer(K).n_unknowns >= 2
+    rng = np.random.default_rng(K)
+    equal = np.repeat(draw_small_scale(16, 1, rng), K, axis=1)
+    cases = ((equal, True), (equal + 1e-6 * draw_small_scale(16, K, rng), True),
+             (draw_small_scale(16, K, rng), False))
+    for H, singular in cases:
+        terms = _block_terms(config, (H.conj().T @ H)[None], betas)
+        if singular:
+            with pytest.raises(SingularSystemError) as info:
+                _downlink_rates(terms, plan)
+            assert info.value.condition > 1e12 or math.isinf(info.value.condition)
+        else:
+            assert np.all(np.isfinite(_downlink_rates(terms, plan)))
+        for beta in betas:
+            for k in range(1, K + 1):
+                if singular:
+                    with pytest.raises(SingularSystemError):
+                        build_zf_stage(H * np.sqrt(beta), k)
+                else:
+                    build_zf_stage(H * np.sqrt(beta), k)
 
 
 def test_zf_slot_rate_m_stable_below_asymptote():

@@ -319,9 +319,16 @@ def test_relay_precode_average_power():
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # scipy is imported only where a zero-forcing system is factored, so the
-    # figure paths (sweep-m, cdf) never load it.
-    code = "import sys, mwrelay, mwrelay.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # scipy is imported only where the scalar oracle factors a zero-forcing
+    # system, so the figure paths (sweep-m, cdf), batched ZF kernel included,
+    # never load it.
+    code = (
+        "import sys, numpy as np, mwrelay, mwrelay.cli\n"
+        "config = mwrelay.SystemConfig(M=12, K=6, p_u=1.0, p_r=10.0)\n"
+        "mwrelay.estimate_link_se(config, np.ones(6), ('proposed',), 8, seed=1)\n"
+        "mwrelay.cdf_experiment(config, mwrelay.GeometryModel(), 3, 8, seed=1)\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
