@@ -61,14 +61,14 @@ class SystemConfig:
     p_r: float
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 1:
+        if not (1 <= self.M < math.inf and int(self.M) == self.M):
             raise InvalidConfigError(f"antenna count must be an integer >= 1, got {self.M!r}")
-        if int(self.K) != self.K or self.K < 2:
+        if not (2 <= self.K < math.inf and int(self.K) == self.K):
             raise InvalidConfigError(f"user count must be an integer >= 2, got {self.K!r}")
-        if not self.p_u > 0:
-            raise InvalidConfigError(f"user power must be positive, got {self.p_u!r}")
-        if not self.p_r > 0:
-            raise InvalidConfigError(f"relay power must be positive, got {self.p_r!r}")
+        if not 0 < self.p_u < math.inf:
+            raise InvalidConfigError(f"user power must be positive and finite, got {self.p_u!r}")
+        if not 0 < self.p_r < math.inf:
+            raise InvalidConfigError(f"relay power must be positive and finite, got {self.p_r!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ table, norms, row sums, uplink SE), and ``_downlink_rates`` scores one
 scheme's broadcast slots on it. The proposed scheme's zero-forcing slots
 come from ``_zf_noise_gains``, a numpy-only batched Cholesky of every
 user's residual Gram that applies the scalar oracle's pivot rule
-(``rates.PIVOT_RTOL``) and raises SingularSystemError where it fails.
+(``rates.check_pivots``) and raises SingularSystemError where it fails.
 Fixed-gain estimation (``estimate_link_se``) is the P = 1 case, batched
 over trials; the placement study (``cdf_experiment``) is the P > 1 case,
 chunked over profiles. Both take a tuple of schemes and score every scheme
@@ -34,8 +34,7 @@ from .channel import (
     draw_small_scale,
     substream,
 )
-from .exceptions import SingularSystemError
-from .rates import PIVOT_RTOL
+from .rates import check_pivots
 from .schedule import SlotIndexer
 
 __all__ = [
@@ -241,8 +240,8 @@ def _zf_noise_gains(gram_h, betas, beams):
     h_k^H h_j are gathered once, with no profile axis. Each lower Gram entry
     is a multiply-accumulate over the rows, weighted by the profile's
     sqrt(beta) products, on a (P, K, T) array. An unrolled Cholesky over the
-    unknowns checks each pivot against ``PIVOT_RTOL`` before its square
-    root, as ``rates._factor_gram`` does, and the noise gains are the
+    unknowns passes its pivots so far to ``rates.check_pivots`` before each
+    square root, as the scalar oracle does, and the noise gains are the
     squared column norms of L^-1. Everything runs in real arithmetic, one
     IEEE operation per ufunc, so a trial's value does not depend on the
     batch shape it is scored in.
@@ -266,7 +265,7 @@ def _zf_noise_gains(gram_h, betas, beams):
             pivot -= low[j, m][0] ** 2 + low[j, m][1] ** 2
         least = pivot if j == 0 else np.minimum(least, pivot)
         largest = pivot if j == 0 else np.maximum(largest, pivot)
-        _check_pivots(least, largest)
+        check_pivots(least, largest)
         inv[j] = 1.0 / np.sqrt(pivot)
         for i in range(j + 1, n):
             a_re, a_im = gram[i, j]
@@ -298,20 +297,6 @@ def _row_sum(w, part):
     for r in range(1, len(part)):
         total += w[r] * part[r]
     return total
-
-
-def _check_pivots(least, largest):
-    """Raise SingularSystemError where a Gram's pivots so far break the PIVOT_RTOL rule.
-
-    Checked after every pivot, least >= PIVOT_RTOL * largest becomes the
-    scalar oracle's rule at the last one, and a nonpositive (or NaN) pivot
-    is rejected before its square root is taken.
-    """
-    bad = ~((least > 0) & (least >= PIVOT_RTOL * largest))
-    if bad.any():
-        least, largest = least[bad], largest[bad]
-        condition = float((largest / least).max()) if np.all(least > 0) else float("inf")
-        raise SingularSystemError("residual Gram matrix numerically singular", condition=condition)
 
 
 def _min_sum(ul, dl):

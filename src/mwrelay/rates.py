@@ -4,7 +4,10 @@ Covers the four stages of the link: maximum-ratio combining at the relay
 (access phase), the conventional broadcast slots, the successive-cancelation
 broadcast slots, and the zero-forcing stage that extracts the remaining
 symbols from the residual linear system. All functions are pure; user and
-slot indices are 1-based.
+slot indices are 1-based, and a channel with a non-finite entry is rejected.
+The zero-forcing stage is factored with numpy's Cholesky, and
+``check_pivots`` is the one singular rule for it and for the batched kernel
+in ``montecarlo``.
 """
 
 from dataclasses import dataclass
@@ -34,6 +37,8 @@ def _column_products(G, k):
     K = G.shape[1]
     if not 1 <= k <= K:
         raise ValueError(f"user {k} outside 1..{K}")
+    if not np.isfinite(G).all():
+        raise ValueError("channel matrix holds non-finite entries")
     cross = G[:, k - 1].conj() @ G
     return cross, float(cross[k - 1].real)
 
@@ -115,28 +120,39 @@ class ZfStage:
         return self.mixing.shape[1]
 
     def combiner(self):
-        """Zero-forcing combiner: gram^(-1) @ mixing^H, satisfying combiner @ mixing = I."""
-        if self.n_unknowns == 0:
-            return np.zeros((0, self.mixing.shape[0]), dtype=complex)
-        from scipy.linalg import cho_solve  # local imports keep scipy off the figure paths
+        """Zero-forcing combiner: gram^(-1) @ mixing^H, satisfying combiner @ mixing = I.
 
-        return cho_solve((self.factor, True), self.mixing.conj().T)
+        With gram = L L^H this is (L^-1)^H (L^-1 mixing^H), read from the kept factor.
+        """
+        inverse = np.linalg.inv(self.factor)
+        return inverse.conj().T @ (inverse @ self.mixing.conj().T)
+
+
+def check_pivots(least, largest):
+    """Raise SingularSystemError where Cholesky pivots break the PIVOT_RTOL rule.
+
+    ``least`` and ``largest`` are the least and largest pivots (squared
+    diagonal entries of the factor) of one Gram or of a stack of them. A
+    Gram passes when least > 0 and least >= PIVOT_RTOL * largest, so a
+    nonpositive or NaN pivot fails; ``condition`` is the worst largest /
+    least ratio among the failures, or inf where a pivot is not positive.
+    """
+    least, largest = np.asarray(least), np.asarray(largest)
+    bad = ~((least > 0) & (least >= PIVOT_RTOL * largest))
+    if bad.any():
+        least, largest = least[bad], largest[bad]
+        condition = float((largest / least).max()) if np.all(least > 0) else float("inf")
+        raise SingularSystemError("Gram matrix numerically singular", condition=condition)
 
 
 def _factor_gram(gram):
-    from scipy.linalg import cholesky
-
+    """Lower Cholesky factor of a Hermitian Gram, checked by ``check_pivots``."""
     try:
-        low = cholesky(gram, lower=True)
+        low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Gram factorization failed: {exc}") from exc
     pivots = np.diag(low).real ** 2
-    largest = pivots.max()
-    if pivots.min() < PIVOT_RTOL * largest:
-        raise SingularSystemError(
-            "Gram matrix numerically singular",
-            condition=float(largest / pivots.min()) if pivots.min() > 0 else float("inf"),
-        )
+    check_pivots(pivots.min(initial=np.inf), pivots.max(initial=0.0))
     return low
 
 
@@ -144,9 +160,10 @@ def build_zf_stage(G, k, indexer=None):
     """Assemble user k's residual system and its noise gains.
 
     Entry (m, n) is g_k^H g_j with j the beam that carries the n-th unknown
-    in broadcast slot m, read from the indexer's beam table. Noise gains
-    come from Hermitian solves against the Gram factor, not an explicit
-    inverse. For K = 2 there is nothing left to solve and the stage is empty.
+    in broadcast slot m, read from the indexer's beam table. The noise gains
+    are the squared column norms of L^-1, with gram = L L^H, since
+    gram^-1 = (L^-1)^H L^-1. For K = 2 there is nothing left to solve and
+    the stage is empty.
     """
     M, K = G.shape
     indexer = indexer if indexer is not None else SlotIndexer(K)
@@ -155,17 +172,10 @@ def build_zf_stage(G, k, indexer=None):
     cross, _ = _column_products(G, k)
     T = indexer.sic_slots
     mixing = cross[indexer.beams[k - 1, :T, T + 1:]]
-    cols = mixing.shape[1]
-    if cols == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return ZfStage(user=k, mixing=mixing, gram=empty, factor=empty, noise_gain=np.zeros(0))
     gram = mixing.conj().T @ mixing
-    from scipy.linalg import cho_solve
-
     low = _factor_gram(gram)
-    inverse = cho_solve((low, True), np.eye(cols, dtype=complex))
-    return ZfStage(user=k, mixing=mixing, gram=gram, factor=low,
-                   noise_gain=np.diag(inverse).real.copy())
+    noise_gain = (np.abs(np.linalg.inv(low)) ** 2).sum(axis=0)
+    return ZfStage(user=k, mixing=mixing, gram=gram, factor=low, noise_gain=noise_gain)
 
 
 def zf_sinr(stage, beta, p_r, M, n):
@@ -182,8 +192,8 @@ def zf_sinr(stage, beta, p_r, M, n):
 def instantaneous_se(sinr):
     """Spectral efficiency log2(1 + sinr) in bit/s/Hz; accepts arrays."""
     sinr = np.asarray(sinr)
-    if np.any(sinr < 0):
-        raise ValueError("SINR must be nonnegative")
+    if not np.all(sinr >= 0):
+        raise ValueError("SINR must be nonnegative, not NaN")
     out = np.log2(1.0 + sinr)
     return float(out) if out.ndim == 0 else out
 

@@ -173,17 +173,17 @@ def _nearest_qpsk(values, reference_scale):
 def run_round_noisy(config, beta, trials, seed, p_r=None):
     """Per-user, per-slot-position QPSK symbol error rate over noisy rounds.
 
-    ``p_r`` may override the configured relay power; 0 is allowed as the
-    channel-unused limit (decisions degenerate to a fixed guess, so the
-    error rate approaches 3/4). Cancelation subtracts true symbols
-    (genie-aided), so errors never propagate across slots.
+    ``p_r`` may override the configured relay power with a finite value
+    >= 0; 0 is allowed as the channel-unused limit (decisions degenerate to
+    a fixed guess, so the error rate approaches 3/4). Cancelation subtracts
+    true symbols (genie-aided), so errors never propagate across slots.
     """
     M, K = config.M, config.K
     beta = checked_gains(beta, K)
     if p_r is None:
         p_r = config.p_r
-    if p_r < 0:
-        raise ValueError("relay power must be >= 0")
+    if not 0 <= p_r < math.inf:
+        raise ValueError(f"relay power must be finite and >= 0, got {p_r!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     idx = SlotIndexer(K)

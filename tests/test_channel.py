@@ -127,6 +127,10 @@ def test_system_config_validation():
         SystemConfig(M=4, K=2, p_u=0.0, p_r=1.0)
     with pytest.raises(InvalidConfigError):
         SystemConfig(M=4, K=2, p_u=1.0, p_r=-1.0)
+    for field in ("M", "K", "p_u", "p_r"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidConfigError):
+                SystemConfig(**{"M": 4, "K": 2, "p_u": 1.0, "p_r": 1.0, field: bad})
 
 
 def test_profile_validation_and_unit():

@@ -208,6 +208,16 @@ def test_beta_file_flow(tmp_path, monkeypatch):
     ) == 1
 
 
+def test_non_finite_power_nonzero(tmp_path):
+    # 1e309 dB parses to an infinite float and so to an infinite linear power.
+    out = tmp_path / "x.csv"
+    assert parse_and_dispatch(
+        ["sweep-m", "--k", "4", "--m", "8", "--trials", "8", "--pr-db", "1e309",
+         "--out", str(out)]
+    ) == 1
+    assert not out.exists()
+
+
 def test_unknown_flag_nonzero():
     assert parse_and_dispatch(["sweep-m", "--warp", "9"]) != 0
     assert parse_and_dispatch(["unknown-experiment"]) != 0

@@ -171,6 +171,20 @@ def test_slot_range_validation():
             build_zf_stage(G, k)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", [
+    lambda G: uplink_sinr(G, 1.0, 1),
+    lambda G: conventional_dl_sinr(G, np.ones(5), 1.0, 1, 2),
+    lambda G: proposed_dl_sinr(G, np.ones(5), 1.0, 1, 2),
+    lambda G: build_zf_stage(G, 1),
+], ids=["uplink", "conventional", "proposed", "zf_stage"])
+def test_non_finite_channel_rejected(fn, bad):
+    G = random_channel(8, 5, seed=3)
+    G[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(G)
+
+
 def test_zf_stage_k3_closed_form():
     G = random_channel(6, 3, seed=2)
     for k in range(1, 4):
@@ -288,8 +302,9 @@ def test_instantaneous_se_values():
     assert instantaneous_se(1.0) == 1.0
     assert instantaneous_se(3.0) == 2.0
     assert np.allclose(instantaneous_se(np.array([0.0, 3.0])), [0.0, 2.0])
-    with pytest.raises(ValueError):
-        instantaneous_se(-0.1)
+    for bad in (-0.1, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            instantaneous_se(bad)
 
 
 def test_relay_precode_single_column():
@@ -319,14 +334,18 @@ def test_relay_precode_average_power():
 
 
 def test_package_import_leaves_scipy_unloaded():
-    # scipy is imported only where the scalar oracle factors a zero-forcing
-    # system, so the figure paths (sweep-m, cdf), batched ZF kernel included,
-    # never load it.
+    # The package depends on numpy alone: neither the figure paths (sweep-m,
+    # cdf, batched ZF kernel included) nor the scalar zero-forcing oracle and
+    # the symbol rounds that decode through it load scipy.
     code = (
         "import sys, numpy as np, mwrelay, mwrelay.cli\n"
         "config = mwrelay.SystemConfig(M=12, K=6, p_u=1.0, p_r=10.0)\n"
         "mwrelay.estimate_link_se(config, np.ones(6), ('proposed',), 8, seed=1)\n"
         "mwrelay.cdf_experiment(config, mwrelay.GeometryModel(), 3, 8, seed=1)\n"
+        "G = mwrelay.draw_small_scale(12, 6, mwrelay.substream(1, 0, 0))\n"
+        "mwrelay.build_zf_stage(G, 1).combiner()\n"
+        "mwrelay.run_round_noiseless(config, np.ones(6), seed=1)\n"
+        "mwrelay.run_round_noisy(config, np.ones(6), trials=4, seed=1)\n"
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

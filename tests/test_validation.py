@@ -145,6 +145,13 @@ def test_noisy_rejects_negative_power():
         run_round_noisy(config, np.ones(3), trials=5, seed=1, p_r=-0.5)
 
 
+@pytest.mark.parametrize("p_r", [np.nan, np.inf], ids=["nan", "inf"])
+def test_noisy_rejects_non_finite_power(p_r):
+    config = SystemConfig(M=8, K=4, p_u=1.0, p_r=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        run_round_noisy(config, np.ones(4), trials=5, seed=1, p_r=p_r)
+
+
 def test_noisy_rejects_zero_trials():
     config = SystemConfig(M=8, K=3, p_u=1.0, p_r=1.0)
     with pytest.raises(ValueError, match="trials must be >= 1"):
