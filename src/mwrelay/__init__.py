@@ -26,6 +26,7 @@ from .channel import (
     LargeScaleProfile,
     SystemConfig,
     compose_channel,
+    draw_gram_factor,
     draw_large_scale,
     draw_small_scale,
     read_beta_file,

@@ -2,9 +2,14 @@
 
 The composite channel is G = H * diag(beta)^(1/2) with H holding i.i.d.
 circularly-symmetric unit-variance complex Gaussian entries. Randomness is
-counter-based: every trial (and every placement profile) owns a substream
-derived from (seed, stream tag, indices), so a realization depends only on
-the seed and its index, never on how work is spread over threads.
+counter-based: every unit of work owns a substream derived from
+(seed, stream tag, index), so a realization depends only on the seed and its
+index, never on how work is spread over threads. ``draw_small_scale`` draws
+H itself, one trial per (STREAM_CHANNEL, trial) substream, for the symbol
+rounds and as the oracle of the Monte Carlo path. That path needs only the
+Gram H^H H, which ``draw_gram_factor`` samples through its Bartlett factor
+without drawing H, a fixed block of trials per (STREAM_GRAM, block)
+substream.
 """
 
 import math
@@ -23,7 +28,9 @@ __all__ = [
     "substream",
     "STREAM_CHANNEL",
     "STREAM_PROFILE",
+    "STREAM_GRAM",
     "draw_small_scale",
+    "draw_gram_factor",
     "compose_channel",
     "draw_large_scale",
     "unit_profile",
@@ -31,10 +38,12 @@ __all__ = [
     "read_beta_file",
 ]
 
-# Substream namespaces. Every channel draw uses (STREAM_CHANNEL, trial), which
-# placement sweeps share across profiles; profiles use (STREAM_PROFILE, p).
+# Substream namespaces. Direct channel draws use (STREAM_CHANNEL, trial),
+# placement profiles (STREAM_PROFILE, p), and Monte Carlo Gram blocks, which
+# placement sweeps share across profiles, (STREAM_GRAM, block).
 STREAM_CHANNEL = 0
 STREAM_PROFILE = 1
+STREAM_GRAM = 2
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -148,6 +157,30 @@ def draw_small_scale(M, K, rng):
         raise InvalidConfigError("matrix dimensions must be >= 1")
     z = rng.standard_normal((2, M, K))
     return (z[0] + 1j * z[1]) * _INV_SQRT2
+
+
+def draw_gram_factor(M, K, rng, n):
+    """n Bartlett factors R, (n, min(M, K), K), of the Gram H^H H of an M x K draw.
+
+    R is upper trapezoidal with R^H R distributed as H^H H ~ CW_K(M, I): the
+    diagonal is real and positive with |R_ii|^2 ~ Gamma(M - i + 1, 1) for
+    i = 1..min(M, K), and every entry above it is i.i.d. CN(0, 1) (Goodman
+    1963; Tulino & Verdu 2004). That is the R of a QR factorization H = QR;
+    when M < K the last K - M columns are Q^H times independent CN(0, I_M)
+    columns. The diagonal is drawn in one generator call, then the entries
+    above it in another, so the layout is reproducible. Cost is O(n K^2),
+    whatever M.
+    """
+    if M < 1 or K < 1 or n < 1:
+        raise InvalidConfigError("factor dimensions and count must be >= 1")
+    rows = min(M, K)
+    R = np.zeros((n, rows, K), dtype=complex)
+    diag = np.arange(rows)
+    R[:, diag, diag] = np.sqrt(rng.gamma(M - diag, size=(n, rows)))
+    upper = np.triu_indices(rows, 1, K)
+    z = rng.standard_normal((2, n, upper[0].size))
+    R[:, upper[0], upper[1]] = (z[0] + 1j * z[1]) * _INV_SQRT2
+    return R
 
 
 def compose_channel(H, beta):

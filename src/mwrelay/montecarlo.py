@@ -11,13 +11,17 @@ user's residual Gram that applies the scalar oracle's pivot rule
 Fixed-gain estimation (``estimate_link_se``) is the P = 1 case, batched
 over trials; the placement study (``cdf_experiment``) is the P > 1 case,
 chunked over profiles. Both take a tuple of schemes and score every scheme
-on the same Grams, so each trial's channel is drawn once however many
+on the same Grams, so each trial's Gram is drawn once however many
 schemes are compared; they return one result per scheme.
 
-Trials are indexed units of work: trial i's channel comes from the
-(seed, trial-index) substream regardless of batching or thread count, and
-aggregation runs in trial order, so estimates are bit-reproducible for any
-worker count. The env var MWRELAY_THREADS caps the worker pool.
+Trials are indexed units of work, grouped in fixed blocks of GRAM_BLOCK.
+Block b's Grams are sampled whole from the (seed, STREAM_GRAM, b) substream
+through their Bartlett factors (``channel.draw_gram_factor``), with no M x K
+draw, and then sliced, so trial i's Gram depends only on (seed, M, K, i):
+not on the worker count, the trial count or the estimator. Workers take
+whole blocks and aggregation runs in trial order, so estimates are
+bit-reproducible for any worker count. The env var MWRELAY_THREADS caps the
+worker pool.
 """
 
 import os
@@ -27,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    STREAM_CHANNEL,
+    STREAM_GRAM,
     STREAM_PROFILE,
     checked_gains,
+    draw_gram_factor,
     draw_large_scale,
-    draw_small_scale,
     substream,
 )
 from .rates import check_pivots
@@ -50,6 +54,8 @@ __all__ = [
 ]
 
 SCHEMES = ("conventional", "proposed")
+# Trials per Gram block: the unit of drawing and of work for the pool.
+GRAM_BLOCK = 256
 # Entries per (profile, user, trial) array in one zero-forcing block.
 _ZF_BLOCK_ENTRIES = 16_384
 
@@ -150,11 +156,6 @@ def _slot_plan(K, scheme):
     return [beams[:, t - 1, :t + 1] for t in range(1, T + 1)], beams[:, :T, T + 1:]
 
 
-def _batch_size(M, K):
-    # Trials per span: fewer at large M, so spans draw about 8 MB of entries each.
-    return int(np.clip(8_000_000 // (16 * M * K), 8, 1024))
-
-
 def _run_spans(fn, total, step, workers=None):
     """Call fn(lo, hi) over [0, total) in spans of ``step``, on a thread pool."""
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -168,17 +169,15 @@ def _run_spans(fn, total, step, workers=None):
                 future.result()
 
 
-def _channel_gram(M, K, seed, start, stop):
-    """Small-scale Gram H^H H of trials start..stop-1, each from its own substream.
+def _gram_block(M, K, seed, lo, hi):
+    """Small-scale Grams H^H H of trials lo..hi-1, which lie in one block.
 
-    Each H is reduced to its K x K Gram as soon as it is drawn, so no batch
-    of M x K matrices is ever held.
+    The block holding trial lo is drawn whole from its own substream and
+    then sliced, so each trial's Gram is the same whichever span asks.
     """
-    gram = np.empty((stop - start, K, K), dtype=complex)
-    for pos, trial in enumerate(range(start, stop)):
-        H = draw_small_scale(M, K, substream(seed, STREAM_CHANNEL, trial))
-        gram[pos] = H.conj().T @ H
-    return gram
+    block, start = divmod(lo, GRAM_BLOCK)
+    R = draw_gram_factor(M, K, substream(seed, STREAM_GRAM, block), GRAM_BLOCK)
+    return (R.conj().transpose(0, 2, 1) @ R)[start:start + hi - lo]
 
 
 @dataclass(frozen=True)
@@ -322,12 +321,12 @@ def estimate_link_se(config, beta, schemes, trials, seed, workers=None):
     dl = {scheme: np.empty((1, trials, K, K - 1)) for scheme in plans}
 
     def run_batch(lo, hi):
-        terms = _block_terms(config, _channel_gram(M, K, seed, lo, hi), betas)
+        terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas)
         ul[:, lo:hi] = terms.uplink
         for scheme, plan in plans.items():
             dl[scheme][:, lo:hi] = _downlink_rates(terms, plan)
 
-    _run_spans(run_batch, trials, _batch_size(M, K), workers)
+    _run_spans(run_batch, trials, GRAM_BLOCK, workers)
     ul_mean, ul_err = _mean_stderr(ul)
     estimates = {}
     for scheme, samples in dl.items():
@@ -383,7 +382,7 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
     (or uses the unit profile when geometry is None), so sample p never
     depends on how many profiles run or on the thread count. All profiles
     and schemes are scored against the same channel draws (common random
-    numbers): trial i's small-scale realization is a function of (seed, i)
+    numbers): trial i's small-scale Gram is a function of (seed, M, K, i)
     alone, so identical profiles score identically, and each sample equals
     ``sum_se_once`` with that profile's gains and scheme.
     """
@@ -403,9 +402,9 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
     gram_h = np.empty((trials, K, K), dtype=complex)
 
     def draw(lo, hi):
-        gram_h[lo:hi] = _channel_gram(M, K, seed, lo, hi)
+        gram_h[lo:hi] = _gram_block(M, K, seed, lo, hi)
 
-    _run_spans(draw, trials, _batch_size(M, K), workers)
+    _run_spans(draw, trials, GRAM_BLOCK, workers)
 
     # Keep each chunk's scratch arrays, per-trial downlink output included, around ~50 MB.
     chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))

@@ -263,27 +263,36 @@ def _data_rows(path):
     return [l.split(",") for l in lines[1:]]
 
 
-@pytest.mark.parametrize("argv, draws", [
-    (["sweep-m", "--k", "4", "--m", "16:32:16", "--trials", "30"], 30 * 2),
-    (["cdf", "--k", "4", "--m", "16", "--profiles", "3", "--trials", "30", "--beta", "geometry"], 30),
+@pytest.mark.parametrize("argv, ms", [
+    (["sweep-m", "--k", "4", "--m", "16:32:16", "--trials", "300"], (16, 32)),
+    (["cdf", "--k", "4", "--m", "16", "--profiles", "3", "--trials", "300", "--beta", "geometry"],
+     (16,)),
 ], ids=["sweep-m", "cdf"])
-def test_both_schemes_share_one_draw_per_trial(tmp_path, monkeypatch, argv, draws):
+def test_both_schemes_share_one_draw_per_trial(tmp_path, monkeypatch, argv, ms):
     monkeypatch.setenv("MWRELAY_THREADS", "2")
     from mwrelay import montecarlo
 
-    real = montecarlo.draw_small_scale
+    real = montecarlo.draw_gram_factor
     calls = []
 
-    def counted(*args):
-        calls.append(args[:2])
-        return real(*args)
+    def counted(M, K, rng, n):
+        # A draw is identified by its shape and the generator state it starts from.
+        calls.append((M, K, n, repr(rng.bit_generator.state)))
+        return real(M, K, rng, n)
 
-    monkeypatch.setattr(montecarlo, "draw_small_scale", counted)
+    monkeypatch.setattr(montecarlo, "draw_gram_factor", counted)
     common = argv + ["--seed", "6"]
     both = tmp_path / "both.csv"
     assert parse_and_dispatch(common + ["--scheme", "both", "--out", str(both)]) == 0
-    # Every trial of every M is drawn once, whatever the number of schemes.
-    assert len(calls) == draws
+    # Every trial of every M is drawn once, whatever the number of schemes:
+    # each M draws the blocks holding its 300 trials, each block once.
+    trials = 300
+    blocks = -(-trials // montecarlo.GRAM_BLOCK)
+    assert len(set(calls)) == len(calls)
+    for M in ms:
+        drawn = [n for m, _, n, _ in calls if m == M]
+        assert len(drawn) == blocks and sum(drawn) == blocks * montecarlo.GRAM_BLOCK
+    assert len(calls) == blocks * len(ms)
     rows = _data_rows(both)
     for scheme in ("conventional", "proposed"):
         alone = tmp_path / f"{scheme}.csv"

@@ -19,9 +19,21 @@ from mwrelay import (
     uplink_sinr,
     zf_sinr,
 )
-from mwrelay.channel import STREAM_CHANNEL, compose_channel, draw_small_scale, substream
+from mwrelay.channel import (
+    STREAM_GRAM,
+    compose_channel,
+    draw_gram_factor,
+    draw_small_scale,
+    substream,
+)
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
-from mwrelay.montecarlo import _block_terms, _downlink_rates, _slot_plan, _zf_noise_gains
+from mwrelay.montecarlo import (
+    GRAM_BLOCK,
+    _block_terms,
+    _downlink_rates,
+    _slot_plan,
+    _zf_noise_gains,
+)
 from mwrelay.schedule import SlotIndexer
 
 CONFIG = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
@@ -34,6 +46,17 @@ def link_estimate(uplink, downlink, stderr, trials):
                         downlink, np.full(downlink.shape, stderr), trials)
 
 
+def bartlett_channel(M, K, seed, trial):
+    """Trial's Bartlett factor from its Gram block, zero-padded to an M x K channel.
+
+    It has the Gram the Monte Carlo path scores for that trial, and M rows,
+    so the scalar operations read the right broadcast scale from it.
+    """
+    block, pos = divmod(trial, GRAM_BLOCK)
+    R = draw_gram_factor(M, K, substream(seed, STREAM_GRAM, block), GRAM_BLOCK)[pos]
+    return np.vstack([R, np.zeros((M - R.shape[0], K))])
+
+
 def scalar_rate_tables(config, beta, scheme, trials, seed):
     """Reference path: per-trial rates through the scalar operations."""
     K = config.K
@@ -41,8 +64,7 @@ def scalar_rate_tables(config, beta, scheme, trials, seed):
     ul = np.empty((trials, K))
     dl = np.empty((trials, K, K - 1))
     for trial in range(trials):
-        rng = substream(seed, STREAM_CHANNEL, trial)
-        G = compose_channel(draw_small_scale(config.M, K, rng), beta).G
+        G = compose_channel(bartlett_channel(config.M, K, seed, trial), beta).G
         for k in range(1, K + 1):
             ul[trial, k - 1] = math.log2(1 + uplink_sinr(G, config.p_u, k))
             if scheme == "conventional":
@@ -86,6 +108,41 @@ def test_worker_count_invariance(monkeypatch):
     assert np.array_equal(one.uplink, eight.uplink)
     assert np.array_equal(one.downlink, eight.downlink)
     assert np.array_equal(one.downlink_stderr, eight.downlink_stderr)
+
+
+def scored_grams(monkeypatch, run):
+    """The Grams an estimator run scores, in trial order, captured where they are drawn."""
+    from mwrelay import montecarlo
+
+    real = montecarlo._gram_block
+    spans = {}
+
+    def recorded(M, K, seed, lo, hi):
+        spans[lo] = real(M, K, seed, lo, hi)
+        return spans[lo]
+
+    monkeypatch.setattr(montecarlo, "_gram_block", recorded)
+    run()
+    monkeypatch.setattr(montecarlo, "_gram_block", real)
+    return np.concatenate([spans[lo] for lo in sorted(spans)])
+
+
+def test_trial_gram_independent_of_trial_count_workers_and_estimator(monkeypatch):
+    # Trial i's Gram is a function of (seed, M, K, i) alone.
+    def link(trials, threads):
+        monkeypatch.setenv("MWRELAY_THREADS", str(threads))
+        return scored_grams(monkeypatch,
+                            lambda: estimate_link_se(CONFIG, BETA, ("proposed",), trials, seed=7))
+
+    reference = link(100, 1)
+    assert reference.shape == (100, CONFIG.K, CONFIG.K)
+    for trials, threads in ((100, 8), (1000, 1), (1000, 8)):
+        grams = link(trials, threads)
+        assert len(grams) == trials
+        assert np.array_equal(grams[:100], reference)
+    assert np.array_equal(link(1000, 1), link(1000, 8))
+    placement = scored_grams(monkeypatch, lambda: cdf_experiment(CONFIG, None, 2, 1000, seed=7))
+    assert np.array_equal(placement, link(1000, 8))
 
 
 def test_single_trial_flagged():
