@@ -2,9 +2,12 @@
 
 One kernel scores a stack of P large-scale gain profiles on shared
 small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i) h_k^H h_i.
-``_block_terms`` does the scheme-independent work of a block once (power
-table, norms, row sums, uplink SE), and ``_downlink_rates`` scores one
-scheme's broadcast slots on it. The proposed scheme's zero-forcing slots
+It reads the protocol's one cyclic rule from ``SlotIndexer.order``: user
+k's beam at offset s is order[k, s], in slot t it newly holds offset K - t,
+and its zero-forcing residual entry (r, n) is offset sic_slots + n - r.
+``_block_terms`` gathers each Gram block once by offset, with no profile
+axis, and computes the uplink SE; ``_downlink_rates`` scores one scheme's
+broadcast slots from that table. The proposed scheme's zero-forcing slots
 come from ``_zf_noise_gains``, a numpy-only batched Cholesky of every
 user's residual Gram that applies the scalar oracle's pivot rule
 (``rates.check_pivots``) and raises SingularSystemError where it fails.
@@ -117,14 +120,9 @@ class CdfResult:
         return float(np.quantile(self.samples, 0.05))
 
 
-def _check_scheme(scheme):
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-
-
 def _check_schemes(schemes):
-    """The requested schemes as a tuple; names are checked by _slot_plan."""
-    if isinstance(schemes, str) or not schemes:
+    """The requested schemes as a tuple of checked names."""
+    if isinstance(schemes, str) or not schemes or not set(schemes) <= set(SCHEMES):
         raise ValueError(f"schemes must be a nonempty tuple drawn from {SCHEMES}, got {schemes!r}")
     return tuple(schemes)
 
@@ -137,23 +135,6 @@ def _check_trials(trials):
 def _pre_log(K, scheme):
     idx = SlotIndexer(K)
     return 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
-
-
-def _slot_plan(K, scheme):
-    """Held-column windows of the interference-limited slots, and the ZF beam table.
-
-    Windows are (K, held) 0-based column indices per slot, read from
-    SlotIndexer.beams. The conventional pair is ordered like the t=1
-    cancelation window so the two schemes give bit-identical slot-1 values.
-    The beam table is (K, sic_slots, n_unknowns) for the proposed scheme
-    (no columns at K = 2) and None for the conventional one.
-    """
-    _check_scheme(scheme)
-    idx = SlotIndexer(K)
-    T, beams = idx.sic_slots, idx.beams
-    if scheme == "conventional":
-        return [beams[:, t - 1, [0, t]] for t in range(1, K)], None
-    return [beams[:, t - 1, :t + 1] for t in range(1, T + 1)], beams[:, :T, T + 1:]
 
 
 def _run_spans(fn, total, step, workers=None):
@@ -184,72 +165,98 @@ def _gram_block(M, K, seed, lo, hi):
 class _BlockTerms:
     """Scheme-independent terms of P gain profiles on T shared small-scale Grams.
 
-    ``gram_h`` is (T, K, K) and ``betas`` (P, K). ``power`` (P, T, K, K)
-    holds |g_k^H g_i|^2, ``norms`` (P, T, K) ||g_k||^2, ``row_sum`` the sum
-    of ``power`` over i, ``scale`` (P, 1, 1) the broadcast scale
-    p_r / (M sum(beta)), and ``uplink`` (P, T, K) the uplink SE.
+    ``gram_h`` is (T, K, K) and ``betas`` (P, K). The offset tables hold, for
+    user k's beam at offset s, ``cross_power[s]`` (T, K) |h_k^H h_order[k,s]|^2
+    and ``pair[s]`` (P, K) beta_k beta_order[k,s]. ``norms`` (P, T, K) holds
+    ||g_k||^2, ``scale`` (P, 1, 1) the broadcast scale p_r / (M sum(beta)),
+    and ``uplink`` (P, T, K) the uplink SE.
     """
 
     gram_h: np.ndarray
     betas: np.ndarray
-    power: np.ndarray
+    cross_power: np.ndarray
+    pair: np.ndarray
     norms: np.ndarray
-    row_sum: np.ndarray
     scale: np.ndarray
     uplink: np.ndarray
 
 
+def _power(pair, cross_power, s):
+    """|g_k^H g_order[k,s]|^2 (P, T, K): the power user k receives from offset s."""
+    return pair[s][:, None] * cross_power[s]
+
+
 def _block_terms(config, gram_h, betas):
     """The work every scheme shares on one block, uplink SE included."""
-    power = (gram_h.real**2 + gram_h.imag**2)[None] * (betas[:, None, :, None] * betas[:, None, None, :])
-    norms = np.einsum("tkk->tk", gram_h).real[None] * betas[:, None, :]
-    row_sum = power.sum(axis=3)
-    interference = row_sum - norms**2
+    K = gram_h.shape[-1]
+    order = SlotIndexer(K).order
+    cross = np.ascontiguousarray(gram_h[:, np.arange(K)[:, None], order].transpose(2, 0, 1))
+    pair = np.ascontiguousarray((betas[:, :, None] * betas[:, order]).transpose(2, 0, 1))
+    cross_power = cross.real**2 + cross.imag**2
+    norms = cross[0].real[None] * betas[:, None, :]
+    interference = sum(_power(pair, cross_power, s) for s in range(1, K))
     uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
     scale = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
-    return _BlockTerms(gram_h, betas, power, norms, row_sum, scale, uplink)
+    return _BlockTerms(gram_h, betas, cross_power, pair, norms, scale, uplink)
 
 
-def _downlink_rates(terms, plan):
-    """Per-trial downlink SE (P, T, K, K-1) of one scheme; ``plan`` comes from ``_slot_plan``."""
-    windows, beams = plan
+def _downlink_rates(terms, scheme):
+    """Per-trial downlink SE (P, T, K, K-1) of one scheme.
+
+    Slot t brings user k its beam at offset K - t. Offsets 1..K-t-1 interfere
+    under both schemes; offsets K-t+1..K-1, decoded in earlier cancelation
+    slots, interfere only in the conventional one. Each range is a running
+    sum over slots, one add per slot, so no interference is formed by
+    subtraction, and slot 1, with no offset above K - 1, takes the same
+    value under both schemes.
+    """
     K = terms.gram_h.shape[-1]
-    users = np.arange(K)[:, None]
+    slots = K - 1 if scheme == "conventional" else SlotIndexer(K).sic_slots
+    dl = np.zeros(terms.uplink.shape + (K - 1,))
+    below = above = 0.0
+    for s in range(1, K - 1):
+        below = below + _power(terms.pair, terms.cross_power, s)
+        if K - 1 - s <= slots:
+            dl[..., K - 2 - s] = below
+    if scheme == "conventional":
+        for t in range(2, K):
+            above = above + _power(terms.pair, terms.cross_power, K - t + 1)
+            dl[..., t - 1] += above
     c = terms.scale
-    dl = np.empty(terms.uplink.shape + (K - 1,))
     signal = c * terms.norms**2
-    for t, window in enumerate(windows):
-        held = terms.power[:, :, users, window].sum(axis=3)
-        dl[..., t] = np.log2(1.0 + signal / (c * (terms.row_sum - held) + 1.0))
-    if beams is not None:
-        noise_gain = np.empty(dl.shape[:-1] + (beams.shape[-1],))
+    for t in range(slots):
+        dl[..., t] = np.log2(1.0 + signal / (c * dl[..., t] + 1.0))
+    if scheme == "proposed":
         # Trial blocks small enough that the factor's (P, K, trials) temporaries stay in cache.
         step = max(1, _ZF_BLOCK_ENTRIES // (len(terms.betas) * K))
         for lo in range(0, len(terms.gram_h), step):
-            noise_gain[:, lo:lo + step] = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas, beams)
-        dl[..., len(windows):] = np.log2(1.0 + c[..., None] / noise_gain)
+            noise_gain = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas)
+            dl[:, lo:lo + step, :, slots:] = np.log2(1.0 + c[..., None] / noise_gain)
     return dl
 
 
-def _zf_noise_gains(gram_h, betas, beams):
+def _zf_noise_gains(gram_h, betas):
     """Zero-forcing noise gains (P, T, K, n_unknowns): the residual-Gram inverse diagonals.
 
-    User k's residual system has entries g_k^H g_j = sqrt(beta_k beta_j)
-    h_k^H h_j, with j read from ``beams`` (K, rows, n_unknowns). The entries
-    h_k^H h_j are gathered once, with no profile axis. Each lower Gram entry
-    is a multiply-accumulate over the rows, weighted by the profile's
-    sqrt(beta) products, on a (P, K, T) array. An unrolled Cholesky over the
-    unknowns passes its pivots so far to ``rates.check_pivots`` before each
-    square root, as the scalar oracle does, and the noise gains are the
-    squared column norms of L^-1. Everything runs in real arithmetic, one
-    IEEE operation per ufunc, so a trial's value does not depend on the
-    batch shape it is scored in.
+    Entry (r, n) of user k's residual system, 0-based, is sqrt(beta_k beta_j)
+    h_k^H h_j for beam j = order[k, sic_slots + n - r]; the h_k^H h_j are
+    gathered once, with no profile axis. Each lower Gram entry is a
+    multiply-accumulate over the rows, weighted by the profile's sqrt(beta)
+    products, on a (P, K, T) array. An unrolled Cholesky over the unknowns
+    passes its pivots so far to ``rates.check_pivots`` before each square
+    root, as the scalar oracle does, and the noise gains are the squared
+    column norms of L^-1. Everything runs in real arithmetic, one IEEE
+    operation per ufunc, so a trial's value does not depend on the batch
+    shape it is scored in.
     """
-    K, rows, n = beams.shape
-    mix = gram_h[:, np.arange(K)[:, None, None], beams].transpose(3, 2, 1, 0)  # (n, rows, K, T)
-    x_re, x_im = mix.real, mix.imag
+    idx = SlotIndexer(gram_h.shape[-1])
+    cols = idx.order[:, idx.sic_slots + np.arange(idx.n_unknowns) - np.arange(idx.sic_slots)[:, None]]
+    K, rows, n = cols.shape
+    users = np.arange(K)[:, None, None]
+    # (n, rows, K, T) each, gathered from the real and imaginary views so trials are contiguous.
+    x_re, x_im = (x[:, users, cols].transpose(3, 2, 1, 0) for x in (gram_h.real, gram_h.imag))
     root = np.sqrt(betas)
-    weight = (root[:, :, None, None] * root[:, beams]).transpose(3, 2, 0, 1)[..., None]  # (n, rows, P, K, 1)
+    weight = (root[:, :, None, None] * root[:, cols]).transpose(3, 2, 0, 1)[..., None]  # (n, rows, P, K, 1)
     gram = {}  # gram[i, j], i >= j: (Re, Im) of sum_r conj(mixing_ri) mixing_rj
     for i in range(n):
         for j in range(i + 1):
@@ -313,27 +320,23 @@ def estimate_link_se(config, beta, schemes, trials, seed, workers=None):
     come from the zero-forcing stage.
     """
     _check_trials(trials)
-    plans = {scheme: _slot_plan(config.K, scheme) for scheme in _check_schemes(schemes)}
+    schemes = _check_schemes(schemes)
     M, K = config.M, config.K
     betas = checked_gains(beta, K)[None]
     # Keep the profile axis so the trial means reduce exactly as in cdf_experiment.
     ul = np.empty((1, trials, K))
-    dl = {scheme: np.empty((1, trials, K, K - 1)) for scheme in plans}
+    dl = {scheme: np.empty((1, trials, K, K - 1)) for scheme in schemes}
 
     def run_batch(lo, hi):
         terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas)
         ul[:, lo:hi] = terms.uplink
-        for scheme, plan in plans.items():
-            dl[scheme][:, lo:hi] = _downlink_rates(terms, plan)
+        for scheme in schemes:
+            dl[scheme][:, lo:hi] = _downlink_rates(terms, scheme)
 
     _run_spans(run_batch, trials, GRAM_BLOCK, workers)
     ul_mean, ul_err = _mean_stderr(ul)
-    estimates = {}
-    for scheme, samples in dl.items():
-        dl_mean, dl_err = _mean_stderr(samples)
-        estimates[scheme] = LinkEstimate(uplink=ul_mean, uplink_stderr=ul_err,
-                                         downlink=dl_mean, downlink_stderr=dl_err, trials=trials)
-    return estimates
+    return {scheme: LinkEstimate(ul_mean, ul_err, *_mean_stderr(samples), trials)
+            for scheme, samples in dl.items()}
 
 
 def _mean_stderr(samples):
@@ -352,20 +355,16 @@ def sum_se(estimate, scheme):
     every user and slot, sums, and scales by the scheme pre-log
     (1/(sic_slots + 1) proposed, 1/K conventional).
     """
-    _check_scheme(scheme)
+    _check_schemes((scheme,))
     ul, dl = estimate.uplink, estimate.downlink
     K = ul.shape[0]
     if dl.shape != (K, K - 1):
         raise ValueError(f"downlink estimates must cover {K} users x {K - 1} slots, got {dl.shape}")
     pre_log = _pre_log(K, scheme)
     binding_err = np.where(ul[:, None] <= dl, estimate.uplink_stderr[:, None], estimate.downlink_stderr)
-    return SumSeReport(
-        scheme=scheme,
-        min_rates=np.minimum(ul[:, None], dl),
-        sum_se=float(pre_log * _min_sum(ul, dl)),
-        pre_log=pre_log,
-        stderr=float(pre_log * binding_err.sum()),
-    )
+    return SumSeReport(scheme=scheme, min_rates=np.minimum(ul[:, None], dl),
+                       sum_se=float(pre_log * _min_sum(ul, dl)), pre_log=pre_log,
+                       stderr=float(pre_log * binding_err.sum()))
 
 
 def sum_se_once(config, beta, scheme, trials, seed, workers=None):
@@ -386,7 +385,7 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
     alone, so identical profiles score identically, and each sample equals
     ``sum_se_once`` with that profile's gains and scheme.
     """
-    plans = {scheme: _slot_plan(config.K, scheme) for scheme in _check_schemes(schemes)}
+    schemes = _check_schemes(schemes)
     if profiles < 1:
         raise ValueError("profiles must be >= 1")
     _check_trials(trials_per_profile)
@@ -408,14 +407,14 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
 
     # Keep each chunk's scratch arrays, per-trial downlink output included, around ~50 MB.
     chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
-    samples = {scheme: np.empty(profiles) for scheme in plans}
+    samples = {scheme: np.empty(profiles) for scheme in schemes}
 
     def score(lo, hi):
         terms = _block_terms(config, gram_h, betas[lo:hi])
         ul = terms.uplink.mean(axis=1)
         # One scheme at a time: each downlink array is reduced before the next is made.
-        for scheme, plan in plans.items():
-            dl = _downlink_rates(terms, plan).mean(axis=1)
+        for scheme in schemes:
+            dl = _downlink_rates(terms, scheme).mean(axis=1)
             samples[scheme][lo:hi] = _pre_log(K, scheme) * _min_sum(ul, dl)
 
     _run_spans(score, profiles, chunk, workers)

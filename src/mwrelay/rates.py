@@ -55,9 +55,7 @@ def uplink_sinr(G, p_u, k):
     cross, n2 = _column_products(G, k)
     if n2 == 0.0:
         raise DegenerateChannelError(f"column {k} of the channel matrix is zero")
-    power = np.abs(cross) ** 2
-    interference = float(power.sum() - power[k - 1])
-    return p_u * n2**2 / (p_u * interference + n2)
+    return p_u * n2**2 / (p_u * _outside_power(cross, [k - 1]) + n2)
 
 
 def _outside_power(cross, window):

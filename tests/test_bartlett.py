@@ -18,7 +18,7 @@ from mwrelay import SystemConfig, estimate_link_se
 from mwrelay import montecarlo
 from mwrelay.channel import draw_gram_factor, draw_small_scale
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
-from mwrelay.montecarlo import _block_terms, _downlink_rates, _slot_plan
+from mwrelay.montecarlo import _block_terms, _downlink_rates
 from mwrelay.schedule import SlotIndexer
 
 K = 10
@@ -48,7 +48,7 @@ def kernel_rates(M, gram_h):
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     terms = _block_terms(config, gram_h, np.ones((1, K)))
     return {"uplink": terms.uplink[0],
-            **{scheme: _downlink_rates(terms, _slot_plan(K, scheme))[0]
+            **{scheme: _downlink_rates(terms, scheme)[0]
                for scheme in ("conventional", "proposed")}}
 
 
@@ -154,9 +154,9 @@ def test_estimator_rates_match_direct_draw(M, K, monkeypatch):
         captured["uplink"].append(terms.uplink[0])
         return terms
 
-    def downlink_rates(terms, plan):
-        dl = real_rates(terms, plan)
-        captured["conventional" if plan[1] is None else "proposed"].append(dl[0])
+    def downlink_rates(terms, scheme):
+        dl = real_rates(terms, scheme)
+        captured[scheme].append(dl[0])
         return dl
 
     monkeypatch.setattr(montecarlo, "_block_terms", block_terms)
@@ -185,7 +185,7 @@ def test_edge_sizes_match_direct_draw_verdicts(K, offset):
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     direct = _block_terms(config, direct_grams(M, K, trials, seed=4), np.ones((1, K)))
     try:
-        _downlink_rates(direct, _slot_plan(K, "proposed"))
+        _downlink_rates(direct, "proposed")
         direct_singular = False
     except SingularSystemError:
         direct_singular = True

@@ -1,9 +1,12 @@
 """Monte Carlo estimators: determinism, kernel fidelity, sum-SE assembly."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwrelay import (
     GeometryModel,
@@ -13,6 +16,7 @@ from mwrelay import (
     cdf_experiment,
     conventional_dl_sinr,
     estimate_link_se,
+    instantaneous_se,
     proposed_dl_sinr,
     sum_se,
     sum_se_once,
@@ -26,12 +30,12 @@ from mwrelay.channel import (
     draw_small_scale,
     substream,
 )
+from mwrelay import montecarlo
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.montecarlo import (
     GRAM_BLOCK,
     _block_terms,
     _downlink_rates,
-    _slot_plan,
     _zf_noise_gains,
 )
 from mwrelay.schedule import SlotIndexer
@@ -87,11 +91,44 @@ def scalar_rate_tables(config, beta, scheme, trials, seed):
 
 @pytest.mark.parametrize("scheme", ["conventional", "proposed"])
 def test_kernel_matches_scalar_operations(scheme):
+    # The offset arithmetic of every slot, end to end, at small, even and odd K.
     trials = 6
-    estimate = estimate_link_se(CONFIG, BETA, (scheme,), trials, seed=99)[scheme]
-    ul_ref, dl_ref = scalar_rate_tables(CONFIG, BETA, scheme, trials, seed=99)
-    assert np.allclose(estimate.uplink, ul_ref.mean(axis=0), rtol=1e-10)
-    assert np.allclose(estimate.downlink, dl_ref.mean(axis=0), rtol=1e-10)
+    for K in (2, 3, 4, 5, 10, 11):
+        config = SystemConfig(M=24, K=K, p_u=1.0, p_r=10.0)
+        beta = np.resize(BETA, K)
+        estimate = estimate_link_se(config, beta, (scheme,), trials, seed=99)[scheme]
+        ul_ref, dl_ref = scalar_rate_tables(config, beta, scheme, trials, seed=99)
+        assert np.allclose(estimate.uplink, ul_ref.mean(axis=0), rtol=1e-10), K
+        assert np.allclose(estimate.downlink, dl_ref.mean(axis=0), rtol=1e-10), K
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(2, 6), extra=st.sampled_from([0, 1, 20]),
+       log_beta=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),
+       power=st.sampled_from([1.0, 1e8]), seed=st.integers(0, 2**32 - 1))
+def test_interference_slots_match_oracle_under_wide_spreads(K, extra, log_beta, power, seed):
+    # Per trial, the kernel's uplink, conventional-slot and cancelation-slot
+    # SE equal the scalar oracle under gains spread over 8 decades, huge
+    # powers and M close to K. The zero-forcing cells are stubbed out: their
+    # agreement depends on conditioning, which the ZF tests above cover.
+    M, beta, idx = K + extra, 10.0 ** np.array(log_beta[:K]), SlotIndexer(K)
+    config = SystemConfig(M=M, K=K, p_u=power, p_r=power)
+    H = draw_small_scale(M, K, np.random.default_rng(seed))
+    terms = _block_terms(config, (H.conj().T @ H)[None], beta[None])
+    conv = _downlink_rates(terms, "conventional")[0, 0]
+    with mock.patch.object(montecarlo, "_zf_noise_gains",
+                           lambda gram_h, betas: np.ones((len(betas), len(gram_h), K, idx.n_unknowns))):
+        prop = _downlink_rates(terms, "proposed")[0, 0]
+    G = H * np.sqrt(beta)
+    for k in range(1, K + 1):
+        assert terms.uplink[0, 0, k - 1] == pytest.approx(
+            instantaneous_se(uplink_sinr(G, power, k)), rel=1e-10)
+        for t in range(1, K):
+            assert conv[k - 1, t - 1] == pytest.approx(
+                instantaneous_se(conventional_dl_sinr(G, beta, power, k, t)), rel=1e-10)
+        for t in range(1, idx.sic_slots + 1):
+            assert prop[k - 1, t - 1] == pytest.approx(
+                instantaneous_se(proposed_dl_sinr(G, beta, power, k, t)), rel=1e-10)
 
 
 def test_same_seed_same_estimates():
@@ -270,7 +307,7 @@ def test_zf_noise_gains_match_oracle(K):
     betas = rng.uniform(0.2, 3.0, size=(3, K))
     channels = [draw_small_scale(24, K, rng) for _ in range(4)]
     gram_h = np.stack([H.conj().T @ H for H in channels])
-    gains = _zf_noise_gains(gram_h, betas, _slot_plan(K, "proposed")[1])
+    gains = _zf_noise_gains(gram_h, betas)
     assert gains.shape == (3, 4, K, SlotIndexer(K).n_unknowns)
     for p, beta in enumerate(betas):
         for t, H in enumerate(channels):
@@ -290,12 +327,11 @@ def test_zf_noise_gains_independent_of_batch_shape():
     betas = rng.uniform(0.2, 3.0, size=(3, K))
     H = draw_small_scale(24, K * 1000, rng).reshape(24, 1000, K).transpose(1, 0, 2)
     gram_h = H.conj().transpose(0, 2, 1) @ H
-    beams = _slot_plan(K, "proposed")[1]
-    whole = _zf_noise_gains(gram_h, betas, beams)
+    whole = _zf_noise_gains(gram_h, betas)
     for p in range(3):
-        assert np.array_equal(_zf_noise_gains(gram_h, betas[p:p + 1], beams)[0], whole[p])
+        assert np.array_equal(_zf_noise_gains(gram_h, betas[p:p + 1])[0], whole[p])
     for lo, hi in ((0, 3), (3, 500), (500, 1000)):
-        assert np.array_equal(_zf_noise_gains(gram_h[lo:hi], betas, beams), whole[:, lo:hi])
+        assert np.array_equal(_zf_noise_gains(gram_h[lo:hi], betas), whole[:, lo:hi])
 
 
 @pytest.mark.parametrize("K", [5, 6, 10])
@@ -307,7 +343,6 @@ def test_singular_verdict_matches_oracle(K):
     # agree on all three, with the pivots checked before any root.
     config = SystemConfig(M=16, K=K, p_u=1.0, p_r=10.0)
     betas = np.array([np.ones(K), np.full(K, 0.5)])
-    plan = _slot_plan(K, "proposed")
     assert SlotIndexer(K).n_unknowns >= 2
     rng = np.random.default_rng(K)
     equal = np.repeat(draw_small_scale(16, 1, rng), K, axis=1)
@@ -317,10 +352,10 @@ def test_singular_verdict_matches_oracle(K):
         terms = _block_terms(config, (H.conj().T @ H)[None], betas)
         if singular:
             with pytest.raises(SingularSystemError) as info:
-                _downlink_rates(terms, plan)
+                _downlink_rates(terms, "proposed")
             assert info.value.condition > 1e12 or math.isinf(info.value.condition)
         else:
-            assert np.all(np.isfinite(_downlink_rates(terms, plan)))
+            assert np.all(np.isfinite(_downlink_rates(terms, "proposed")))
         for beta in betas:
             for k in range(1, K + 1):
                 if singular:

@@ -54,6 +54,19 @@ def test_uplink_hand_oracle():
     assert uplink_sinr(G, 1.0, 1) == pytest.approx(0.5)
 
 
+def test_uplink_sums_other_users_directly():
+    # ||g_1||^4 is about 1e31 times user 1's interference, so subtracting it
+    # from a total over every user loses the interference to rounding.
+    H = draw_small_scale(64, 4, np.random.default_rng(3))
+    G = H * np.sqrt([1e8, 1e-8, 1e-8, 1e-8])
+    cross = G[:, 0].conj() @ G
+    n2 = cross[0].real
+    interference = math.fsum(abs(c) ** 2 for c in cross[1:])
+    exact = math.log2(1 + 1e8 * n2**2 / (1e8 * interference + n2))
+    assert exact == pytest.approx(57.545, abs=1e-3)
+    assert instantaneous_se(uplink_sinr(G, 1e8, 1)) == pytest.approx(exact, rel=1e-12)
+
+
 def test_uplink_zero_column_rejected():
     G = np.zeros((3, 2), dtype=complex)
     G[:, 1] = 1.0
