@@ -133,6 +133,24 @@ class BoundReport:
     dl_proposed: np.ndarray
     zf_asymptotic: np.ndarray
 
+    def sum_se(self, scheme):
+        """Closed-form sum SE: per-cell min(uplink, downlink), summed, pre-logged.
+
+        The proposed scheme composes the cancelation-slot bounds with the
+        zero-forcing asymptote and pre-log 1/(sic_slots + 1); the
+        conventional scheme uses its K - 1 slot bounds with pre-log 1/K.
+        """
+        idx = SlotIndexer(self.uplink.size)
+        if scheme == "proposed":
+            table = np.concatenate([self.dl_proposed, self.zf_asymptotic], axis=1)
+            pre_log = 1.0 / idx.proposed_slots
+        elif scheme == "conventional":
+            table = self.dl_conventional
+            pre_log = 1.0 / idx.conventional_slots
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        return float(pre_log * np.minimum(self.uplink[:, None], table).sum())
+
 
 def bound_report(config, beta):
     """Evaluate every closed-form expression for one configuration."""
@@ -157,20 +175,5 @@ def bound_report(config, beta):
 
 
 def analytic_sum_se(config, beta, scheme):
-    """Closed-form sum SE: per-cell min(uplink, downlink), summed, pre-logged.
-
-    The proposed scheme composes the cancelation-slot bounds with the
-    zero-forcing asymptote and pre-log 1/(sic_slots + 1); the conventional
-    scheme uses its K - 1 slot bounds with pre-log 1/K.
-    """
-    report = bound_report(config, beta)
-    idx = SlotIndexer(config.K)
-    if scheme == "proposed":
-        table = np.concatenate([report.dl_proposed, report.zf_asymptotic], axis=1)
-        pre_log = 1.0 / idx.proposed_slots
-    elif scheme == "conventional":
-        table = report.dl_conventional
-        pre_log = 1.0 / idx.conventional_slots
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return float(pre_log * np.minimum(report.uplink[:, None], table).sum())
+    """Closed-form sum SE of one configuration; see ``BoundReport.sum_se``."""
+    return bound_report(config, beta).sum_se(scheme)

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .bounds import analytic_sum_se, bound_report
+from .bounds import bound_report
 from .channel import (
     STREAM_PROFILE,
     GeometryModel,
@@ -235,11 +235,11 @@ def _closed_form_cells(report, scheme, K):
                 yield k, t, "se_asym", report.zf_asymptotic[k - 1, t - 1 - sic_slots]
 
 
-def _link_rows(experiment, scheme, config, beta, seed, estimate, report):
+def _link_rows(experiment, scheme, config, seed, estimate, report):
     """Aggregate + per-user rows for one (M, scheme) cell."""
     M, K = config.M, config.K
     composed = sum_se(estimate, scheme)
-    analytic = analytic_sum_se(config, beta, scheme)
+    analytic = report.sum_se(scheme)
     rows = [
         (experiment, scheme, M, K, 0, 0, "sum_se", composed.sum_se, composed.stderr, seed),
         (experiment, scheme, M, K, 0, 0, "se_bound", analytic, 0.0, seed),
@@ -265,7 +265,7 @@ def _run_sweep_m(options, experiment="sweep-m", aggregates_only=False):
         report = bound_report(config, profile.beta)
         estimates = estimate_link_se(config, profile.beta, schemes, options["trials"], seed)
         for scheme in schemes:
-            cell = _link_rows(experiment, scheme, config, profile.beta, seed, estimates[scheme], report)
+            cell = _link_rows(experiment, scheme, config, seed, estimates[scheme], report)
             rows.extend(cell[:2] if aggregates_only else cell)
     return rows
 
@@ -351,11 +351,9 @@ def _run_selftest(options):
         M = max(K, 16)
         z = rng.standard_normal((2, M, K))
         G = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-        for k in range(1, K + 1):
-            stage = build_zf_stage(G, k)
-            if stage.n_unknowns:
-                err = np.max(np.abs(stage.combiner() @ stage.mixing - np.eye(stage.n_unknowns)))
-                worst_zf = max(worst_zf, float(err))
+        stage = build_zf_stage(G, np.arange(1, K + 1))
+        err = np.max(np.abs(stage.combiner() @ stage.mixing - np.eye(stage.n_unknowns)))
+        worst_zf = max(worst_zf, float(err))
     check("zero-forcing exactness", worst_zf <= 1e-9, f"worst |Z A - I| = {worst_zf:.2e}")
 
     return 1 if failures else 0

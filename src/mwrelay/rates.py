@@ -5,9 +5,10 @@ Covers the four stages of the link: maximum-ratio combining at the relay
 broadcast slots, and the zero-forcing stage that extracts the remaining
 symbols from the residual linear system. All functions are pure; user and
 slot indices are 1-based, and a channel with a non-finite entry is rejected.
-The zero-forcing stage is factored with numpy's Cholesky, and
-``check_pivots`` is the one singular rule for it and for the batched kernel
-in ``montecarlo``.
+The zero-forcing stage is built for one user or for a stack of users at
+once (one Cholesky over the stack), and ``check_pivots`` is the one singular
+rule for it and for the batched kernel in ``montecarlo``. ``relay_precode``
+likewise takes one symbol frame or a matrix of frames, one per column.
 """
 
 from dataclasses import dataclass
@@ -33,14 +34,14 @@ PIVOT_RTOL = 1e-12
 
 
 def _column_products(G, k):
-    """(cross, self_norm): g_k^H g_i for all i, and ||g_k||^2."""
+    """Row g_k^H g_i over all i; one row per user when ``k`` is an array of users."""
     K = G.shape[1]
-    if not 1 <= k <= K:
+    users = np.asarray(k)
+    if users.ndim > 1 or not np.all((1 <= users) & (users <= K)):
         raise ValueError(f"user {k} outside 1..{K}")
     if not np.isfinite(G).all():
         raise ValueError("channel matrix holds non-finite entries")
-    cross = G[:, k - 1].conj() @ G
-    return cross, float(cross[k - 1].real)
+    return G[:, users - 1].conj().T @ G
 
 
 def _broadcast_scale(beta, p_r, M):
@@ -52,7 +53,8 @@ def uplink_sinr(G, p_u, k):
 
     p_u * ||g_k||^4 over (p_u * sum_{i != k} |g_k^H g_i|^2 + ||g_k||^2).
     """
-    cross, n2 = _column_products(G, k)
+    cross = _column_products(G, k)
+    n2 = float(cross[k - 1].real)
     if n2 == 0.0:
         raise DegenerateChannelError(f"column {k} of the channel matrix is zero")
     return p_u * n2**2 / (p_u * _outside_power(cross, [k - 1]) + n2)
@@ -72,7 +74,8 @@ def conventional_dl_sinr(G, beta, p_r, k, t):
     K = G.shape[1]
     if not 1 <= t <= K - 1:
         raise ValueError(f"slot {t} outside 1..{K - 1}")
-    cross, n2 = _column_products(G, k)
+    cross = _column_products(G, k)
+    n2 = float(cross[k - 1].real)
     c = _broadcast_scale(beta, p_r, G.shape[0])
     interference = _outside_power(cross, SlotIndexer(K).beams[k - 1, t - 1, [0, t]])
     return c * n2**2 / (c * interference + 1.0)
@@ -90,7 +93,8 @@ def proposed_dl_sinr(G, beta, p_r, k, t):
     idx = SlotIndexer(K)
     if not 1 <= t <= idx.sic_slots:
         raise ValueError(f"slot {t} outside 1..{idx.sic_slots}")
-    cross, n2 = _column_products(G, k)
+    cross = _column_products(G, k)
+    n2 = float(cross[k - 1].real)
     c = _broadcast_scale(beta, p_r, G.shape[0])
     interference = _outside_power(cross, idx.beams[k - 1, t - 1, :t + 1])
     return c * n2**2 / (c * interference + 1.0)
@@ -98,16 +102,17 @@ def proposed_dl_sinr(G, beta, p_r, k, t):
 
 @dataclass(frozen=True)
 class ZfStage:
-    """Residual linear system of one user after the cancelation slots.
+    """Residual linear system of one user, or of a stack of users, after the cancelation slots.
 
     ``mixing`` is the sic_slots x n_unknowns coefficient matrix (row m is
     residual equation m), ``gram`` its Hermitian Gram matrix, ``factor``
     the lower Cholesky factor of ``gram``, and ``noise_gain`` the diagonal
     of the Gram inverse — the per-unknown noise amplification of the
-    zero-forcing combiner.
+    zero-forcing combiner. A stage built for an array of users carries a
+    leading user axis on every array field, in the order of ``user``.
     """
 
-    user: int
+    user: int | np.ndarray
     mixing: np.ndarray
     gram: np.ndarray
     factor: np.ndarray
@@ -115,15 +120,16 @@ class ZfStage:
 
     @property
     def n_unknowns(self):
-        return self.mixing.shape[1]
+        return self.mixing.shape[-1]
 
     def combiner(self):
         """Zero-forcing combiner: gram^(-1) @ mixing^H, satisfying combiner @ mixing = I.
 
-        With gram = L L^H this is (L^-1)^H (L^-1 mixing^H), read from the kept factor.
+        With gram = L L^H this is (L^-1)^H (L^-1 mixing^H), read from the kept
+        factor; a stacked stage gives one combiner per user.
         """
         inverse = np.linalg.inv(self.factor)
-        return inverse.conj().T @ (inverse @ self.mixing.conj().T)
+        return inverse.conj().swapaxes(-1, -2) @ (inverse @ self.mixing.conj().swapaxes(-1, -2))
 
 
 def check_pivots(least, largest):
@@ -144,21 +150,28 @@ def check_pivots(least, largest):
 
 
 def _factor_gram(gram):
-    """Lower Cholesky factor of a Hermitian Gram, checked by ``check_pivots``."""
+    """Lower Cholesky factor of a Hermitian Gram or a stack of them, checked by ``check_pivots``.
+
+    Each matrix's pivots are checked on their own; a 0 x 0 Gram (K = 2) has
+    none and passes.
+    """
     try:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Gram factorization failed: {exc}") from exc
-    pivots = np.diag(low).real ** 2
-    check_pivots(pivots.min(initial=np.inf), pivots.max(initial=0.0))
+    pivots = np.diagonal(low, axis1=-2, axis2=-1).real ** 2
+    check_pivots(pivots.min(axis=-1, initial=np.inf), pivots.max(axis=-1, initial=0.0))
     return low
 
 
 def build_zf_stage(G, k, indexer=None):
     """Assemble user k's residual system and its noise gains.
 
-    Entry (m, n) is g_k^H g_j with j the beam that carries the n-th unknown
-    in broadcast slot m, read from the indexer's beam table. The noise gains
+    ``k`` is one user or a 1-D array of users; an array stacks their
+    systems along a leading axis and factors all of them with one Cholesky
+    call, raising SingularSystemError if any of them is singular. Entry
+    (m, n) is g_k^H g_j with j the beam that carries the n-th unknown in
+    broadcast slot m, read from the indexer's beam table. The noise gains
     are the squared column norms of L^-1, with gram = L L^H, since
     gram^-1 = (L^-1)^H L^-1. For K = 2 there is nothing left to solve and
     the stage is empty.
@@ -167,12 +180,13 @@ def build_zf_stage(G, k, indexer=None):
     indexer = indexer if indexer is not None else SlotIndexer(K)
     if indexer.K != K:
         raise ValueError(f"indexer is for K={indexer.K}, channel has K={K}")
-    cross, _ = _column_products(G, k)
+    cross = _column_products(G, k)
     T = indexer.sic_slots
-    mixing = cross[indexer.beams[k - 1, :T, T + 1:]]
-    gram = mixing.conj().T @ mixing
+    beams = indexer.beams[np.asarray(k) - 1, :T, T + 1:]
+    mixing = np.take_along_axis(cross[..., None, :], beams, axis=-1)
+    gram = mixing.conj().swapaxes(-1, -2) @ mixing
     low = _factor_gram(gram)
-    noise_gain = (np.abs(np.linalg.inv(low)) ** 2).sum(axis=0)
+    noise_gain = (np.abs(np.linalg.inv(low)) ** 2).sum(axis=-2)
     return ZfStage(user=k, mixing=mixing, gram=gram, factor=low, noise_gain=noise_gain)
 
 
@@ -180,11 +194,12 @@ def zf_sinr(stage, beta, p_r, M, n):
     """Post-combining SINR of the n-th recovered unknown.
 
     The combiner leaves a clean symbol at scale sqrt(p_r / (M sum(beta)))
-    plus noise with power noise_gain[n], so the SINR is their ratio.
+    plus noise with power noise_gain[n], so the SINR is their ratio. A
+    stacked stage gives one SINR per user.
     """
     if not 1 <= n <= stage.n_unknowns:
         raise ValueError(f"unknown index {n} outside 1..{stage.n_unknowns}")
-    return _broadcast_scale(beta, p_r, M) / float(stage.noise_gain[n - 1])
+    return _broadcast_scale(beta, p_r, M) / stage.noise_gain[..., n - 1]
 
 
 def instantaneous_se(sinr):
@@ -201,8 +216,10 @@ def relay_precode(G, beta, p_r, symbols):
 
     ``symbols`` must already be ordered by transmit beam (entry i rides on
     column i); with unit-energy symbols the average transmit power is p_r.
+    A (K, S) matrix holds S frames, one per column, and gives the (M, S)
+    matrix of their broadcast vectors.
     """
     symbols = np.asarray(symbols)
-    if symbols.shape != (G.shape[1],):
-        raise ValueError(f"expected {G.shape[1]} symbols, got shape {symbols.shape}")
+    if symbols.ndim not in (1, 2) or symbols.shape[0] != G.shape[1]:
+        raise ValueError(f"expected {G.shape[1]} symbols per frame, got shape {symbols.shape}")
     return np.sqrt(_broadcast_scale(beta, p_r, G.shape[0])) * (G @ symbols)

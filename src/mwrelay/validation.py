@@ -6,7 +6,8 @@ user ends up holding all K-1 foreign symbols. Relay decoding and
 cancelation are genie-aided (prior decisions assumed correct), matching the
 assumptions of the rate expressions; the noisy variant measures per-slot
 symbol error rates under that assumption. Both variants share one
-decoding walk that decodes every user of a round at once.
+decoding walk that decodes every user of a round at once: one precode
+for all cancelation slots and one stacked zero-forcing stage for all users.
 """
 
 import math
@@ -98,14 +99,15 @@ def _decode_round(G, beta, p_r, x, idx, noise=None):
     symbols it holds, and ``zf[k-1, n-1]`` the zero-forcing estimate of its
     n-th remaining unknown once all sic_slots + 1 held symbols are canceled.
     Cancelation subtracts the true symbols (genie-aided); ``noise``, if
-    given, is the (sic_slots, K) table of receiver noise samples.
+    given, is the (sic_slots, K) table of receiver noise samples. Slot t
+    broadcasts the frame x[order[:, t]] (x rolled by t), so all slots are
+    precoded as the columns of one matrix.
     """
     M, K = G.shape
     T = idx.sic_slots
     scale = _amplitude(beta, p_r, M)
     cross = G.conj().T @ G
-    received = np.stack([G.conj().T @ relay_precode(G, beta, p_r, np.roll(x, -t))
-                         for t in range(1, T + 1)], axis=1)
+    received = G.conj().T @ relay_precode(G, beta, p_r, x[idx.order[:, 1:T + 1]])
     if noise is not None:
         received += noise.T
     users = np.arange(K)[:, None, None]
@@ -114,7 +116,7 @@ def _decode_round(G, beta, p_r, x, idx, noise=None):
     canceled = np.cumsum(scale * cross[users, idx.beams[:, :T, :T + 1]] * x[held], axis=2)
     slots = np.arange(T)
     slot = (received - canceled[:, slots, slots]) / np.diag(cross).real[:, None]
-    combiners = np.stack([build_zf_stage(G, k, idx).combiner() for k in range(1, K + 1)])
+    combiners = build_zf_stage(G, np.arange(1, K + 1), idx).combiner()
     zf = np.einsum("knm,km->kn", combiners, received - canceled[:, :, T])
     return slot, zf
 

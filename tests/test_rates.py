@@ -256,6 +256,67 @@ def test_zf_stage_factors_its_gram_once(monkeypatch):
     assert calls == [(stage.n_unknowns, stage.n_unknowns)]
 
 
+@pytest.mark.parametrize("K", range(2, 14))
+def test_stacked_zf_stage_matches_per_user_stages(K):
+    # K = 2 leaves no unknowns; at odd K the residual systems are square.
+    G = random_channel(K + 6, K, seed=20 + K)
+    idx = SlotIndexer(K)
+    users = np.arange(1, K + 1)
+    stacked = build_zf_stage(G, users, idx)
+    assert np.array_equal(stacked.user, users)
+    assert stacked.n_unknowns == idx.n_unknowns
+    combiners = stacked.combiner()
+    for k in users:
+        single = build_zf_stage(G, int(k), idx)
+        for field in ("mixing", "gram", "factor", "noise_gain"):
+            np.testing.assert_allclose(getattr(stacked, field)[k - 1], getattr(single, field),
+                                       rtol=1e-12, atol=0)
+        np.testing.assert_allclose(combiners[k - 1], single.combiner(), rtol=1e-12, atol=1e-15)
+        eye = combiners[k - 1] @ stacked.mixing[k - 1]
+        assert np.max(np.abs(eye - np.eye(idx.n_unknowns)), initial=0.0) < 1e-9
+        for n in range(1, idx.n_unknowns + 1):
+            assert zf_sinr(stacked, np.ones(K), 4.0, K + 6, n)[k - 1] == pytest.approx(
+                zf_sinr(single, np.ones(K), 4.0, K + 6, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [5, 6, 10])
+def test_stacked_zf_stage_singular_when_any_user_is(K):
+    # Equal columns make every residual system rank one, and columns equal up
+    # to 1e-6 leave pivots only the PIVOT_RTOL rule flags; a zeroed column
+    # makes only its own user's system singular. The stacked call must raise
+    # exactly when some per-user call does.
+    rng = np.random.default_rng(K)
+    equal = np.repeat(draw_small_scale(16, 1, rng), K, axis=1)
+    one_zero = draw_small_scale(16, K, rng)
+    one_zero[:, 2] = 0.0
+    cases = (equal, equal + 1e-6 * draw_small_scale(16, K, rng), one_zero,
+             draw_small_scale(16, K, rng))
+    users = np.arange(1, K + 1)
+    seen = []
+    for G in cases:
+        verdicts = []
+        for k in users:
+            try:
+                build_zf_stage(G, int(k))
+                verdicts.append(False)
+            except SingularSystemError:
+                verdicts.append(True)
+        seen.append(verdicts)
+        if any(verdicts):
+            with pytest.raises(SingularSystemError):
+                build_zf_stage(G, users)
+        else:
+            build_zf_stage(G, users)
+    assert seen == [[True] * K, [True] * K, [k == 3 for k in users], [False] * K]
+
+
+def test_stacked_zf_stage_rejects_bad_users():
+    G = random_channel(8, 4, seed=3)
+    for users in (np.array([1, 5]), np.array([0, 2]), np.array([[1, 2]])):
+        with pytest.raises(ValueError):
+            build_zf_stage(G, users)
+
+
 def test_zf_singular_gram_detected():
     # Identical columns collapse the residual coefficients to rank one.
     base = random_channel(6, 1, seed=6)[:, 0]
@@ -330,6 +391,21 @@ def test_relay_precode_zero_symbols():
     G = random_channel(4, 3, seed=2)
     out = relay_precode(G, np.ones(3), 2.0, np.zeros(3))
     assert np.array_equal(out, np.zeros(4))
+
+
+def test_relay_precode_frames_as_columns():
+    G = random_channel(7, 5, seed=12)
+    beta = np.array([0.4, 1.0, 2.5, 0.7, 1.3])
+    rng = np.random.default_rng(12)
+    frames = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    out = relay_precode(G, beta, 3.0, frames)
+    assert out.shape == (7, 3)
+    for s in range(3):
+        np.testing.assert_allclose(out[:, s], relay_precode(G, beta, 3.0, frames[:, s]),
+                                   rtol=1e-12, atol=0)
+    for bad in (frames[:4], np.vstack([frames, frames[:1]]), frames[None], np.ones(4), 1.0):
+        with pytest.raises(ValueError):
+            relay_precode(G, beta, 3.0, bad)
 
 
 def test_relay_precode_average_power():

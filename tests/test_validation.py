@@ -195,3 +195,14 @@ def test_noisy_error_counts_reproducible():
     counts = run_round_noisy(config, np.ones(5), 40, seed=3) * 40
     expected = [[4, 3, 26, 22], [8, 2, 21, 23], [5, 2, 16, 22], [3, 0, 20, 14], [4, 5, 15, 19]]
     assert np.array_equal(counts, expected)
+
+
+def test_noisy_error_counts_at_benchmark_shape():
+    config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
+    counts = run_round_noisy(config, np.ones(10), 20, seed=3) * 20
+    expected = [[0, 0, 0, 0, 0, 4, 6, 0, 4], [0, 0, 0, 0, 0, 4, 3, 3, 5],
+                [0, 0, 0, 0, 0, 4, 4, 1, 3], [1, 0, 0, 0, 0, 2, 3, 3, 4],
+                [0, 0, 0, 0, 0, 4, 2, 2, 4], [0, 0, 0, 0, 0, 2, 4, 0, 6],
+                [0, 0, 0, 0, 0, 4, 2, 1, 3], [0, 0, 0, 0, 0, 2, 3, 4, 4],
+                [0, 0, 0, 0, 0, 6, 2, 2, 2], [0, 0, 0, 0, 0, 4, 3, 3, 3]]
+    assert np.array_equal(counts, expected)
