@@ -3,13 +3,18 @@
 Subcommands: sweep-m (sum SE vs antenna count, simulation + closed form),
 compare-schemes (proposed vs conventional), cdf (sum-SE distribution over
 random placements), bounds-table (closed forms only), selftest (invariant
-suite). All dB inputs are converted to linear scale once, at the argument
-boundary. Runs are reproducible: same seed means byte-identical CSV, for
-any MWRELAY_THREADS value.
+suite). Each option is declared once, in ``OPTIONS``: its entry builds the
+flag, converts the config-file value and is echoed into the CSV, and the
+geometry options take their defaults from ``GeometryModel``. Each
+experiment is declared once, in ``EXPERIMENTS``, with its runner and its
+default schemes and trials. All dB inputs are converted to linear scale
+once, at the argument boundary. Runs are reproducible: same seed means
+byte-identical CSV, for any MWRELAY_THREADS value.
 """
 
 import argparse
 import csv
+import functools
 import sys
 
 import numpy as np
@@ -25,8 +30,9 @@ from .channel import (
     unit_profile,
 )
 from .exceptions import InvalidConfigError, SingularSystemError
-from .montecarlo import cdf_experiment, estimate_link_se, sum_se
-from .schedule import SlotIndexer, known_set, partner_index, remaining_unknowns
+from .montecarlo import SCHEMES, cdf_experiment, estimate_link_se, sum_se
+from .rates import build_zf_stage
+from .schedule import SlotIndexer
 from .validation import run_round_noiseless
 
 __all__ = ["main", "parse_and_dispatch", "write_csv", "db_to_linear", "parse_m_range"]
@@ -34,35 +40,28 @@ __all__ = ["main", "parse_and_dispatch", "write_csv", "db_to_linear", "parse_m_r
 CSV_HEADER = ("experiment", "scheme", "M", "K", "user", "slot", "metric", "value", "stderr", "seed")
 METRICS = frozenset({"se_mc", "se_bound", "se_asym", "sum_se", "cdf_sample", "p5"})
 
-DEFAULTS = {
-    "k": 10,
-    "m": "100",
-    "pu-db": 0.0,
-    "pr-db": 10.0,
-    "trials": None,  # 10^4 for sweeps, 10^3 per profile for cdf
-    "profiles": 2000,
-    "seed": 1,
-    "out": None,
-    "scheme": None,  # per-experiment default
-    "beta": "unit",
-    "cell-radius": 1000.0,
-    "exclusion-radius": 100.0,
-    "ploss-exp": 3.8,
-    "shadow-db": 8.0,
-    "ref-dist": 100.0,
+# Option name (the flag without its dashes, and the config key) -> GeometryModel field.
+_GEOMETRY_FIELDS = {
+    "cell-radius": "cell_radius",
+    "exclusion-radius": "exclusion_radius",
+    "ploss-exp": "path_loss_exponent",
+    "shadow-db": "shadowing_sigma_db",
+    "ref-dist": "reference_distance",
 }
-_CONVERT = {
-    "k": int, "trials": int, "profiles": int, "seed": int,
-    "pu-db": float, "pr-db": float,
-    "cell-radius": float, "exclusion-radius": float,
-    "ploss-exp": float, "shadow-db": float, "ref-dist": float,
-    "m": str, "out": str, "scheme": str, "beta": str,
-}
-_SCHEME_DEFAULT = {
-    "sweep-m": ("proposed",),
-    "compare-schemes": ("conventional", "proposed"),
-    "cdf": ("proposed",),
-    "bounds-table": ("conventional", "proposed"),
+# Option name -> (type, default, help); a None default is filled per experiment or left unset.
+OPTIONS = {
+    "k": (int, 10, "number of users"),
+    "m": (str, "100", "antenna count, single value or START:STOP:STEP"),
+    "pu-db": (float, 0.0, "per-user power [dB]"),
+    "pr-db": (float, 10.0, "relay power [dB]"),
+    "trials": (int, None, "Monte Carlo trials per configuration"),
+    "profiles": (int, 2000, "placement profiles for cdf"),
+    "seed": (int, 1, "base seed for all substreams"),
+    "out": (str, None, "output CSV path"),
+    "scheme": (str, None, "scheme to run; both runs every scheme"),
+    "beta": (str, "unit", "unit | file:PATH | geometry"),
+    **{name: (float, getattr(GeometryModel(), field), f"--beta geometry: {field}")
+       for name, field in _GEOMETRY_FIELDS.items()},
 }
 
 
@@ -100,9 +99,9 @@ def read_config_file(path):
                 raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in DEFAULTS:
+            if key not in OPTIONS:
                 raise InvalidConfigError(f"{path}:{lineno}: unknown option {key!r}")
-            options[key] = _CONVERT[key](value.strip())
+            options[key] = OPTIONS[key][0](value.strip())
     return options
 
 
@@ -135,64 +134,39 @@ def _build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file; flags given here override it")
-    common.add_argument("--k", type=int, help="number of users")
-    common.add_argument("--m", help="antenna count, single value or START:STOP:STEP")
-    common.add_argument("--pu-db", type=float, dest="pu_db", help="per-user power [dB]")
-    common.add_argument("--pr-db", type=float, dest="pr_db", help="relay power [dB]")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials per configuration")
-    common.add_argument("--profiles", type=int, help="placement profiles for cdf")
-    common.add_argument("--seed", type=int, help="base seed for all substreams")
-    common.add_argument("--out", help="output CSV path")
-    common.add_argument("--scheme", choices=["conventional", "proposed", "both"])
-    common.add_argument("--beta", help="unit | file:PATH | geometry")
-    common.add_argument("--cell-radius", type=float, dest="cell_radius")
-    common.add_argument("--exclusion-radius", type=float, dest="exclusion_radius")
-    common.add_argument("--ploss-exp", type=float, dest="ploss_exp")
-    common.add_argument("--shadow-db", type=float, dest="shadow_db")
-    common.add_argument("--ref-dist", type=float, dest="ref_dist")
-
+    for name, (kind, _, text) in OPTIONS.items():
+        common.add_argument(f"--{name}", type=kind, help=text,
+                            choices=(*SCHEMES, "both") if name == "scheme" else None)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, blurb in [
-        ("sweep-m", "sum SE vs antenna count: Monte Carlo plus closed-form composition"),
-        ("compare-schemes", "proposed vs conventional sum SE"),
-        ("cdf", "sum-SE distribution over random user placements"),
-        ("bounds-table", "closed-form rates per user and slot"),
-        ("selftest", "run the protocol/linear-algebra invariant suite"),
-    ]:
-        sub.add_parser(name, parents=[common], help=blurb)
+    for name, (text, *_) in EXPERIMENTS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
 def _resolve_options(args):
-    options = dict(DEFAULTS)
+    """OPTIONS defaults, then the config file, then the flags; plus the experiment name."""
+    options = {name: default for name, (_, default, _) in OPTIONS.items()}
     if args.config:
         options.update(read_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key.replace("-", "_"))
+    for name in OPTIONS:
+        value = getattr(args, name.replace("-", "_"))
         if value is not None:
-            options[key] = value
+            options[name] = value
+    options["experiment"] = args.experiment
     if options["trials"] is None:
-        options["trials"] = 1000 if args.experiment == "cdf" else 10_000
+        options["trials"] = EXPERIMENTS[args.experiment][3]
     return options
 
 
-def _schemes(options, experiment):
+def _schemes(options):
     choice = options["scheme"]
     if choice in (None, ""):
-        return _SCHEME_DEFAULT[experiment]
-    if choice == "both":
-        return ("conventional", "proposed")
-    return (choice,)
+        return EXPERIMENTS[options["experiment"]][2]
+    return SCHEMES if choice == "both" else (choice,)
 
 
 def _geometry(options):
-    return GeometryModel(
-        cell_radius=options["cell-radius"],
-        exclusion_radius=options["exclusion-radius"],
-        path_loss_exponent=options["ploss-exp"],
-        shadowing_sigma_db=options["shadow-db"],
-        reference_distance=options["ref-dist"],
-    )
+    return GeometryModel(**{field: options[name] for name, field in _GEOMETRY_FIELDS.items()})
 
 
 def _profile(options, K, seed):
@@ -207,12 +181,6 @@ def _profile(options, K, seed):
     if choice == "geometry":
         return draw_large_scale(_geometry(options), K, substream(seed, STREAM_PROFILE, 0), seed=seed)
     raise InvalidConfigError(f"--beta must be unit, file:PATH, or geometry, got {choice!r}")
-
-
-def _echo_params(options, experiment):
-    params = {k: v for k, v in options.items() if v is not None and k != "out"}
-    params["experiment"] = experiment
-    return params
 
 
 def _require_out(options):
@@ -253,12 +221,11 @@ def _link_rows(experiment, scheme, config, seed, estimate, report):
     return rows
 
 
-def _run_sweep_m(options, experiment="sweep-m", aggregates_only=False):
-    seed = options["seed"]
-    K = options["k"]
+def _run_sweep_m(options, aggregates_only=False):
+    experiment, seed, K = options["experiment"], options["seed"], options["k"]
     p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
     profile = _profile(options, K, seed)
-    schemes = _schemes(options, experiment)
+    schemes = _schemes(options)
     rows = []
     for M in parse_m_range(options["m"]):
         config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
@@ -270,13 +237,8 @@ def _run_sweep_m(options, experiment="sweep-m", aggregates_only=False):
     return rows
 
 
-def _run_compare(options):
-    return _run_sweep_m(options, experiment="compare-schemes", aggregates_only=True)
-
-
 def _run_cdf(options):
-    seed = options["seed"]
-    K = options["k"]
+    experiment, seed, K = options["experiment"], options["seed"], options["k"]
     m_values = parse_m_range(options["m"])
     if len(m_values) != 1:
         raise InvalidConfigError("cdf takes a single antenna count, not a range")
@@ -286,32 +248,32 @@ def _run_cdf(options):
     config = SystemConfig(M=m_values[0], K=K,
                           p_u=db_to_linear(options["pu-db"]), p_r=db_to_linear(options["pr-db"]))
     results = cdf_experiment(config, geometry, options["profiles"], options["trials"], seed,
-                             schemes=_schemes(options, "cdf"))
+                             schemes=_schemes(options))
     rows = []
     for scheme, result in results.items():
-        for rank, value in enumerate(result.sorted_samples, start=1):
-            rows.append(("cdf", scheme, config.M, K, 0, rank, "cdf_sample", float(value), 0.0, seed))
-        rows.append(("cdf", scheme, config.M, K, 0, 0, "p5", result.likely_95, 0.0, seed))
+        cell = (experiment, scheme, config.M, K, 0)
+        rows.extend((*cell, rank, "cdf_sample", float(value), 0.0, seed)
+                    for rank, value in enumerate(result.sorted_samples, start=1))
+        rows.append((*cell, 0, "p5", result.likely_95, 0.0, seed))
     return rows
 
 
 def _run_bounds_table(options):
-    seed = options["seed"]
-    K = options["k"]
+    experiment, seed, K = options["experiment"], options["seed"], options["k"]
     p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
     profile = _profile(options, K, seed)
     rows = []
     for M in parse_m_range(options["m"]):
         config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
         report = bound_report(config, profile.beta)
-        for scheme in _schemes(options, "bounds-table"):
-            rows.extend(("bounds-table", scheme, M, K, k, t, metric, value, 0.0, seed)
+        for scheme in _schemes(options):
+            rows.extend((experiment, scheme, M, K, k, t, metric, value, 0.0, seed)
                         for k, t, metric, value in _closed_form_cells(report, scheme, K))
     return rows
 
 
 def _run_selftest(options):
-    """Protocol and linear-algebra invariants; prints one line per check."""
+    """Protocol and linear-algebra invariants; prints one line per check, returns the exit code."""
     seed = options["seed"]
     failures = []
 
@@ -321,18 +283,19 @@ def _run_selftest(options):
             failures.append(name)
 
     for K in range(2, 11):
-        wrap_ok = all(
-            partner_index(k - t, t, K) == k
-            for k in range(1, K + 1) for t in range(0, 2 * K)
-        )
-        t_sic = SlotIndexer(K).sic_slots
-        partition_ok = True
-        for k in range(1, K + 1):
-            held = known_set(k, t_sic, K)
-            rest = remaining_unknowns(k, K)
-            if held & set(rest) or held | set(rest) != set(range(1, K + 1)):
-                partition_ok = False
-        check(f"schedule identities K={K}", wrap_ok and partition_ok)
+        idx = SlotIndexer(K)
+        users = np.arange(K)
+        # Each user holds its own symbol first and every symbol once, so the
+        # symbols held after the cancelation slots and the remaining unknowns
+        # partition all K.
+        partition_ok = (np.array_equal(idx.order[:, 0], users)
+                        and np.array_equal(np.sort(idx.order, axis=1), np.tile(users, (K, 1))))
+        # Slot t broadcasts symbol order[j, t] on beam j, so the beam the table
+        # names for each held symbol carries exactly that symbol.
+        slots = np.arange(1, K)[:, None]
+        routing_ok = np.array_equal(idx.order[idx.beams, slots],
+                                    np.broadcast_to(idx.order[:, None, :], idx.beams.shape))
+        check(f"schedule identities K={K}", partition_ok and routing_ok)
 
     worst = 0.0
     for K in range(2, 11):
@@ -342,8 +305,6 @@ def _run_selftest(options):
         ok = round_.max_deviation <= 1e-9 and round_.slots_used == SlotIndexer(K).proposed_slots
         check(f"noiseless recovery K={K}", ok, f"max deviation {round_.max_deviation:.2e}")
     print(f"worst recovery deviation: {worst:.3e}")
-
-    from .rates import build_zf_stage  # local import keeps module load light
 
     rng = substream(seed, 0, 987)
     worst_zf = 0.0
@@ -359,6 +320,19 @@ def _run_selftest(options):
     return 1 if failures else 0
 
 
+# Experiment name -> (help, runner, default schemes, default trials). Runners
+# return CSV rows, except selftest's, which returns the exit status.
+EXPERIMENTS = {
+    "sweep-m": ("sum SE vs antenna count: Monte Carlo plus closed-form composition",
+                _run_sweep_m, ("proposed",), 10_000),
+    "compare-schemes": ("proposed vs conventional sum SE",
+                        functools.partial(_run_sweep_m, aggregates_only=True), SCHEMES, 10_000),
+    "cdf": ("sum-SE distribution over random user placements", _run_cdf, ("proposed",), 1000),
+    "bounds-table": ("closed-form rates per user and slot", _run_bounds_table, SCHEMES, 10_000),
+    "selftest": ("run the protocol/linear-algebra invariant suite", _run_selftest, (), 10_000),
+}
+
+
 def parse_and_dispatch(argv=None):
     """Run one experiment; returns the process exit status."""
     parser = _build_parser()
@@ -368,16 +342,12 @@ def parse_and_dispatch(argv=None):
         return int(exc.code or 0)
     try:
         options = _resolve_options(args)
-        if args.experiment == "selftest":
-            return _run_selftest(options)
-        runner = {
-            "sweep-m": _run_sweep_m,
-            "compare-schemes": _run_compare,
-            "cdf": _run_cdf,
-            "bounds-table": _run_bounds_table,
-        }[args.experiment]
+        runner = EXPERIMENTS[args.experiment][1]
+        if runner is _run_selftest:
+            return runner(options)
         rows = runner(options)
-        write_csv(_require_out(options), rows, _echo_params(options, args.experiment))
+        params = {k: v for k, v in options.items() if v is not None and k != "out"}
+        write_csv(_require_out(options), rows, params)
         return 0
     except (InvalidConfigError, SingularSystemError, ValueError, OSError) as exc:
         print(f"mwrelay: error: {exc}", file=sys.stderr)

@@ -23,8 +23,8 @@ through their Bartlett factors (``channel.draw_gram_factor``), with no M x K
 draw, and then sliced, so trial i's Gram depends only on (seed, M, K, i):
 not on the worker count, the trial count or the estimator. Workers take
 whole blocks and aggregation runs in trial order, so estimates are
-bit-reproducible for any worker count. The env var MWRELAY_THREADS caps the
-worker pool.
+bit-reproducible for any worker count. The env var MWRELAY_THREADS is the
+one way to set the worker count (``resolve_workers``).
 """
 
 import os
@@ -63,10 +63,8 @@ GRAM_BLOCK = 256
 _ZF_BLOCK_ENTRIES = 16_384
 
 
-def resolve_workers(requested=None):
-    """Worker count: explicit argument, else MWRELAY_THREADS, else CPU count."""
-    if requested is not None:
-        return max(1, int(requested))
+def resolve_workers():
+    """Worker count: MWRELAY_THREADS, else CPU count."""
     env = os.environ.get("MWRELAY_THREADS", "").strip()
     if env:
         return max(1, int(env))
@@ -137,10 +135,10 @@ def _pre_log(K, scheme):
     return 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
 
 
-def _run_spans(fn, total, step, workers=None):
+def _run_spans(fn, total, step):
     """Call fn(lo, hi) over [0, total) in spans of ``step``, on a thread pool."""
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    n_workers = min(resolve_workers(workers), len(spans))
+    n_workers = min(resolve_workers(), len(spans))
     if n_workers <= 1:
         for lo, hi in spans:
             fn(lo, hi)
@@ -310,7 +308,7 @@ def _min_sum(ul, dl):
     return np.minimum(ul[..., None], dl).sum(axis=(-2, -1))
 
 
-def estimate_link_se(config, beta, schemes, trials, seed, workers=None):
+def estimate_link_se(config, beta, schemes, trials, seed):
     """Uplink and downlink ergodic SE of each scheme, from one set of channel draws.
 
     Returns a dict mapping each name in ``schemes`` to its LinkEstimate.
@@ -333,7 +331,7 @@ def estimate_link_se(config, beta, schemes, trials, seed, workers=None):
         for scheme in schemes:
             dl[scheme][:, lo:hi] = _downlink_rates(terms, scheme)
 
-    _run_spans(run_batch, trials, GRAM_BLOCK, workers)
+    _run_spans(run_batch, trials, GRAM_BLOCK)
     ul_mean, ul_err = _mean_stderr(ul)
     return {scheme: LinkEstimate(ul_mean, ul_err, *_mean_stderr(samples), trials)
             for scheme, samples in dl.items()}
@@ -367,13 +365,12 @@ def sum_se(estimate, scheme):
                        stderr=float(pre_log * binding_err.sum()))
 
 
-def sum_se_once(config, beta, scheme, trials, seed, workers=None):
+def sum_se_once(config, beta, scheme, trials, seed):
     """Run one Monte Carlo pass of one scheme and reduce it straight to a SumSeReport."""
-    return sum_se(estimate_link_se(config, beta, (scheme,), trials, seed, workers)[scheme], scheme)
+    return sum_se(estimate_link_se(config, beta, (scheme,), trials, seed)[scheme], scheme)
 
 
-def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
-                   schemes=("proposed",), workers=None):
+def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes=("proposed",)):
     """Sum-SE distribution over independently drawn placement profiles, per scheme.
 
     Returns a dict mapping each name in ``schemes`` to its CdfResult. Each
@@ -403,9 +400,12 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
     def draw(lo, hi):
         gram_h[lo:hi] = _gram_block(M, K, seed, lo, hi)
 
-    _run_spans(draw, trials, GRAM_BLOCK, workers)
+    _run_spans(draw, trials, GRAM_BLOCK)
 
-    # Keep each chunk's scratch arrays, per-trial downlink output included, around ~50 MB.
+    # Profiles per scoring chunk. The expression sizes no array the kernel
+    # forms (it counts a (P, T, K, K) table that does not exist); what it
+    # gives is 15 profiles at the placement-cdf shape (K = 10, 1000 trials),
+    # where a two-worker run peaks at about 49 MB.
     chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
     samples = {scheme: np.empty(profiles) for scheme in schemes}
 
@@ -417,5 +417,5 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed,
             dl = _downlink_rates(terms, scheme).mean(axis=1)
             samples[scheme][lo:hi] = _pre_log(K, scheme) * _min_sum(ul, dl)
 
-    _run_spans(score, profiles, chunk, workers)
+    _run_spans(score, profiles, chunk)
     return {scheme: CdfResult(samples=values) for scheme, values in samples.items()}

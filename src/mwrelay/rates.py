@@ -6,8 +6,10 @@ broadcast slots, and the zero-forcing stage that extracts the remaining
 symbols from the residual linear system. All functions are pure; user and
 slot indices are 1-based, and a channel with a non-finite entry is rejected.
 The zero-forcing stage is built for one user or for a stack of users at
-once (one Cholesky over the stack), and ``check_pivots`` is the one singular
-rule for it and for the batched kernel in ``montecarlo``. ``relay_precode``
+once (one Cholesky and one triangular inverse over the stack); it keeps the
+users' cross products, so a caller that builds a stage for every user reads
+the channel Gram from it. ``check_pivots`` is the one singular rule for it
+and for the batched kernel in ``montecarlo``. ``relay_precode``
 likewise takes one symbol frame or a matrix of frames, one per column.
 """
 
@@ -104,18 +106,20 @@ def proposed_dl_sinr(G, beta, p_r, k, t):
 class ZfStage:
     """Residual linear system of one user, or of a stack of users, after the cancelation slots.
 
-    ``mixing`` is the sic_slots x n_unknowns coefficient matrix (row m is
-    residual equation m), ``gram`` its Hermitian Gram matrix, ``factor``
-    the lower Cholesky factor of ``gram``, and ``noise_gain`` the diagonal
-    of the Gram inverse — the per-unknown noise amplification of the
-    zero-forcing combiner. A stage built for an array of users carries a
-    leading user axis on every array field, in the order of ``user``.
+    ``cross`` is the row g_k^H g_i over all i that ``mixing`` is gathered
+    from, ``mixing`` the sic_slots x n_unknowns coefficient matrix (row m is
+    residual equation m), ``inverse`` the inverse L^-1 of the lower Cholesky
+    factor of its Gram mixing^H mixing = L L^H, kept lower triangular with
+    exact zeros above the diagonal, and ``noise_gain`` the diagonal of the
+    Gram inverse — the per-unknown noise amplification of the zero-forcing
+    combiner. A stage built for an array of users carries a leading user
+    axis on every array field, in the order of ``user``.
     """
 
     user: int | np.ndarray
+    cross: np.ndarray
     mixing: np.ndarray
-    gram: np.ndarray
-    factor: np.ndarray
+    inverse: np.ndarray
     noise_gain: np.ndarray
 
     @property
@@ -126,10 +130,10 @@ class ZfStage:
         """Zero-forcing combiner: gram^(-1) @ mixing^H, satisfying combiner @ mixing = I.
 
         With gram = L L^H this is (L^-1)^H (L^-1 mixing^H), read from the kept
-        factor; a stacked stage gives one combiner per user.
+        inverse; a stacked stage gives one combiner per user.
         """
-        inverse = np.linalg.inv(self.factor)
-        return inverse.conj().swapaxes(-1, -2) @ (inverse @ self.mixing.conj().swapaxes(-1, -2))
+        inverse_h = self.inverse.conj().swapaxes(-1, -2)
+        return inverse_h @ (self.inverse @ self.mixing.conj().swapaxes(-1, -2))
 
 
 def check_pivots(least, largest):
@@ -184,10 +188,9 @@ def build_zf_stage(G, k, indexer=None):
     T = indexer.sic_slots
     beams = indexer.beams[np.asarray(k) - 1, :T, T + 1:]
     mixing = np.take_along_axis(cross[..., None, :], beams, axis=-1)
-    gram = mixing.conj().swapaxes(-1, -2) @ mixing
-    low = _factor_gram(gram)
-    noise_gain = (np.abs(np.linalg.inv(low)) ** 2).sum(axis=-2)
-    return ZfStage(user=k, mixing=mixing, gram=gram, factor=low, noise_gain=noise_gain)
+    inverse = np.tril(np.linalg.inv(_factor_gram(mixing.conj().swapaxes(-1, -2) @ mixing)))
+    noise_gain = (np.abs(inverse) ** 2).sum(axis=-2)
+    return ZfStage(user=k, cross=cross, mixing=mixing, inverse=inverse, noise_gain=noise_gain)
 
 
 def zf_sinr(stage, beta, p_r, M, n):

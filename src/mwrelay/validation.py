@@ -7,7 +7,8 @@ cancelation are genie-aided (prior decisions assumed correct), matching the
 assumptions of the rate expressions; the noisy variant measures per-slot
 symbol error rates under that assumption. Both variants share one
 decoding walk that decodes every user of a round at once: one precode
-for all cancelation slots and one stacked zero-forcing stage for all users.
+for all cancelation slots and one stacked zero-forcing stage for all users,
+whose cross products are the round's one channel Gram.
 """
 
 import math
@@ -106,7 +107,8 @@ def _decode_round(G, beta, p_r, x, idx, noise=None):
     M, K = G.shape
     T = idx.sic_slots
     scale = _amplitude(beta, p_r, M)
-    cross = G.conj().T @ G
+    stage = build_zf_stage(G, np.arange(1, K + 1), idx)
+    cross = stage.cross
     received = G.conj().T @ relay_precode(G, beta, p_r, x[idx.order[:, 1:T + 1]])
     if noise is not None:
         received += noise.T
@@ -116,8 +118,7 @@ def _decode_round(G, beta, p_r, x, idx, noise=None):
     canceled = np.cumsum(scale * cross[users, idx.beams[:, :T, :T + 1]] * x[held], axis=2)
     slots = np.arange(T)
     slot = (received - canceled[:, slots, slots]) / np.diag(cross).real[:, None]
-    combiners = build_zf_stage(G, np.arange(1, K + 1), idx).combiner()
-    zf = np.einsum("knm,km->kn", combiners, received - canceled[:, :, T])
+    zf = np.einsum("knm,km->kn", stage.combiner(), received - canceled[:, :, T])
     return slot, zf
 
 

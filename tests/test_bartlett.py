@@ -162,8 +162,8 @@ def test_estimator_rates_match_direct_draw(M, K, monkeypatch):
     monkeypatch.setattr(montecarlo, "_block_terms", block_terms)
     monkeypatch.setattr(montecarlo, "_downlink_rates", downlink_rates)
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
-    estimates = estimate_link_se(config, np.ones(K), ("conventional", "proposed"), TRIALS,
-                                 seed=3, workers=1)
+    monkeypatch.setenv("MWRELAY_THREADS", "1")
+    estimates = estimate_link_se(config, np.ones(K), ("conventional", "proposed"), TRIALS, seed=3)
     rates = {name: np.concatenate(parts) for name, parts in captured.items()}
     assert rates["uplink"].shape == (TRIALS, K)
     np.testing.assert_allclose(estimates["proposed"].uplink, rates["uplink"].mean(axis=0),

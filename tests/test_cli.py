@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from mwrelay import write_beta_file
+from mwrelay import GeometryModel, write_beta_file
+from mwrelay import cli
 from mwrelay.cli import (
     CSV_HEADER,
+    OPTIONS,
     db_to_linear,
     parse_and_dispatch,
     parse_m_range,
@@ -256,6 +258,11 @@ def test_trials_default_per_experiment(tmp_path, monkeypatch):
         ["sweep-m", "--k", "4", "--m", "16", "--seed", "1", "--out", str(sweep_out)]
     ) == 0
     assert "# trials = 10000\n" in sweep_out.read_text()
+    table_out = tmp_path / "table_default.csv"
+    assert parse_and_dispatch(
+        ["bounds-table", "--k", "4", "--m", "16", "--out", str(table_out)]
+    ) == 0
+    assert "# trials = 10000\n" in table_out.read_text()
 
 
 def _data_rows(path):
@@ -298,3 +305,74 @@ def test_both_schemes_share_one_draw_per_trial(tmp_path, monkeypatch, argv, ms):
         alone = tmp_path / f"{scheme}.csv"
         assert parse_and_dispatch(common + ["--scheme", scheme, "--out", str(alone)]) == 0
         assert [r for r in rows if r[1] == scheme] == _data_rows(alone)
+
+
+# A value off the default for every option; cdf with geometry gains reads them all.
+_CDF_BASE = {"k": "4", "m": "16", "profiles": "3", "trials": "20", "beta": "geometry"}
+_OFF_DEFAULT = {
+    "k": "3", "m": "12", "pu-db": "1.5", "pr-db": "7.25", "trials": "30", "profiles": "4",
+    "seed": "9", "out": None, "scheme": "both", "beta": "unit", "cell-radius": "900",
+    "exclusion-radius": "50", "ploss-exp": "3.5", "shadow-db": "6", "ref-dist": "80",
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTIONS))
+def test_option_same_through_config_and_flag(tmp_path, monkeypatch, key):
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    flag_out, config_out = tmp_path / "flag.csv", tmp_path / "config.csv"
+    settings = {**_CDF_BASE, key: _OFF_DEFAULT[key]}
+
+    def argv(options):
+        return ["cdf"] + [f"--{name}={value}" for name, value in options.items()
+                          if value is not None]
+
+    assert parse_and_dispatch(argv(settings) + [f"--out={flag_out}"]) == 0
+    cfg = tmp_path / "run.cfg"
+    if key == "out":
+        cfg.write_text(f"out = {config_out}\n")
+        rest = argv(settings)
+    else:
+        cfg.write_text(f"{key} = {settings[key]}\n")
+        rest = argv({name: value for name, value in settings.items() if name != key})
+        rest.append(f"--out={config_out}")
+    assert parse_and_dispatch(rest + ["--config", str(cfg)]) == 0
+    assert flag_out.read_bytes() == config_out.read_bytes()
+    if key != "out":
+        kind = OPTIONS[key][0]
+        assert f"# {key} = {kind(settings[key])}\n" in flag_out.read_text()
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("cell-radius", "cell_radius", 700.0),
+    ("exclusion-radius", "exclusion_radius", 40.0),
+    ("ploss-exp", "path_loss_exponent", 3.0),
+    ("shadow-db", "shadowing_sigma_db", 0.0),
+    ("ref-dist", "reference_distance", 60.0),
+])
+def test_geometry_flag_reaches_geometry_model(tmp_path, monkeypatch, flag, field, value):
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    seen = []
+    real = cli.cdf_experiment
+
+    def recording(config, geometry, *args, **kwargs):
+        seen.append(geometry)
+        return real(config, geometry, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cdf_experiment", recording)
+    common = ["cdf", "--k", "4", "--m", "16", "--profiles", "5", "--trials", "20",
+              "--beta", "geometry"]
+    default, changed = tmp_path / "default.csv", tmp_path / "changed.csv"
+    assert parse_and_dispatch(common + ["--out", str(default)]) == 0
+    assert parse_and_dispatch(common + [f"--{flag}", str(value), "--out", str(changed)]) == 0
+    assert seen == [GeometryModel(), GeometryModel(**{field: value})]
+    assert _data_rows(default) != _data_rows(changed)
+
+
+def test_scheme_flag_takes_schemes_or_both(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    common = ["bounds-table", "--k", "4", "--m", "8", "--out", str(out)]
+    for name in ("conventional", "proposed", "both"):
+        assert parse_and_dispatch(common + ["--scheme", name]) == 0
+    capsys.readouterr()
+    assert parse_and_dispatch(common + ["--scheme", "hybrid"]) == 2
+    assert "invalid choice: 'hybrid'" in capsys.readouterr().err

@@ -400,13 +400,14 @@ SCHEMES = ("conventional", "proposed")
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("K", [2, 10])
-def test_shared_draw_matches_single_scheme_runs(K, workers):
+def test_shared_draw_matches_single_scheme_runs(K, workers, monkeypatch):
+    monkeypatch.setenv("MWRELAY_THREADS", str(workers))
     config = SystemConfig(M=24, K=K, p_u=1.0, p_r=10.0)
     beta = np.linspace(0.5, 1.5, K)
-    both = estimate_link_se(config, beta, SCHEMES, 70, seed=5, workers=workers)
+    both = estimate_link_se(config, beta, SCHEMES, 70, seed=5)
     assert list(both) == list(SCHEMES)
     for scheme in SCHEMES:
-        alone = estimate_link_se(config, beta, (scheme,), 70, seed=5, workers=workers)[scheme]
+        alone = estimate_link_se(config, beta, (scheme,), 70, seed=5)[scheme]
         for field in ("uplink", "uplink_stderr", "downlink", "downlink_stderr"):
             assert np.array_equal(getattr(both[scheme], field), getattr(alone, field))
         assert both[scheme].trials == alone.trials == 70
@@ -416,13 +417,13 @@ def test_shared_draw_matches_single_scheme_runs(K, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("K", [2, 10])
-def test_cdf_shared_draw_matches_single_scheme_runs(K, workers):
+def test_cdf_shared_draw_matches_single_scheme_runs(K, workers, monkeypatch):
+    monkeypatch.setenv("MWRELAY_THREADS", str(workers))
     config = SystemConfig(M=24, K=K, p_u=1.0, p_r=10.0)
-    both = cdf_experiment(config, GeometryModel(), 5, 40, seed=8, schemes=SCHEMES, workers=workers)
+    both = cdf_experiment(config, GeometryModel(), 5, 40, seed=8, schemes=SCHEMES)
     assert list(both) == list(SCHEMES)
     for scheme in SCHEMES:
-        alone = cdf_experiment(config, GeometryModel(), 5, 40, seed=8, schemes=(scheme,),
-                               workers=workers)[scheme]
+        alone = cdf_experiment(config, GeometryModel(), 5, 40, seed=8, schemes=(scheme,))[scheme]
         assert np.array_equal(both[scheme].samples, alone.samples)
 
 

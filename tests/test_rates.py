@@ -268,7 +268,7 @@ def test_stacked_zf_stage_matches_per_user_stages(K):
     combiners = stacked.combiner()
     for k in users:
         single = build_zf_stage(G, int(k), idx)
-        for field in ("mixing", "gram", "factor", "noise_gain"):
+        for field in ("cross", "mixing", "inverse", "noise_gain"):
             np.testing.assert_allclose(getattr(stacked, field)[k - 1], getattr(single, field),
                                        rtol=1e-12, atol=0)
         np.testing.assert_allclose(combiners[k - 1], single.combiner(), rtol=1e-12, atol=1e-15)

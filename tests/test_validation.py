@@ -13,6 +13,7 @@ from mwrelay import (
     run_round_noiseless,
     run_round_noisy,
 )
+import mwrelay.rates as rates
 import mwrelay.validation as validation
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
@@ -206,3 +207,26 @@ def test_noisy_error_counts_at_benchmark_shape():
                 [0, 0, 0, 0, 0, 4, 2, 1, 3], [0, 0, 0, 0, 0, 2, 3, 4, 4],
                 [0, 0, 0, 0, 0, 6, 2, 2, 2], [0, 0, 0, 0, 0, 4, 3, 3, 3]]
     assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("K", [2, 5, 10])
+def test_round_forms_one_gram_and_one_inverse(K, monkeypatch):
+    # The stacked stage's cross products are the round's channel Gram, and the
+    # combiner reuses the stage's triangular inverse instead of inverting again.
+    inverses, products = [], []
+    real_inv, real_products = np.linalg.inv, rates._column_products
+
+    def counting_inv(a):
+        inverses.append(np.shape(a))
+        return real_inv(a)
+
+    def counting_products(G, k):
+        products.append(np.shape(k))
+        return real_products(G, k)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(rates, "_column_products", counting_products)
+    run_round_noisy(SystemConfig(M=16, K=K, p_u=1.0, p_r=2.0), np.ones(K), trials=1, seed=3)
+    n = SlotIndexer(K).n_unknowns
+    assert inverses == [(K, n, n)]
+    assert products == [(K,)]
