@@ -63,6 +63,8 @@ OPTIONS = {
     **{name: (float, getattr(GeometryModel(), field), f"--beta geometry: {field}")
        for name, field in _GEOMETRY_FIELDS.items()},
 }
+# Option name -> the values it accepts, through its flag and through a config file.
+_CHOICES = {"scheme": (*SCHEMES, "both")}
 
 
 def db_to_linear(value_db):
@@ -102,6 +104,9 @@ def read_config_file(path):
             if key not in OPTIONS:
                 raise InvalidConfigError(f"{path}:{lineno}: unknown option {key!r}")
             options[key] = OPTIONS[key][0](value.strip())
+            if key in _CHOICES and options[key] not in _CHOICES[key]:
+                raise InvalidConfigError(f"{path}:{lineno}: {key} must be one of "
+                                         f"{', '.join(_CHOICES[key])}, got {options[key]!r}")
     return options
 
 
@@ -135,8 +140,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value file; flags given here override it")
     for name, (kind, _, text) in OPTIONS.items():
-        common.add_argument(f"--{name}", type=kind, help=text,
-                            choices=(*SCHEMES, "both") if name == "scheme" else None)
+        common.add_argument(f"--{name}", type=kind, help=text, choices=_CHOICES.get(name))
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, (text, *_) in EXPERIMENTS.items():
         sub.add_parser(name, parents=[common], help=text)

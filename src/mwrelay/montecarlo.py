@@ -7,15 +7,17 @@ k's beam at offset s is order[k, s], in slot t it newly holds offset K - t,
 and its zero-forcing residual entry (r, n) is offset sic_slots + n - r.
 ``_block_terms`` gathers each Gram block once by offset, with no profile
 axis, and computes the uplink SE; ``_downlink_rates`` scores one scheme's
-broadcast slots from that table. The proposed scheme's zero-forcing slots
-come from ``_zf_noise_gains``, a numpy-only batched Cholesky of every
-user's residual Gram that applies the scalar oracle's pivot rule
-(``rates.check_pivots``) and raises SingularSystemError where it fails.
-Fixed-gain estimation (``estimate_link_se``) is the P = 1 case, batched
-over trials; the placement study (``cdf_experiment``) is the P > 1 case,
-chunked over profiles. Both take a tuple of schemes and score every scheme
-on the same Grams, so each trial's Gram is drawn once however many
-schemes are compared; they return one result per scheme.
+broadcast slots from that table; every per-trial table keeps trials on its
+last, contiguous axis. The proposed scheme's zero-forcing slots come from
+``_zf_noise_gains``, a numpy-only batched Cholesky of every user's residual
+Gram that applies the scalar oracle's pivot rule (``rates.check_pivots``)
+and raises SingularSystemError where it fails. Fixed-gain estimation
+(``estimate_link_se``) is the P = 1 case, batched over trials; the placement
+study (``cdf_experiment``) is the P > 1 case, chunked over profiles in a
+multiple of the worker count. Both reduce trials with one ``mean(axis=-1)``,
+so a placement sample equals ``sum_se_once`` for its gains exactly. Both take
+a tuple of schemes and score every scheme on the same Grams, so each trial's
+Gram is drawn once however many schemes are compared.
 
 Trials are indexed units of work, grouped in fixed blocks of GRAM_BLOCK.
 Block b's Grams are sampled whole from the (seed, STREAM_GRAM, b) substream
@@ -135,9 +137,9 @@ def _pre_log(K, scheme):
     return 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
 
 
-def _run_spans(fn, total, step):
-    """Call fn(lo, hi) over [0, total) in spans of ``step``, on a thread pool."""
-    spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _run_spans(fn, edges):
+    """Call fn(lo, hi) for each span [lo, hi) between consecutive ``edges``, on a thread pool."""
+    spans = list(zip(edges[:-1], edges[1:]))
     n_workers = min(resolve_workers(), len(spans))
     if n_workers <= 1:
         for lo, hi in spans:
@@ -146,6 +148,13 @@ def _run_spans(fn, total, step):
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             for future in [pool.submit(fn, lo, hi) for lo, hi in spans]:
                 future.result()
+
+
+def _profile_edges(profiles, cap, workers):
+    """Edges of near-equal, nonempty spans of [0, profiles), each within ``cap``; their
+    count is the least multiple of ``workers`` that allows this, or ``profiles`` if fewer."""
+    count = min(profiles, -(-profiles // (cap * workers)) * workers)
+    return [p * profiles // count for p in range(count + 1)]
 
 
 def _gram_block(M, K, seed, lo, hi):
@@ -163,11 +172,12 @@ def _gram_block(M, K, seed, lo, hi):
 class _BlockTerms:
     """Scheme-independent terms of P gain profiles on T shared small-scale Grams.
 
-    ``gram_h`` is (T, K, K) and ``betas`` (P, K). The offset tables hold, for
-    user k's beam at offset s, ``cross_power[s]`` (T, K) |h_k^H h_order[k,s]|^2
-    and ``pair[s]`` (P, K) beta_k beta_order[k,s]. ``norms`` (P, T, K) holds
+    ``gram_h`` is (T, K, K) and ``betas`` (P, K); trials run along the last,
+    contiguous axis of every other per-trial table. The offset tables hold, for
+    user k's beam at offset s, ``cross_power[s]`` (K, T) |h_k^H h_order[k,s]|^2
+    and ``pair[s]`` (P, K, 1) beta_k beta_order[k,s]. ``norms`` (P, K, T) holds
     ||g_k||^2, ``scale`` (P, 1, 1) the broadcast scale p_r / (M sum(beta)),
-    and ``uplink`` (P, T, K) the uplink SE.
+    and ``uplink`` (P, K, T) the uplink SE.
     """
 
     gram_h: np.ndarray
@@ -180,18 +190,18 @@ class _BlockTerms:
 
 
 def _power(pair, cross_power, s):
-    """|g_k^H g_order[k,s]|^2 (P, T, K): the power user k receives from offset s."""
-    return pair[s][:, None] * cross_power[s]
+    """|g_k^H g_order[k,s]|^2 (P, K, T): the power user k receives from offset s."""
+    return pair[s] * cross_power[s]
 
 
 def _block_terms(config, gram_h, betas):
     """The work every scheme shares on one block, uplink SE included."""
     K = gram_h.shape[-1]
     order = SlotIndexer(K).order
-    cross = np.ascontiguousarray(gram_h[:, np.arange(K)[:, None], order].transpose(2, 0, 1))
-    pair = np.ascontiguousarray((betas[:, :, None] * betas[:, order]).transpose(2, 0, 1))
+    cross = np.ascontiguousarray(gram_h[:, np.arange(K)[:, None], order].transpose(2, 1, 0))
+    pair = (betas[:, :, None] * betas[:, order]).transpose(2, 0, 1)[..., None]
     cross_power = cross.real**2 + cross.imag**2
-    norms = cross[0].real[None] * betas[:, None, :]
+    norms = cross[0].real * betas[:, :, None]
     interference = sum(_power(pair, cross_power, s) for s in range(1, K))
     uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
     scale = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
@@ -199,7 +209,7 @@ def _block_terms(config, gram_h, betas):
 
 
 def _downlink_rates(terms, scheme):
-    """Per-trial downlink SE (P, T, K, K-1) of one scheme.
+    """Per-trial downlink SE (P, K, K-1, T) of one scheme, trials last.
 
     Slot t brings user k its beam at offset K - t. Offsets 1..K-t-1 interfere
     under both schemes; offsets K-t+1..K-1, decoded in earlier cancelation
@@ -208,28 +218,28 @@ def _downlink_rates(terms, scheme):
     subtraction, and slot 1, with no offset above K - 1, takes the same
     value under both schemes.
     """
-    K = terms.gram_h.shape[-1]
+    P, K, T = terms.uplink.shape
     slots = K - 1 if scheme == "conventional" else SlotIndexer(K).sic_slots
-    dl = np.zeros(terms.uplink.shape + (K - 1,))
+    dl = np.zeros((P, K, K - 1, T))
     below = above = 0.0
     for s in range(1, K - 1):
         below = below + _power(terms.pair, terms.cross_power, s)
         if K - 1 - s <= slots:
-            dl[..., K - 2 - s] = below
+            dl[:, :, K - 2 - s] = below
     if scheme == "conventional":
         for t in range(2, K):
             above = above + _power(terms.pair, terms.cross_power, K - t + 1)
-            dl[..., t - 1] += above
+            dl[:, :, t - 1] += above
     c = terms.scale
     signal = c * terms.norms**2
     for t in range(slots):
-        dl[..., t] = np.log2(1.0 + signal / (c * dl[..., t] + 1.0))
+        dl[:, :, t] = np.log2(1.0 + signal / (c * dl[:, :, t] + 1.0))
     if scheme == "proposed":
         # Trial blocks small enough that the factor's (P, K, trials) temporaries stay in cache.
-        step = max(1, _ZF_BLOCK_ENTRIES // (len(terms.betas) * K))
-        for lo in range(0, len(terms.gram_h), step):
-            noise_gain = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas)
-            dl[:, lo:lo + step, :, slots:] = np.log2(1.0 + c[..., None] / noise_gain)
+        step = max(1, _ZF_BLOCK_ENTRIES // (P * K))
+        for lo in range(0, T, step):
+            noise_gain = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas).transpose(0, 2, 3, 1)
+            dl[:, :, slots:, lo:lo + step] = np.log2(1.0 + c[..., None] / noise_gain)
     return dl
 
 
@@ -321,29 +331,29 @@ def estimate_link_se(config, beta, schemes, trials, seed):
     schemes = _check_schemes(schemes)
     M, K = config.M, config.K
     betas = checked_gains(beta, K)[None]
-    # Keep the profile axis so the trial means reduce exactly as in cdf_experiment.
-    ul = np.empty((1, trials, K))
-    dl = {scheme: np.empty((1, trials, K, K - 1)) for scheme in schemes}
+    # Trials last, as in cdf_experiment, so the trial means reduce identically.
+    ul = np.empty((K, trials))
+    dl = {scheme: np.empty((K, K - 1, trials)) for scheme in schemes}
 
     def run_batch(lo, hi):
         terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas)
-        ul[:, lo:hi] = terms.uplink
+        ul[:, lo:hi] = terms.uplink[0]
         for scheme in schemes:
-            dl[scheme][:, lo:hi] = _downlink_rates(terms, scheme)
+            dl[scheme][..., lo:hi] = _downlink_rates(terms, scheme)[0]
 
-    _run_spans(run_batch, trials, GRAM_BLOCK)
+    _run_spans(run_batch, [*range(0, trials, GRAM_BLOCK), trials])
     ul_mean, ul_err = _mean_stderr(ul)
     return {scheme: LinkEstimate(ul_mean, ul_err, *_mean_stderr(samples), trials)
             for scheme, samples in dl.items()}
 
 
 def _mean_stderr(samples):
-    """Trial mean and standard error of (1, trials, ...) samples; the error is 0 for one trial."""
-    trials = samples.shape[1]
-    mean = samples.mean(axis=1)[0]
+    """Trial mean and standard error of (..., trials) samples; the error is 0 for one trial."""
+    trials = samples.shape[-1]
+    mean = samples.mean(axis=-1)
     if trials < 2:
         return mean, np.zeros(mean.shape)
-    return mean, samples[0].std(axis=0, ddof=1) / np.sqrt(trials)
+    return mean, samples.std(axis=-1, ddof=1) / np.sqrt(trials)
 
 
 def sum_se(estimate, scheme):
@@ -400,22 +410,22 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
     def draw(lo, hi):
         gram_h[lo:hi] = _gram_block(M, K, seed, lo, hi)
 
-    _run_spans(draw, trials, GRAM_BLOCK)
+    _run_spans(draw, [*range(0, trials, GRAM_BLOCK), trials])
 
-    # Profiles per scoring chunk. The expression sizes no array the kernel
-    # forms (it counts a (P, T, K, K) table that does not exist); what it
-    # gives is 15 profiles at the placement-cdf shape (K = 10, 1000 trials),
-    # where a two-worker run peaks at about 49 MB.
-    chunk = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
+    # The cap bounds the profiles per chunk, and so a chunk's (P, K, K-1, T)
+    # downlink table, to P * T * K * K float64 in 12.5 MB: 15 profiles at the
+    # placement-cdf shape (K = 10, 1000 trials). The chunk count follows the
+    # worker count (40 profiles on two workers run as 4 x 10); no sample does.
+    cap = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
     samples = {scheme: np.empty(profiles) for scheme in schemes}
 
     def score(lo, hi):
         terms = _block_terms(config, gram_h, betas[lo:hi])
-        ul = terms.uplink.mean(axis=1)
+        ul = terms.uplink.mean(axis=-1)
         # One scheme at a time: each downlink array is reduced before the next is made.
         for scheme in schemes:
-            dl = _downlink_rates(terms, scheme).mean(axis=1)
+            dl = _downlink_rates(terms, scheme).mean(axis=-1)
             samples[scheme][lo:hi] = _pre_log(K, scheme) * _min_sum(ul, dl)
 
-    _run_spans(score, profiles, chunk)
+    _run_spans(score, _profile_edges(profiles, cap, resolve_workers()))
     return {scheme: CdfResult(samples=values) for scheme, values in samples.items()}

@@ -47,8 +47,8 @@ def kernel_rates(M, gram_h):
     K = gram_h.shape[-1]
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     terms = _block_terms(config, gram_h, np.ones((1, K)))
-    return {"uplink": terms.uplink[0],
-            **{scheme: _downlink_rates(terms, scheme)[0]
+    return {"uplink": terms.uplink[0].T,
+            **{scheme: _downlink_rates(terms, scheme)[0].transpose(2, 0, 1)
                for scheme in ("conventional", "proposed")}}
 
 
@@ -151,12 +151,12 @@ def test_estimator_rates_match_direct_draw(M, K, monkeypatch):
 
     def block_terms(*args):
         terms = real_terms(*args)
-        captured["uplink"].append(terms.uplink[0])
+        captured["uplink"].append(terms.uplink[0].T)
         return terms
 
     def downlink_rates(terms, scheme):
         dl = real_rates(terms, scheme)
-        captured[scheme].append(dl[0])
+        captured[scheme].append(dl[0].transpose(2, 0, 1))
         return dl
 
     monkeypatch.setattr(montecarlo, "_block_terms", block_terms)

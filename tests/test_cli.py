@@ -14,6 +14,7 @@ from mwrelay.cli import (
     read_config_file,
     write_csv,
 )
+from mwrelay.exceptions import InvalidConfigError
 
 
 def test_db_conversion_exact_points():
@@ -376,3 +377,21 @@ def test_scheme_flag_takes_schemes_or_both(tmp_path, capsys):
     capsys.readouterr()
     assert parse_and_dispatch(common + ["--scheme", "hybrid"]) == 2
     assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+
+
+def test_config_scheme_takes_the_flag_choices(tmp_path, capsys):
+    # A config-file scheme outside the --scheme choices is rejected (exit 1),
+    # not written out as rows labelled with the unknown name.
+    out, cfg = tmp_path / "x.csv", tmp_path / "h.cfg"
+    common = ["bounds-table", "--k", "3", "--m", "8", "--config", str(cfg), "--out", str(out)]
+    for name in ("conventional", "proposed", "both"):
+        cfg.write_text(f"scheme = {name}\n")
+        assert parse_and_dispatch(common) == 0
+    out.unlink()
+    capsys.readouterr()
+    cfg.write_text("scheme = hybrid\n")
+    assert parse_and_dispatch(common) == 1
+    assert "'hybrid'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(InvalidConfigError):
+        read_config_file(cfg)

@@ -36,6 +36,7 @@ from mwrelay.montecarlo import (
     GRAM_BLOCK,
     _block_terms,
     _downlink_rates,
+    _profile_edges,
     _zf_noise_gains,
 )
 from mwrelay.schedule import SlotIndexer
@@ -115,13 +116,13 @@ def test_interference_slots_match_oracle_under_wide_spreads(K, extra, log_beta, 
     config = SystemConfig(M=M, K=K, p_u=power, p_r=power)
     H = draw_small_scale(M, K, np.random.default_rng(seed))
     terms = _block_terms(config, (H.conj().T @ H)[None], beta[None])
-    conv = _downlink_rates(terms, "conventional")[0, 0]
+    conv = _downlink_rates(terms, "conventional")[0, ..., 0]
     with mock.patch.object(montecarlo, "_zf_noise_gains",
                            lambda gram_h, betas: np.ones((len(betas), len(gram_h), K, idx.n_unknowns))):
-        prop = _downlink_rates(terms, "proposed")[0, 0]
+        prop = _downlink_rates(terms, "proposed")[0, ..., 0]
     G = H * np.sqrt(beta)
     for k in range(1, K + 1):
-        assert terms.uplink[0, 0, k - 1] == pytest.approx(
+        assert terms.uplink[0, k - 1, 0] == pytest.approx(
             instantaneous_se(uplink_sinr(G, power, k)), rel=1e-10)
         for t in range(1, K):
             assert conv[k - 1, t - 1] == pytest.approx(
@@ -425,6 +426,58 @@ def test_cdf_shared_draw_matches_single_scheme_runs(K, workers, monkeypatch):
     for scheme in SCHEMES:
         alone = cdf_experiment(config, GeometryModel(), 5, 40, seed=8, schemes=(scheme,))[scheme]
         assert np.array_equal(both[scheme].samples, alone.samples)
+
+
+def spans_of(edges):
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def test_profile_chunks_balance_workers():
+    # 40 profiles at the placement-cdf cap of 15 run as 4 x 10 on two
+    # workers. Across sizes, spans are nonempty, within the cap, cover every
+    # profile once, and come in a multiple of the worker count where the
+    # profiles allow.
+    assert spans_of(_profile_edges(40, 15, 2)) == [(0, 10), (10, 20), (20, 30), (30, 40)]
+    assert spans_of(_profile_edges(5, 15, 8)) == [(p, p + 1) for p in range(5)]
+    assert spans_of(_profile_edges(1, 15, 2)) == [(0, 1)]
+    for profiles in range(1, 90):
+        for cap in (1, 2, 7, 15, 64):
+            for workers in (1, 2, 3, 8):
+                spans = spans_of(_profile_edges(profiles, cap, workers))
+                sizes = [hi - lo for lo, hi in spans]
+                assert all(1 <= size <= cap for size in sizes)
+                assert [p for lo, hi in spans for p in range(lo, hi)] == list(range(profiles))
+                assert max(sizes) - min(sizes) <= 1
+                assert len(spans) % workers == 0 or len(spans) == profiles
+
+
+def test_placement_cdf_shape_runs_four_chunks_of_ten(monkeypatch):
+    # The cap cdf_experiment computes at K = 10 and 1000 trials is 15.
+    calls = []
+    real = montecarlo._profile_edges
+    monkeypatch.setattr(montecarlo, "_profile_edges",
+                        lambda *args: calls.append((args, real(*args))) or calls[-1][1])
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
+    cdf_experiment(config, None, 40, 1000, seed=1, schemes=("conventional",))
+    assert calls == [((40, 15, 2), [0, 10, 20, 30, 40])]
+
+
+def test_cdf_samples_independent_of_chunk_split(monkeypatch):
+    # Raw samples, not the rounded CSV, at worker counts whose chunk splits
+    # of 37 profiles differ.
+    config = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
+    results, splits = {}, set()
+    real = montecarlo._profile_edges
+    for workers in (1, 2, 3, 8):
+        monkeypatch.setenv("MWRELAY_THREADS", str(workers))
+        monkeypatch.setattr(montecarlo, "_profile_edges",
+                            lambda *args: splits.add(tuple(real(*args))) or real(*args))
+        results[workers] = cdf_experiment(config, GeometryModel(), 37, 80, seed=6, schemes=SCHEMES)
+    assert len(splits) == 4
+    for scheme in SCHEMES:
+        for workers in (2, 3, 8):
+            assert np.array_equal(results[workers][scheme].samples, results[1][scheme].samples)
 
 
 @pytest.mark.parametrize("schemes", ["proposed", (), ("proposed", "hybrid")])
