@@ -99,11 +99,14 @@ def read_config_file(path):
                 continue
             if "=" not in line:
                 raise InvalidConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
             if key not in OPTIONS:
                 raise InvalidConfigError(f"{path}:{lineno}: unknown option {key!r}")
-            options[key] = OPTIONS[key][0](value.strip())
+            try:
+                options[key] = OPTIONS[key][0](value)
+            except ValueError:
+                raise InvalidConfigError(f"{path}:{lineno}: {key} must be "
+                                         f"{OPTIONS[key][0].__name__}, got {value!r}") from None
             if key in _CHOICES and options[key] not in _CHOICES[key]:
                 raise InvalidConfigError(f"{path}:{lineno}: {key} must be one of "
                                          f"{', '.join(_CHOICES[key])}, got {options[key]!r}")

@@ -11,20 +11,24 @@ broadcast slots from that table; every per-trial table keeps trials on its
 last, contiguous axis. The proposed scheme's zero-forcing slots come from
 ``_zf_noise_gains``, a numpy-only batched Cholesky of every user's residual
 Gram that applies the scalar oracle's pivot rule (``rates.check_pivots``)
-and raises SingularSystemError where it fails. Fixed-gain estimation
-(``estimate_link_se``) is the P = 1 case, batched over trials; the placement
-study (``cdf_experiment``) is the P > 1 case, chunked over profiles in a
-multiple of the worker count. Both reduce trials with one ``mean(axis=-1)``,
-so a placement sample equals ``sum_se_once`` for its gains exactly. Both take
-a tuple of schemes and score every scheme on the same Grams, so each trial's
-Gram is drawn once however many schemes are compared.
+and raises SingularSystemError where it fails. Both estimators reduce
+trials in one scan (``_scan``) over spans of one Gram block times a fixed
+number of profiles: a span reduces each cell to its trial mean and M2, and
+the calling thread merges each profile's blocks in block order (Chan, Golub
+& LeVeque, 1979), so memory does not grow with the trial count. Fixed-gain
+estimation (``estimate_link_se``) is the P = 1 case; the placement study
+(``cdf_experiment``) is the P > 1 case, and since a cell's mean takes the
+same operations in both, its sample equals ``sum_se_once`` for its gains
+exactly. Both take a tuple of schemes and score every scheme on the same
+Grams, so each trial's Gram is drawn once per span of profiles however many
+schemes are compared.
 
 Trials are indexed units of work, grouped in fixed blocks of GRAM_BLOCK.
 Block b's Grams are sampled whole from the (seed, STREAM_GRAM, b) substream
 through their Bartlett factors (``channel.draw_gram_factor``), with no M x K
 draw, and then sliced, so trial i's Gram depends only on (seed, M, K, i):
 not on the worker count, the trial count or the estimator. Workers take
-whole blocks and aggregation runs in trial order, so estimates are
+whole spans and the merge runs in span order, so estimates are
 bit-reproducible for any worker count. The env var MWRELAY_THREADS is the
 one way to set the worker count (``resolve_workers``).
 """
@@ -43,6 +47,7 @@ from .channel import (
     draw_large_scale,
     substream,
 )
+from .exceptions import InvalidConfigError
 from .rates import check_pivots
 from .schedule import SlotIndexer
 
@@ -63,14 +68,20 @@ SCHEMES = ("conventional", "proposed")
 GRAM_BLOCK = 256
 # Entries per (profile, user, trial) array in one zero-forcing block.
 _ZF_BLOCK_ENTRIES = 16_384
+# Bytes of one span's (P, K, K, GRAM_BLOCK) float64 table, which sets its
+# profile count P: 61 at K = 10.
+_SPAN_BYTES = 12_500_000
 
 
 def resolve_workers():
     """Worker count: MWRELAY_THREADS, else CPU count."""
     env = os.environ.get("MWRELAY_THREADS", "").strip()
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise InvalidConfigError(f"MWRELAY_THREADS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -127,34 +138,19 @@ def _check_schemes(schemes):
     return tuple(schemes)
 
 
-def _check_trials(trials):
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-
 def _pre_log(K, scheme):
     idx = SlotIndexer(K)
     return 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
 
 
-def _run_spans(fn, edges):
-    """Call fn(lo, hi) for each span [lo, hi) between consecutive ``edges``, on a thread pool."""
-    spans = list(zip(edges[:-1], edges[1:]))
+def _run_spans(fn, spans):
+    """Yield fn(span) for each of ``spans``, in span order, computed on a thread pool."""
     n_workers = min(resolve_workers(), len(spans))
     if n_workers <= 1:
-        for lo, hi in spans:
-            fn(lo, hi)
+        yield from map(fn, spans)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for future in [pool.submit(fn, lo, hi) for lo, hi in spans]:
-                future.result()
-
-
-def _profile_edges(profiles, cap, workers):
-    """Edges of near-equal, nonempty spans of [0, profiles), each within ``cap``; their
-    count is the least multiple of ``workers`` that allows this, or ``profiles`` if fewer."""
-    count = min(profiles, -(-profiles // (cap * workers)) * workers)
-    return [p * profiles // count for p in range(count + 1)]
+            yield from pool.map(fn, spans)
 
 
 def _gram_block(M, K, seed, lo, hi):
@@ -211,36 +207,37 @@ def _block_terms(config, gram_h, betas):
 def _downlink_rates(terms, scheme):
     """Per-trial downlink SE (P, K, K-1, T) of one scheme, trials last.
 
-    Slot t brings user k its beam at offset K - t. Offsets 1..K-t-1 interfere
-    under both schemes; offsets K-t+1..K-1, decoded in earlier cancelation
-    slots, interfere only in the conventional one. Each range is a running
-    sum over slots, one add per slot, so no interference is formed by
-    subtraction, and slot 1, with no offset above K - 1, takes the same
-    value under both schemes.
+    It is a view of a slot-major table, so each slot's (P, K, T) array is
+    contiguous. Slot t brings user k its beam at offset K - t. Offsets
+    1..K-t-1 interfere under both schemes; offsets K-t+1..K-1, decoded in
+    earlier cancelation slots, interfere only in the conventional one. Each
+    range is a running sum over slots, one add per slot, so no interference
+    is formed by subtraction, and slot 1, with no offset above K - 1, takes
+    the same value under both schemes.
     """
     P, K, T = terms.uplink.shape
     slots = K - 1 if scheme == "conventional" else SlotIndexer(K).sic_slots
-    dl = np.zeros((P, K, K - 1, T))
+    dl = np.zeros((K - 1, P, K, T))
     below = above = 0.0
     for s in range(1, K - 1):
         below = below + _power(terms.pair, terms.cross_power, s)
         if K - 1 - s <= slots:
-            dl[:, :, K - 2 - s] = below
+            dl[K - 2 - s] = below
     if scheme == "conventional":
         for t in range(2, K):
             above = above + _power(terms.pair, terms.cross_power, K - t + 1)
-            dl[:, :, t - 1] += above
+            dl[t - 1] += above
     c = terms.scale
     signal = c * terms.norms**2
     for t in range(slots):
-        dl[:, :, t] = np.log2(1.0 + signal / (c * dl[:, :, t] + 1.0))
+        dl[t] = np.log2(1.0 + signal / (c * dl[t] + 1.0))
     if scheme == "proposed":
         # Trial blocks small enough that the factor's (P, K, trials) temporaries stay in cache.
         step = max(1, _ZF_BLOCK_ENTRIES // (P * K))
         for lo in range(0, T, step):
-            noise_gain = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas).transpose(0, 2, 3, 1)
-            dl[:, :, slots:, lo:lo + step] = np.log2(1.0 + c[..., None] / noise_gain)
-    return dl
+            noise_gain = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas).transpose(3, 0, 2, 1)
+            dl[slots:, ..., lo:lo + step] = np.log2(1.0 + c / noise_gain)
+    return dl.transpose(1, 2, 0, 3)
 
 
 def _zf_noise_gains(gram_h, betas):
@@ -327,33 +324,53 @@ def estimate_link_se(config, beta, schemes, trials, seed):
     first sic_slots downlink columns are the cancelation slots and the rest
     come from the zero-forcing stage.
     """
-    _check_trials(trials)
     schemes = _check_schemes(schemes)
-    M, K = config.M, config.K
-    betas = checked_gains(beta, K)[None]
-    # Trials last, as in cdf_experiment, so the trial means reduce identically.
-    ul = np.empty((K, trials))
-    dl = {scheme: np.empty((K, K - 1, trials)) for scheme in schemes}
-
-    def run_batch(lo, hi):
-        terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas)
-        ul[:, lo:hi] = terms.uplink[0]
-        for scheme in schemes:
-            dl[scheme][..., lo:hi] = _downlink_rates(terms, scheme)[0]
-
-    _run_spans(run_batch, [*range(0, trials, GRAM_BLOCK), trials])
-    ul_mean, ul_err = _mean_stderr(ul)
-    return {scheme: LinkEstimate(ul_mean, ul_err, *_mean_stderr(samples), trials)
-            for scheme, samples in dl.items()}
+    stats = _scan(config, checked_gains(beta, config.K)[None], schemes, trials, seed)
+    cells = {key: (mean[0], np.sqrt(m2[0] / max(1, trials - 1)) / np.sqrt(trials))
+             for key, (mean, m2) in stats.items()}
+    return {scheme: LinkEstimate(*cells["uplink"], *cells[scheme], trials) for scheme in schemes}
 
 
-def _mean_stderr(samples):
-    """Trial mean and standard error of (..., trials) samples; the error is 0 for one trial."""
-    trials = samples.shape[-1]
+def _scan(config, betas, schemes, trials, seed):
+    """Per-cell trial (mean, M2) of the (P, K) profiles ``betas``: (P, K) arrays under
+    "uplink", (P, K, K-1) under each scheme. Spans (one Gram block x the profiles _SPAN_BYTES
+    allows) are reduced on the pool; a profile's block [lo, hi) joins the lo trials before it.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    M, K, P = config.M, config.K, len(betas)
+    step = max(1, _SPAN_BYTES // (8 * K * K * GRAM_BLOCK))
+    spans = [(a, min(a + step, P), lo, min(lo + GRAM_BLOCK, trials))
+             for a in range(0, P, step) for lo in range(0, trials, GRAM_BLOCK)]
+
+    def reduce(span):
+        a, b, lo, hi = span
+        terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas[a:b])
+        # One scheme at a time: each downlink table is reduced before the next is made.
+        return {"uplink": _moments(terms.uplink),
+                **{scheme: _moments(_downlink_rates(terms, scheme)) for scheme in schemes}}
+
+    stats = {"uplink": (np.zeros((P, K)), np.zeros((P, K)))}
+    stats.update({scheme: (np.zeros((P, K, K - 1)), np.zeros((P, K, K - 1))) for scheme in schemes})
+    for (a, b, lo, hi), moments in zip(spans, _run_spans(reduce, spans)):
+        for key, (block_mean, block_m2) in moments.items():
+            mean, m2 = stats[key]
+            delta = block_mean - mean[a:b]
+            mean[a:b] += delta * ((hi - lo) / hi)
+            m2[a:b] += block_m2 + delta**2 * (lo * (hi - lo) / hi)
+    return stats
+
+
+def _moments(samples):
+    """Mean and M2, the summed squared deviation from it, of (P, ..., trials) samples.
+    Deviations are formed one profile at a time, so the table is never copied whole."""
     mean = samples.mean(axis=-1)
-    if trials < 2:
-        return mean, np.zeros(mean.shape)
-    return mean, samples.std(axis=-1, ddof=1) / np.sqrt(trials)
+    m2 = np.empty(mean.shape)
+    deviation = np.empty(samples.shape[1:])
+    for p, rows in enumerate(samples):
+        np.subtract(rows, mean[p, ..., None], out=deviation)
+        m2[p] = np.einsum("...t,...t->...", deviation, deviation)
+    return mean, m2
 
 
 def sum_se(estimate, scheme):
@@ -395,8 +412,7 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
     schemes = _check_schemes(schemes)
     if profiles < 1:
         raise ValueError("profiles must be >= 1")
-    _check_trials(trials_per_profile)
-    M, K, trials = config.M, config.K, trials_per_profile
+    K = config.K
     if geometry is None:
         betas = np.ones((profiles, K))
     else:
@@ -405,27 +421,7 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
             for p in range(profiles)
         ])
 
-    gram_h = np.empty((trials, K, K), dtype=complex)
-
-    def draw(lo, hi):
-        gram_h[lo:hi] = _gram_block(M, K, seed, lo, hi)
-
-    _run_spans(draw, [*range(0, trials, GRAM_BLOCK), trials])
-
-    # The cap bounds the profiles per chunk, and so a chunk's (P, K, K-1, T)
-    # downlink table, to P * T * K * K float64 in 12.5 MB: 15 profiles at the
-    # placement-cdf shape (K = 10, 1000 trials). The chunk count follows the
-    # worker count (40 profiles on two workers run as 4 x 10); no sample does.
-    cap = int(np.clip(50_000_000 // max(1, trials * K * K * 8 * 4), 1, 64))
-    samples = {scheme: np.empty(profiles) for scheme in schemes}
-
-    def score(lo, hi):
-        terms = _block_terms(config, gram_h, betas[lo:hi])
-        ul = terms.uplink.mean(axis=-1)
-        # One scheme at a time: each downlink array is reduced before the next is made.
-        for scheme in schemes:
-            dl = _downlink_rates(terms, scheme).mean(axis=-1)
-            samples[scheme][lo:hi] = _pre_log(K, scheme) * _min_sum(ul, dl)
-
-    _run_spans(score, _profile_edges(profiles, cap, resolve_workers()))
-    return {scheme: CdfResult(samples=values) for scheme, values in samples.items()}
+    stats = _scan(config, betas, schemes, trials_per_profile, seed)
+    ul = stats["uplink"][0]
+    return {scheme: CdfResult(samples=_pre_log(K, scheme) * _min_sum(ul, stats[scheme][0]))
+            for scheme in schemes}

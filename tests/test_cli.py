@@ -88,6 +88,20 @@ def test_config_file_rejects_garbage(tmp_path):
         read_config_file(unknown)
 
 
+@pytest.mark.parametrize("line, kind", [("trials = 10.5", "int"), ("pu-db = loud", "float")])
+def test_config_conversion_error_names_file_line_and_key(tmp_path, capsys, line, kind):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    key, _, value = (part.strip() for part in line.partition("="))
+    message = f"{cfg}:2: {key} must be {kind}, got {value!r}"
+    with pytest.raises(InvalidConfigError) as exc:
+        read_config_file(cfg)
+    assert str(exc.value) == message
+    out = tmp_path / "x.csv"
+    assert parse_and_dispatch(["bounds-table", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mwrelay: error: {message}\n"
+
+
 def test_sweep_m_reproducible_across_thread_counts(tmp_path, monkeypatch):
     args = ["sweep-m", "--k", "4", "--m", "16:32:16", "--trials", "80", "--seed", "3"]
     monkeypatch.setenv("MWRELAY_THREADS", "1")

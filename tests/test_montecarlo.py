@@ -36,7 +36,6 @@ from mwrelay.montecarlo import (
     GRAM_BLOCK,
     _block_terms,
     _downlink_rates,
-    _profile_edges,
     _zf_noise_gains,
 )
 from mwrelay.schedule import SlotIndexer
@@ -146,6 +145,17 @@ def test_worker_count_invariance(monkeypatch):
     assert np.array_equal(one.uplink, eight.uplink)
     assert np.array_equal(one.downlink, eight.downlink)
     assert np.array_equal(one.downlink_stderr, eight.downlink_stderr)
+
+
+def test_resolve_workers_reads_the_variable(monkeypatch):
+    for value, workers in (("3", 3), (" 2 ", 2), ("0", 1), ("-4", 1)):
+        monkeypatch.setenv("MWRELAY_THREADS", value)
+        assert montecarlo.resolve_workers() == workers
+    monkeypatch.setenv("MWRELAY_THREADS", "two")
+    with pytest.raises(InvalidConfigError, match="MWRELAY_THREADS must be an integer, got 'two'"):
+        montecarlo.resolve_workers()
+    with pytest.raises(InvalidConfigError, match="MWRELAY_THREADS"):
+        estimate_link_se(CONFIG, BETA, ("proposed",), 5, seed=1)
 
 
 def scored_grams(monkeypatch, run):
@@ -428,56 +438,90 @@ def test_cdf_shared_draw_matches_single_scheme_runs(K, workers, monkeypatch):
         assert np.array_equal(both[scheme].samples, alone.samples)
 
 
-def spans_of(edges):
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def test_profile_chunks_balance_workers():
-    # 40 profiles at the placement-cdf cap of 15 run as 4 x 10 on two
-    # workers. Across sizes, spans are nonempty, within the cap, cover every
-    # profile once, and come in a multiple of the worker count where the
-    # profiles allow.
-    assert spans_of(_profile_edges(40, 15, 2)) == [(0, 10), (10, 20), (20, 30), (30, 40)]
-    assert spans_of(_profile_edges(5, 15, 8)) == [(p, p + 1) for p in range(5)]
-    assert spans_of(_profile_edges(1, 15, 2)) == [(0, 1)]
-    for profiles in range(1, 90):
-        for cap in (1, 2, 7, 15, 64):
-            for workers in (1, 2, 3, 8):
-                spans = spans_of(_profile_edges(profiles, cap, workers))
-                sizes = [hi - lo for lo, hi in spans]
-                assert all(1 <= size <= cap for size in sizes)
-                assert [p for lo, hi in spans for p in range(lo, hi)] == list(range(profiles))
-                assert max(sizes) - min(sizes) <= 1
-                assert len(spans) % workers == 0 or len(spans) == profiles
-
-
-def test_placement_cdf_shape_runs_four_chunks_of_ten(monkeypatch):
-    # The cap cdf_experiment computes at K = 10 and 1000 trials is 15.
-    calls = []
-    real = montecarlo._profile_edges
-    monkeypatch.setattr(montecarlo, "_profile_edges",
-                        lambda *args: calls.append((args, real(*args))) or calls[-1][1])
-    monkeypatch.setenv("MWRELAY_THREADS", "2")
-    config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
-    cdf_experiment(config, None, 40, 1000, seed=1, schemes=("conventional",))
-    assert calls == [((40, 15, 2), [0, 10, 20, 30, 40])]
-
-
 def test_cdf_samples_independent_of_chunk_split(monkeypatch):
-    # Raw samples, not the rounded CSV, at worker counts whose chunk splits
-    # of 37 profiles differ.
+    # Raw samples, not the rounded CSV, at several worker counts.
     config = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
-    results, splits = {}, set()
-    real = montecarlo._profile_edges
+    results = {}
     for workers in (1, 2, 3, 8):
         monkeypatch.setenv("MWRELAY_THREADS", str(workers))
-        monkeypatch.setattr(montecarlo, "_profile_edges",
-                            lambda *args: splits.add(tuple(real(*args))) or real(*args))
         results[workers] = cdf_experiment(config, GeometryModel(), 37, 80, seed=6, schemes=SCHEMES)
-    assert len(splits) == 4
     for scheme in SCHEMES:
         for workers in (2, 3, 8):
             assert np.array_equal(results[workers][scheme].samples, results[1][scheme].samples)
+
+
+@pytest.mark.parametrize("trials", [1, 2, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 1000])
+def test_merged_moments_match_two_pass_reduction(trials, monkeypatch):
+    # The per-trial tables each span scores, captured as they are made, reduced
+    # in one two-pass numpy step over all trials.
+    monkeypatch.setenv("MWRELAY_THREADS", "1")
+    tables = {"uplink": [], **{scheme: [] for scheme in SCHEMES}}
+    real_terms, real_rates = montecarlo._block_terms, montecarlo._downlink_rates
+
+    def block_terms(config, gram_h, betas):
+        terms = real_terms(config, gram_h, betas)
+        tables["uplink"].append(terms.uplink[0].copy())
+        return terms
+
+    def downlink_rates(terms, scheme):
+        rates = real_rates(terms, scheme)
+        tables[scheme].append(rates[0].copy())
+        return rates
+
+    monkeypatch.setattr(montecarlo, "_block_terms", block_terms)
+    monkeypatch.setattr(montecarlo, "_downlink_rates", downlink_rates)
+    estimates = estimate_link_se(CONFIG, BETA, SCHEMES, trials, seed=13)
+    samples = {key: np.concatenate(parts, axis=-1) for key, parts in tables.items()}
+    assert samples["uplink"].shape == (CONFIG.K, trials)
+
+    def check(mean, stderr, values):
+        np.testing.assert_allclose(mean, values.mean(axis=-1), rtol=1e-13, atol=0)
+        if trials == 1:
+            assert np.all(stderr == 0.0)
+        else:
+            np.testing.assert_allclose(
+                stderr, values.std(axis=-1, ddof=1) / np.sqrt(trials), rtol=1e-13, atol=0)
+
+    for scheme in SCHEMES:
+        check(estimates[scheme].uplink, estimates[scheme].uplink_stderr, samples["uplink"])
+        check(estimates[scheme].downlink, estimates[scheme].downlink_stderr, samples[scheme])
+
+
+def test_cdf_over_several_profile_spans_matches_direct_scoring(monkeypatch):
+    # 70 profiles at K = 10 fill more than one span of profiles; 300 trials
+    # make two Gram blocks, so every sample merges two blocks.
+    from mwrelay.channel import STREAM_PROFILE, draw_large_scale
+
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    config = SystemConfig(M=40, K=10, p_u=1.0, p_r=10.0)
+    geometry = GeometryModel()
+    blocks = []
+    real = montecarlo._gram_block
+    monkeypatch.setattr(montecarlo, "_gram_block",
+                        lambda M, K, seed, lo, hi: blocks.append(lo) or real(M, K, seed, lo, hi))
+    result = cdf_experiment(config, geometry, 70, 300, seed=15, schemes=SCHEMES)
+    assert sorted(blocks) == [0, 0, GRAM_BLOCK, GRAM_BLOCK]
+    for p in range(70):
+        beta = draw_large_scale(geometry, 10, substream(15, STREAM_PROFILE, p)).beta
+        for scheme in SCHEMES:
+            assert result[scheme].samples[p] == sum_se_once(config, beta, scheme, 300, seed=15).sum_se
+
+
+def test_estimate_peak_memory_flat_in_trials(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setenv("MWRELAY_THREADS", "1")
+    config = SystemConfig(M=100, K=20, p_u=1.0, p_r=10.0)
+    estimate_link_se(config, np.ones(20), ("conventional",), 10, seed=3)  # warm the caches
+    peaks = []
+    for trials in (5000, 20000):
+        tracemalloc.start()
+        try:
+            estimate_link_se(config, np.ones(20), ("conventional",), trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
 @pytest.mark.parametrize("schemes", ["proposed", (), ("proposed", "hybrid")])
