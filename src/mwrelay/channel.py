@@ -175,11 +175,13 @@ def draw_gram_factor(M, K, rng, n):
         raise InvalidConfigError("factor dimensions and count must be >= 1")
     rows = min(M, K)
     R = np.zeros((n, rows, K), dtype=complex)
+    flat = R.reshape(n, rows * K).view(float)  # Re, Im of entry (i, j) at 2(iK + j), 2(iK + j) + 1
     diag = np.arange(rows)
-    R[:, diag, diag] = np.sqrt(rng.gamma(M - diag, size=(n, rows)))
-    upper = np.triu_indices(rows, 1, K)
-    z = rng.standard_normal((2, n, upper[0].size))
-    R[:, upper[0], upper[1]] = (z[0] + 1j * z[1]) * _INV_SQRT2
+    flat[:, 2 * (K + 1) * diag] = np.sqrt(rng.gamma(M - diag, size=(n, rows)))
+    i, j = np.triu_indices(rows, 1, K)
+    z = rng.standard_normal((2, n, i.size))
+    flat[:, 2 * (i * K + j)] = z[0] * _INV_SQRT2
+    flat[:, 2 * (i * K + j) + 1] = z[1] * _INV_SQRT2
     return R
 
 

@@ -3,34 +3,32 @@
 One kernel scores a stack of P large-scale gain profiles on shared
 small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i) h_k^H h_i.
 It reads the protocol's one cyclic rule from ``SlotIndexer.order``: user
-k's beam at offset s is order[k, s], in slot t it newly holds offset K - t,
-and its zero-forcing residual entry (r, n) is offset sic_slots + n - r.
-``_block_terms`` gathers each Gram block once by offset, with no profile
+k's beam at offset s is order[k, s] and in slot t it newly holds offset
+K - t. ``_block_terms`` gathers each Gram block once into a table by offset
+(``_offset_table``), with no profile axis and trials on the last, contiguous
 axis, and computes the uplink SE; ``_downlink_rates`` scores one scheme's
-broadcast slots from that table; every per-trial table keeps trials on its
-last, contiguous axis. The proposed scheme's zero-forcing slots come from
-``_zf_noise_gains``, a numpy-only batched Cholesky of every user's residual
-Gram that applies the scalar oracle's pivot rule (``rates.check_pivots``)
-and raises SingularSystemError where it fails. Both estimators reduce
-trials in one scan (``_scan``) over spans of one Gram block times a fixed
-number of profiles: a span reduces each cell to its trial mean and M2, and
-the calling thread merges each profile's blocks in block order (Chan, Golub
-& LeVeque, 1979), so memory does not grow with the trial count. Fixed-gain
-estimation (``estimate_link_se``) is the P = 1 case; the placement study
-(``cdf_experiment``) is the P > 1 case, and since a cell's mean takes the
-same operations in both, its sample equals ``sum_se_once`` for its gains
-exactly. Both take a tuple of schemes and score every scheme on the same
-Grams, so each trial's Gram is drawn once per span of profiles however many
-schemes are compared.
+broadcast slots from it. The zero-forcing stage (``_zf_noise_gains``) reads
+the same table: user k's residual entry (r, n) is offset sic_slots + n - r,
+so its residual Gram is Toeplitz in offsets and every diagonal is a window
+sum of offset products formed once, added highest offset first and never
+formed by subtraction. A numpy-only batched Cholesky applies the scalar
+oracle's pivot rule (``rates.check_pivots``) and raises SingularSystemError
+where it fails. Both estimators reduce trials in one scan (``_scan``) over
+spans of one Gram block times a fixed number of profiles, merged per
+profile in block order (Chan, Golub & LeVeque, 1979), so memory does not
+grow with the trial count. ``estimate_link_se`` is the P = 1 case and keeps
+each cell's M2 for its standard error; ``cdf_experiment`` is the P > 1 case
+and keeps means alone, which take the same operations in both, so its sample
+equals ``sum_se_once`` for its gains exactly. Both score every scheme asked
+for on the same Grams, so each Gram is drawn once per span of profiles.
 
-Trials are indexed units of work, grouped in fixed blocks of GRAM_BLOCK.
-Block b's Grams are sampled whole from the (seed, STREAM_GRAM, b) substream
-through their Bartlett factors (``channel.draw_gram_factor``), with no M x K
-draw, and then sliced, so trial i's Gram depends only on (seed, M, K, i):
-not on the worker count, the trial count or the estimator. Workers take
+Trials are grouped in fixed blocks of GRAM_BLOCK. Block b's Grams come
+whole from the (seed, STREAM_GRAM, b) substream through their Bartlett
+factors (``channel.draw_gram_factor``), with no M x K draw, and are then
+sliced, so trial i's Gram depends only on (seed, M, K, i). Workers take
 whole spans and the merge runs in span order, so estimates are
-bit-reproducible for any worker count. The env var MWRELAY_THREADS is the
-one way to set the worker count (``resolve_workers``).
+bit-reproducible for any worker count, which the env var MWRELAY_THREADS
+alone sets (``resolve_workers``).
 """
 
 import os
@@ -39,29 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    STREAM_GRAM,
-    STREAM_PROFILE,
-    checked_gains,
-    draw_gram_factor,
-    draw_large_scale,
-    substream,
-)
+from .channel import (STREAM_GRAM, STREAM_PROFILE, checked_gains, draw_gram_factor,
+                      draw_large_scale, substream)
 from .exceptions import InvalidConfigError
 from .rates import check_pivots
 from .schedule import SlotIndexer
 
-__all__ = [
-    "LinkEstimate",
-    "SumSeReport",
-    "CdfResult",
-    "SCHEMES",
-    "estimate_link_se",
-    "sum_se",
-    "sum_se_once",
-    "cdf_experiment",
-    "resolve_workers",
-]
+__all__ = ["LinkEstimate", "SumSeReport", "CdfResult", "SCHEMES", "estimate_link_se", "sum_se",
+           "sum_se_once", "cdf_experiment", "resolve_workers"]
 
 SCHEMES = ("conventional", "proposed")
 # Trials per Gram block: the unit of drawing and of work for the pool.
@@ -168,16 +151,18 @@ def _gram_block(M, K, seed, lo, hi):
 class _BlockTerms:
     """Scheme-independent terms of P gain profiles on T shared small-scale Grams.
 
-    ``gram_h`` is (T, K, K) and ``betas`` (P, K); trials run along the last,
-    contiguous axis of every other per-trial table. The offset tables hold, for
-    user k's beam at offset s, ``cross_power[s]`` (K, T) |h_k^H h_order[k,s]|^2
-    and ``pair[s]`` (P, K, 1) beta_k beta_order[k,s]. ``norms`` (P, K, T) holds
-    ||g_k||^2, ``scale`` (P, 1, 1) the broadcast scale p_r / (M sum(beta)),
-    and ``uplink`` (P, K, T) the uplink SE.
+    ``betas`` is (P, K); trials run along the last, contiguous axis of every
+    per-trial table. The offset tables hold, for user k's beam at offset s,
+    ``cross_re[s]`` and ``cross_im[s]`` (K, T) the parts of h_k^H h_order[k,s],
+    ``cross_power[s]`` (K, T) its squared modulus and ``pair[s]`` (P, K, 1)
+    beta_k beta_order[k,s]. ``norms`` (P, K, T) holds ||g_k||^2, ``scale``
+    (P, 1, 1) the broadcast scale p_r / (M sum(beta)), and ``uplink``
+    (P, K, T) the uplink SE.
     """
 
-    gram_h: np.ndarray
     betas: np.ndarray
+    cross_re: np.ndarray
+    cross_im: np.ndarray
     cross_power: np.ndarray
     pair: np.ndarray
     norms: np.ndarray
@@ -190,18 +175,25 @@ def _power(pair, cross_power, s):
     return pair[s] * cross_power[s]
 
 
+def _offset_table(gram_h):
+    """(Re, Im) of h_k^H h_order[k,s] from (T, K, K) Grams: contiguous (K offsets, K, T) arrays."""
+    K = gram_h.shape[-1]
+    cross = gram_h[:, np.arange(K)[:, None], SlotIndexer(K).order].transpose(2, 1, 0)
+    return np.ascontiguousarray(cross.real), np.ascontiguousarray(cross.imag)
+
+
 def _block_terms(config, gram_h, betas):
     """The work every scheme shares on one block, uplink SE included."""
     K = gram_h.shape[-1]
     order = SlotIndexer(K).order
-    cross = np.ascontiguousarray(gram_h[:, np.arange(K)[:, None], order].transpose(2, 1, 0))
+    cross_re, cross_im = _offset_table(gram_h)
     pair = (betas[:, :, None] * betas[:, order]).transpose(2, 0, 1)[..., None]
-    cross_power = cross.real**2 + cross.imag**2
-    norms = cross[0].real * betas[:, :, None]
+    cross_power = cross_re**2 + cross_im**2
+    norms = cross_re[0] * betas[:, :, None]
     interference = sum(_power(pair, cross_power, s) for s in range(1, K))
     uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
     scale = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
-    return _BlockTerms(gram_h, betas, cross_power, pair, norms, scale, uplink)
+    return _BlockTerms(betas, cross_re, cross_im, cross_power, pair, norms, scale, uplink)
 
 
 def _downlink_rates(terms, scheme):
@@ -235,39 +227,42 @@ def _downlink_rates(terms, scheme):
         # Trial blocks small enough that the factor's (P, K, trials) temporaries stay in cache.
         step = max(1, _ZF_BLOCK_ENTRIES // (P * K))
         for lo in range(0, T, step):
-            noise_gain = _zf_noise_gains(terms.gram_h[lo:lo + step], terms.betas).transpose(3, 0, 2, 1)
+            cross = (terms.cross_re[..., lo:lo + step], terms.cross_im[..., lo:lo + step])
+            noise_gain = _zf_noise_gains(*cross, terms.betas).transpose(3, 0, 2, 1)
             dl[slots:, ..., lo:lo + step] = np.log2(1.0 + c / noise_gain)
     return dl.transpose(1, 2, 0, 3)
 
 
-def _zf_noise_gains(gram_h, betas):
+def _zf_noise_gains(cross_re, cross_im, betas):
     """Zero-forcing noise gains (P, T, K, n_unknowns): the residual-Gram inverse diagonals.
 
-    Entry (r, n) of user k's residual system, 0-based, is sqrt(beta_k beta_j)
-    h_k^H h_j for beam j = order[k, sic_slots + n - r]; the h_k^H h_j are
-    gathered once, with no profile axis. Each lower Gram entry is a
-    multiply-accumulate over the rows, weighted by the profile's sqrt(beta)
-    products, on a (P, K, T) array. An unrolled Cholesky over the unknowns
-    passes its pivots so far to ``rates.check_pivots`` before each square
-    root, as the scalar oracle does, and the noise gains are the squared
-    column norms of L^-1. Everything runs in real arithmetic, one IEEE
-    operation per ufunc, so a trial's value does not depend on the batch
-    shape it is scored in.
+    ``cross_re``, ``cross_im`` are an ``_offset_table``. Entry (r, n) of user
+    k's residual system, 0-based, is sqrt(beta_k beta_j) h_k^H h_j for beam
+    j = order[k, S + n - r], S = sic_slots, so Gram entry (j + d, j) sums
+    rpair[s+d] rpair[s] conj(cross[s+d]) cross[s] over offsets s = S+j down
+    to j+1, with rpair[s] = sqrt(beta_k) sqrt(beta_order[k,s]). For each
+    distance d the profile-free products are formed once over all offsets,
+    weighted, and window-summed for every j at once, highest offset first.
+    An unrolled Cholesky passes its pivots so far to ``rates.check_pivots``
+    before each square root, as the scalar oracle does, and the noise gains
+    are the squared column norms of L^-1. Everything runs in real arithmetic,
+    one IEEE operation per ufunc, so a trial's value does not depend on the
+    batch shape it is scored in.
     """
-    idx = SlotIndexer(gram_h.shape[-1])
-    cols = idx.order[:, idx.sic_slots + np.arange(idx.n_unknowns) - np.arange(idx.sic_slots)[:, None]]
-    K, rows, n = cols.shape
-    users = np.arange(K)[:, None, None]
-    # (n, rows, K, T) each, gathered from the real and imaginary views so trials are contiguous.
-    x_re, x_im = (x[:, users, cols].transpose(3, 2, 1, 0) for x in (gram_h.real, gram_h.imag))
+    K = cross_re.shape[0]
+    idx = SlotIndexer(K)
+    S, n = idx.sic_slots, idx.n_unknowns
     root = np.sqrt(betas)
-    weight = (root[:, :, None, None] * root[:, cols]).transpose(3, 2, 0, 1)[..., None]  # (n, rows, P, K, 1)
+    rpair = (root[:, :, None] * root[:, idx.order]).transpose(2, 0, 1)[1:K - 1, ..., None]
+    x_re, x_im = cross_re[1:K - 1], cross_im[1:K - 1]  # offsets 1..K-2: all the residual reads
     gram = {}  # gram[i, j], i >= j: (Re, Im) of sum_r conj(mixing_ri) mixing_rj
-    for i in range(n):
-        for j in range(i + 1):
-            w = weight[i] * weight[j]
-            gram[i, j] = (_row_sum(w, x_re[i] * x_re[j] + x_im[i] * x_im[j]),
-                          _row_sum(w, x_re[i] * x_im[j] - x_im[i] * x_re[j]) if i != j else None)
+    for d in range(n):
+        hi, lo = slice(d, K - 2), slice(0, K - 2 - d)
+        weight = rpair[hi] * rpair[lo]
+        re = _window_sum(weight, x_re[hi] * x_re[lo] + x_im[hi] * x_im[lo], S)
+        im = _window_sum(weight, x_re[hi] * x_im[lo] - x_im[hi] * x_re[lo], S) if d else [None] * n
+        for j in range(n - d):
+            gram[j + d, j] = (re[j], im[j])
     # Cholesky A = L L^H: low[i, j] = (Re, Im) of L_ij for i > j, inv[j] = 1 / L_jj.
     low, inv = {}, {}
     for j in range(n):
@@ -286,7 +281,7 @@ def _zf_noise_gains(gram_h, betas):
                 a_im -= p_im * q_re - p_re * q_im
             low[i, j] = (a_re * inv[j], a_im * inv[j])
     # Column j of L^-1 by forward substitution; its squared norm is gain j.
-    gains = np.empty((n, len(betas), K, len(gram_h)))
+    gains = np.empty((n, len(betas), K, cross_re.shape[-1]))
     for j in range(n):
         col = {}
         gains[j] = inv[j] ** 2
@@ -302,11 +297,12 @@ def _zf_noise_gains(gram_h, betas):
     return gains.transpose(1, 3, 2, 0)
 
 
-def _row_sum(w, part):
-    """sum_r w[r] * part[r], added in row order."""
-    total = w[0] * part[0]
-    for r in range(1, len(part)):
-        total += w[r] * part[r]
+def _window_sum(weight, part, S):
+    """sum_q weight[j+q] part[j+q] over q = S-1 down to 0, for every j: highest offset first."""
+    term = weight * part[:, None]
+    total = term[S - 1:].copy()
+    for q in range(S - 2, -1, -1):
+        total += term[q:q + len(total)]
     return total
 
 
@@ -325,16 +321,17 @@ def estimate_link_se(config, beta, schemes, trials, seed):
     come from the zero-forcing stage.
     """
     schemes = _check_schemes(schemes)
-    stats = _scan(config, checked_gains(beta, config.K)[None], schemes, trials, seed)
+    stats = _scan(config, checked_gains(beta, config.K)[None], schemes, trials, seed, spread=True)
     cells = {key: (mean[0], np.sqrt(m2[0] / max(1, trials - 1)) / np.sqrt(trials))
              for key, (mean, m2) in stats.items()}
     return {scheme: LinkEstimate(*cells["uplink"], *cells[scheme], trials) for scheme in schemes}
 
 
-def _scan(config, betas, schemes, trials, seed):
+def _scan(config, betas, schemes, trials, seed, spread):
     """Per-cell trial (mean, M2) of the (P, K) profiles ``betas``: (P, K) arrays under
-    "uplink", (P, K, K-1) under each scheme. Spans (one Gram block x the profiles _SPAN_BYTES
-    allows) are reduced on the pool; a profile's block [lo, hi) joins the lo trials before it.
+    "uplink", (P, K, K-1) under each scheme, with M2 None unless ``spread``. Spans (one
+    Gram block x the profiles _SPAN_BYTES allows) are reduced on the pool; a profile's
+    block [lo, hi) joins the lo trials before it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -347,24 +344,27 @@ def _scan(config, betas, schemes, trials, seed):
         a, b, lo, hi = span
         terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas[a:b])
         # One scheme at a time: each downlink table is reduced before the next is made.
-        return {"uplink": _moments(terms.uplink),
-                **{scheme: _moments(_downlink_rates(terms, scheme)) for scheme in schemes}}
+        return {"uplink": _moments(terms.uplink, spread),
+                **{scheme: _moments(_downlink_rates(terms, scheme), spread) for scheme in schemes}}
 
-    stats = {"uplink": (np.zeros((P, K)), np.zeros((P, K)))}
-    stats.update({scheme: (np.zeros((P, K, K - 1)), np.zeros((P, K, K - 1))) for scheme in schemes})
+    shapes = {"uplink": (P, K), **{scheme: (P, K, K - 1) for scheme in schemes}}
+    stats = {key: (np.zeros(s), np.zeros(s) if spread else None) for key, s in shapes.items()}
     for (a, b, lo, hi), moments in zip(spans, _run_spans(reduce, spans)):
         for key, (block_mean, block_m2) in moments.items():
             mean, m2 = stats[key]
             delta = block_mean - mean[a:b]
             mean[a:b] += delta * ((hi - lo) / hi)
-            m2[a:b] += block_m2 + delta**2 * (lo * (hi - lo) / hi)
+            if spread:
+                m2[a:b] += block_m2 + delta**2 * (lo * (hi - lo) / hi)
     return stats
 
 
-def _moments(samples):
-    """Mean and M2, the summed squared deviation from it, of (P, ..., trials) samples.
-    Deviations are formed one profile at a time, so the table is never copied whole."""
+def _moments(samples, spread):
+    """Mean and, if ``spread``, M2, the summed squared deviation from it, of (P, ..., trials)
+    samples. Deviations are formed one profile at a time, so the table is never copied whole."""
     mean = samples.mean(axis=-1)
+    if not spread:
+        return mean, None
     m2 = np.empty(mean.shape)
     deviation = np.empty(samples.shape[1:])
     for p, rows in enumerate(samples):
@@ -421,7 +421,7 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
             for p in range(profiles)
         ])
 
-    stats = _scan(config, betas, schemes, trials_per_profile, seed)
+    stats = _scan(config, betas, schemes, trials_per_profile, seed, spread=False)
     ul = stats["uplink"][0]
     return {scheme: CdfResult(samples=_pre_log(K, scheme) * _min_sum(ul, stats[scheme][0]))
             for scheme in schemes}

@@ -16,7 +16,7 @@ import pytest
 
 from mwrelay import SystemConfig, estimate_link_se
 from mwrelay import montecarlo
-from mwrelay.channel import draw_gram_factor, draw_small_scale
+from mwrelay.channel import _INV_SQRT2, draw_gram_factor, draw_small_scale
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.montecarlo import _block_terms, _downlink_rates
 from mwrelay.schedule import SlotIndexer
@@ -128,6 +128,27 @@ def test_gram_factor_shape_and_support(M, K):
     below = np.tril(np.ones((rows, K), dtype=bool), -1)
     assert np.all(R[:, below] == 0)
     assert np.all(R[:, ~below & ~np.eye(rows, K, dtype=bool)] != 0)
+
+
+def complex_gram_factor(M, K, rng, n):
+    """The Bartlett factor written entry by entry as complex values: the reference layout."""
+    rows = min(M, K)
+    R = np.zeros((n, rows, K), dtype=complex)
+    diag = np.arange(rows)
+    R[:, diag, diag] = np.sqrt(rng.gamma(M - diag, size=(n, rows)))
+    upper = np.triu_indices(rows, 1, K)
+    z = rng.standard_normal((2, n, upper[0].size))
+    R[:, upper[0], upper[1]] = (z[0] + 1j * z[1]) * _INV_SQRT2
+    return R
+
+
+@pytest.mark.parametrize("M, K", [(100, 10), (300, 10), (5, 10), (24, 30), (3, 2), (1, 1)])
+def test_gram_factor_equals_complex_layout(M, K):
+    # Same generator calls, same values, zero signs included.
+    R = draw_gram_factor(M, K, np.random.default_rng(M * K), 256).view(float)
+    reference = complex_gram_factor(M, K, np.random.default_rng(M * K), 256).view(float)
+    assert np.array_equal(R, reference)
+    assert np.array_equal(np.signbit(R), np.signbit(reference))
 
 
 @pytest.mark.parametrize("bad", [(0, 3, 5), (4, 0, 5), (4, 3, 0)])

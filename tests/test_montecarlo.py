@@ -36,8 +36,10 @@ from mwrelay.montecarlo import (
     GRAM_BLOCK,
     _block_terms,
     _downlink_rates,
+    _offset_table,
     _zf_noise_gains,
 )
+from mwrelay.rates import check_pivots
 from mwrelay.schedule import SlotIndexer
 
 CONFIG = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
@@ -116,8 +118,8 @@ def test_interference_slots_match_oracle_under_wide_spreads(K, extra, log_beta, 
     H = draw_small_scale(M, K, np.random.default_rng(seed))
     terms = _block_terms(config, (H.conj().T @ H)[None], beta[None])
     conv = _downlink_rates(terms, "conventional")[0, ..., 0]
-    with mock.patch.object(montecarlo, "_zf_noise_gains",
-                           lambda gram_h, betas: np.ones((len(betas), len(gram_h), K, idx.n_unknowns))):
+    with mock.patch.object(montecarlo, "_zf_noise_gains", lambda cross_re, cross_im, betas:
+                           np.ones((len(betas), cross_re.shape[-1], K, idx.n_unknowns))):
         prop = _downlink_rates(terms, "proposed")[0, ..., 0]
     G = H * np.sqrt(beta)
     for k in range(1, K + 1):
@@ -318,7 +320,7 @@ def test_zf_noise_gains_match_oracle(K):
     betas = rng.uniform(0.2, 3.0, size=(3, K))
     channels = [draw_small_scale(24, K, rng) for _ in range(4)]
     gram_h = np.stack([H.conj().T @ H for H in channels])
-    gains = _zf_noise_gains(gram_h, betas)
+    gains = _zf_noise_gains(*_offset_table(gram_h), betas)
     assert gains.shape == (3, 4, K, SlotIndexer(K).n_unknowns)
     for p, beta in enumerate(betas):
         for t, H in enumerate(channels):
@@ -338,14 +340,105 @@ def test_zf_noise_gains_independent_of_batch_shape():
     betas = rng.uniform(0.2, 3.0, size=(3, K))
     H = draw_small_scale(24, K * 1000, rng).reshape(24, 1000, K).transpose(1, 0, 2)
     gram_h = H.conj().transpose(0, 2, 1) @ H
-    whole = _zf_noise_gains(gram_h, betas)
+    whole = _zf_noise_gains(*_offset_table(gram_h), betas)
     for p in range(3):
-        assert np.array_equal(_zf_noise_gains(gram_h, betas[p:p + 1])[0], whole[p])
+        assert np.array_equal(_zf_noise_gains(*_offset_table(gram_h), betas[p:p + 1])[0], whole[p])
     for lo, hi in ((0, 3), (3, 500), (500, 1000)):
-        assert np.array_equal(_zf_noise_gains(gram_h[lo:hi], betas), whole[:, lo:hi])
+        assert np.array_equal(_zf_noise_gains(*_offset_table(gram_h[lo:hi]), betas), whole[:, lo:hi])
 
 
-@pytest.mark.parametrize("K", [5, 6, 10])
+def gather_zf_noise_gains(gram_h, betas):
+    """The zero-forcing kernel in its gather form: every residual entry read from the
+    Grams by (user, beam), and each lower Gram entry summed row by row, highest offset first."""
+    idx = SlotIndexer(gram_h.shape[-1])
+    cols = idx.order[:, idx.sic_slots + np.arange(idx.n_unknowns) - np.arange(idx.sic_slots)[:, None]]
+    K, rows, n = cols.shape
+    users = np.arange(K)[:, None, None]
+    x_re, x_im = (x[:, users, cols].transpose(3, 2, 1, 0) for x in (gram_h.real, gram_h.imag))
+    root = np.sqrt(betas)
+    weight = (root[:, :, None, None] * root[:, cols]).transpose(3, 2, 0, 1)[..., None]
+
+    def row_sum(w, part):
+        total = w[0] * part[0]
+        for r in range(1, len(part)):
+            total += w[r] * part[r]
+        return total
+
+    gram = {}
+    for i in range(n):
+        for j in range(i + 1):
+            w = weight[i] * weight[j]
+            gram[i, j] = (row_sum(w, x_re[i] * x_re[j] + x_im[i] * x_im[j]),
+                          row_sum(w, x_re[i] * x_im[j] - x_im[i] * x_re[j]) if i != j else None)
+    low, inv = {}, {}
+    for j in range(n):
+        pivot = gram[j, j][0]
+        for m in range(j):
+            pivot -= low[j, m][0] ** 2 + low[j, m][1] ** 2
+        least = pivot if j == 0 else np.minimum(least, pivot)
+        largest = pivot if j == 0 else np.maximum(largest, pivot)
+        check_pivots(least, largest)
+        inv[j] = 1.0 / np.sqrt(pivot)
+        for i in range(j + 1, n):
+            a_re, a_im = gram[i, j]
+            for m in range(j):
+                (p_re, p_im), (q_re, q_im) = low[i, m], low[j, m]
+                a_re -= p_re * q_re + p_im * q_im
+                a_im -= p_im * q_re - p_re * q_im
+            low[i, j] = (a_re * inv[j], a_im * inv[j])
+    gains = np.empty((n, len(betas), K, len(gram_h)))
+    for j in range(n):
+        col = {}
+        gains[j] = inv[j] ** 2
+        for i in range(j + 1, n):
+            acc_re, acc_im = low[i, j][0] * inv[j], low[i, j][1] * inv[j]
+            for m in range(j + 1, i):
+                (l_re, l_im), (v_re, v_im) = low[i, m], col[m]
+                acc_re += l_re * v_re - l_im * v_im
+                acc_im += l_re * v_im + l_im * v_re
+            scale = -inv[i]
+            col[i] = (acc_re * scale, acc_im * scale)
+            gains[j] += col[i][0] ** 2 + col[i][1] ** 2
+    return gains.transpose(1, 3, 2, 0)
+
+
+def proposed_rates_or_verdict(terms):
+    try:
+        return _downlink_rates(terms, "proposed")
+    except SingularSystemError:
+        return "singular"
+
+
+@pytest.mark.parametrize("K", range(2, 16))
+def test_offset_zf_kernel_equals_gather_form(K):
+    # The Toeplitz offset form must take the same IEEE operations in the same
+    # order as the gather form, so its rates are bit-identical and it flags the
+    # same blocks singular: generic draws at M from K to 100 under gains spread
+    # over 0, 2 and 8 decades and p_r = 1e8, and draws whose columns are all
+    # equal up to 1e-9, where every residual system with two or more unknowns
+    # fails the pivot rule.
+    trials, verdicts = 64, set()
+    assert trials <= montecarlo._ZF_BLOCK_ENTRIES // (3 * K)  # one zero-forcing block
+    for M in (K, K + 1, 3 * K, 100):
+        config = SystemConfig(M=M, K=K, p_u=1.0, p_r=1e8)
+        for decades in (0, 2, 8):
+            rng = np.random.default_rng([K, M, decades])
+            betas = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=(3, K))
+            H = draw_small_scale(M, K * trials, rng).reshape(M, trials, K).transpose(1, 0, 2)
+            for channels in (H, H[..., :1] + 1e-9 * H):
+                gram_h = channels.conj().transpose(0, 2, 1) @ channels
+                terms = _block_terms(config, gram_h, betas)
+                offset = proposed_rates_or_verdict(terms)
+                with mock.patch.object(montecarlo, "_zf_noise_gains",
+                                       lambda *_: gather_zf_noise_gains(gram_h, betas)):
+                    gather = proposed_rates_or_verdict(terms)
+                assert isinstance(offset, str) == isinstance(gather, str), (M, decades)
+                assert isinstance(offset, str) or np.array_equal(offset, gather), (M, decades)
+                verdicts.add(isinstance(offset, str))
+    assert verdicts == ({False, True} if SlotIndexer(K).n_unknowns >= 2 else {False})
+
+
+@pytest.mark.parametrize("K", [5, 6, 10, 20, 30])
 def test_singular_verdict_matches_oracle(K):
     # Equal channel columns under uniform gains make every residual system
     # rank one. Columns equal up to 1e-6 leave pivots that are positive but
@@ -505,6 +598,20 @@ def test_cdf_over_several_profile_spans_matches_direct_scoring(monkeypatch):
         beta = draw_large_scale(geometry, 10, substream(15, STREAM_PROFILE, p)).beta
         for scheme in SCHEMES:
             assert result[scheme].samples[p] == sum_se_once(config, beta, scheme, 300, seed=15).sum_se
+
+
+def test_only_link_estimates_form_m2(monkeypatch):
+    # A placement sample needs cell means alone, so cdf spans skip M2; link
+    # estimates keep it for their standard errors.
+    spreads = []
+    real = montecarlo._moments
+    monkeypatch.setattr(montecarlo, "_moments",
+                        lambda samples, spread: spreads.append(spread) or real(samples, spread))
+    cdf_experiment(CONFIG, GeometryModel(), 3, 300, seed=4, schemes=SCHEMES)
+    assert spreads and not any(spreads)
+    spreads.clear()
+    estimate_link_se(CONFIG, BETA, SCHEMES, 300, seed=4)
+    assert spreads and all(spreads)
 
 
 def test_estimate_peak_memory_flat_in_trials(monkeypatch):
