@@ -35,10 +35,22 @@ def _check_user(k, K):
         raise ValueError(f"user {k} outside 1..{K}")
 
 
-def uplink_bound(beta, p_u, M, k):
-    """Jensen lower bound on the uplink ergodic SE of user k, bit/s/Hz."""
+def _check_antennas(M, least):
+    """Raise a bound's ValueError for M below ``least``: 2 for the uplink, 3 for the downlink."""
     if M < 2:
         raise ValueError("uplink bound needs M >= 2")
+    if M < least:
+        raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
+
+
+def _ordered_sum(terms):
+    """Sum over the last axis, added left to right as Python's ``sum`` adds them."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def uplink_bound(beta, p_u, M, k):
+    """Jensen lower bound on the uplink ergodic SE of user k, bit/s/Hz."""
+    _check_antennas(M, 2)
     beta = checked_gains(beta)
     _check_user(k, beta.size)
     others = beta.sum() - beta[k - 1]
@@ -47,8 +59,7 @@ def uplink_bound(beta, p_u, M, k):
 
 def conventional_dl_bound(beta, p_r, M, K, k, t):
     """Jensen lower bound for conventional slot t (K - 2 interference terms)."""
-    if M < 3:
-        raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
+    _check_antennas(M, 3)
     beta = checked_gains(beta, K)
     _check_user(k, K)
     if not 1 <= t <= K - 1:
@@ -61,8 +72,7 @@ def conventional_dl_bound(beta, p_r, M, K, k, t):
 
 def proposed_dl_bound(beta, p_r, M, K, k, t):
     """Jensen lower bound for cancelation slot t (K - t - 1 interference terms)."""
-    if M < 3:
-        raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
+    _check_antennas(M, 3)
     beta = checked_gains(beta, K)
     _check_user(k, K)
     idx = SlotIndexer(K)
@@ -153,25 +163,31 @@ class BoundReport:
 
 
 def bound_report(config, beta):
-    """Evaluate every closed-form expression for one configuration."""
-    beta = checked_gains(beta)
-    M, K = config.M, config.K
+    """Evaluate every closed-form expression for one configuration.
+
+    Each table is one array pass that takes the per-cell functions'
+    operations in their order, so it matches them cell by cell: interfering
+    and partner gains are added one beam at a time, left to right.
+    """
+    M, K, p_u, p_r = config.M, config.K, config.p_u, config.p_r
+    beta = checked_gains(beta, K)
+    _check_antennas(M, 3)
     idx = SlotIndexer(K)
-    uplink = np.array([uplink_bound(beta, config.p_u, M, k) for k in range(1, K + 1)])
-    dl_conv = np.array(
-        [[conventional_dl_bound(beta, config.p_r, M, K, k, t) for t in range(1, K)]
-         for k in range(1, K + 1)]
-    )
-    dl_prop = np.array(
-        [[proposed_dl_bound(beta, config.p_r, M, K, k, t) for t in range(1, idx.sic_slots + 1)]
-         for k in range(1, K + 1)]
-    )
-    zf_asym = np.array(
-        [[zf_asymptotic_rate(beta, config.p_r, K, k, n) for n in range(1, idx.n_unknowns + 1)]
-         for k in range(1, K + 1)]
-    )
-    return BoundReport(uplink=uplink, dl_conventional=dl_conv,
-                       dl_proposed=dl_prop, zf_asymptotic=zf_asym)
+    S, total, gain = idx.sic_slots, beta.sum(), beta[:, None]
+    uplink = np.log2(1.0 + p_u * (M - 1) * beta / (p_u * (total - beta) + 1.0))
+    num = p_r * (M - 1) * (M - 2) * gain**2
+
+    def downlink(interfering):
+        return np.log2(1.0 + num / (p_r * (M - 2) * gain * interfering + M * total))
+
+    # In slot t beam j carries user k's offset argsort(beams)[j]; all but offsets 0..t interfere.
+    outside = np.argsort(idx.beams[:, :S], axis=-1) > np.arange(1, S + 1)[:, None]
+    offsets = np.arange(1, idx.n_unknowns + 1)[:, None] + np.arange(S)
+    partners = _ordered_sum(beta[idx.order][:, offsets])
+    return BoundReport(uplink=uplink,
+                       dl_conventional=downlink(total - gain - beta[idx.beams[:, :, 0]]),
+                       dl_proposed=downlink(_ordered_sum(np.where(outside, beta, 0.0))),
+                       zf_asymptotic=np.log2(1.0 + p_r * gain * partners / total))
 
 
 def analytic_sum_se(config, beta, scheme):

@@ -12,6 +12,7 @@ without drawing H, a fixed block of trials per (STREAM_GRAM, block)
 substream.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -176,13 +177,22 @@ def draw_gram_factor(M, K, rng, n):
     rows = min(M, K)
     R = np.zeros((n, rows, K), dtype=complex)
     flat = R.reshape(n, rows * K).view(float)  # Re, Im of entry (i, j) at 2(iK + j), 2(iK + j) + 1
-    diag = np.arange(rows)
-    flat[:, 2 * (K + 1) * diag] = np.sqrt(rng.gamma(M - diag, size=(n, rows)))
-    i, j = np.triu_indices(rows, 1, K)
-    z = rng.standard_normal((2, n, i.size))
-    flat[:, 2 * (i * K + j)] = z[0] * _INV_SQRT2
-    flat[:, 2 * (i * K + j) + 1] = z[1] * _INV_SQRT2
+    diag, upper_re, upper_im = _factor_positions(rows, K)
+    flat[:, diag] = np.sqrt(rng.gamma(M - np.arange(rows), size=(n, rows)))
+    z = rng.standard_normal((2, n, upper_re.size))
+    flat[:, upper_re] = z[0] * _INV_SQRT2
+    flat[:, upper_im] = z[1] * _INV_SQRT2
     return R
+
+
+@functools.cache
+def _factor_positions(rows, K):
+    """Flat float positions of Re R_ii, and of Re and Im R_ij, i < j, in a (rows, K) factor."""
+    i, j = np.triu_indices(rows, 1, K)
+    positions = 2 * (K + 1) * np.arange(rows), 2 * (i * K + j), 2 * (i * K + j) + 1
+    for table in positions:
+        table.flags.writeable = False
+    return positions
 
 
 def compose_channel(H, beta):

@@ -25,10 +25,10 @@ for on the same Grams, so each Gram is drawn once per span of profiles.
 Trials are grouped in fixed blocks of GRAM_BLOCK. Block b's Grams come
 whole from the (seed, STREAM_GRAM, b) substream through their Bartlett
 factors (``channel.draw_gram_factor``), with no M x K draw, and are then
-sliced, so trial i's Gram depends only on (seed, M, K, i). Workers take
-whole spans and the merge runs in span order, so estimates are
-bit-reproducible for any worker count, which the env var MWRELAY_THREADS
-alone sets (``resolve_workers``).
+sliced, so trial i's Gram depends only on (seed, M, K, i). Workers, or
+the calling thread for spans under _POOL_ENTRIES, take whole spans and
+the merge runs in span order, so estimates are bit-reproducible for any
+worker count, which MWRELAY_THREADS alone caps (``resolve_workers``).
 """
 
 import os
@@ -51,6 +51,9 @@ SCHEMES = ("conventional", "proposed")
 GRAM_BLOCK = 256
 # Entries per (profile, user, trial) array in one zero-forcing block.
 _ZF_BLOCK_ENTRIES = 16_384
+# Fewest entries in a span's (P, K, T) tables worth the pool's lock handoffs: two threads ran
+# one-profile spans at 0.87x one thread's speed at K = 11, 1.07x at K = 12 (BENCH_pool-floor.json).
+_POOL_ENTRIES = 3_072
 # Bytes of one span's (P, K, K, GRAM_BLOCK) float64 table, which sets its
 # profile count P: 61 at K = 10.
 _SPAN_BYTES = 12_500_000
@@ -126,9 +129,9 @@ def _pre_log(K, scheme):
     return 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
 
 
-def _run_spans(fn, spans):
-    """Yield fn(span) for each of ``spans``, in span order, computed on a thread pool."""
-    n_workers = min(resolve_workers(), len(spans))
+def _run_spans(fn, spans, entries):
+    """Yield fn(span) for each span in order, on a thread pool if ``entries`` >= _POOL_ENTRIES."""
+    n_workers = min(resolve_workers(), len(spans) if entries >= _POOL_ENTRIES else 1)
     if n_workers <= 1:
         yield from map(fn, spans)
     else:
@@ -330,7 +333,7 @@ def estimate_link_se(config, beta, schemes, trials, seed):
 def _scan(config, betas, schemes, trials, seed, spread):
     """Per-cell trial (mean, M2) of the (P, K) profiles ``betas``: (P, K) arrays under
     "uplink", (P, K, K-1) under each scheme, with M2 None unless ``spread``. Spans (one
-    Gram block x the profiles _SPAN_BYTES allows) are reduced on the pool; a profile's
+    Gram block x the profiles _SPAN_BYTES allows) are reduced by _run_spans; a profile's
     block [lo, hi) joins the lo trials before it.
     """
     if trials < 1:
@@ -349,7 +352,8 @@ def _scan(config, betas, schemes, trials, seed, spread):
 
     shapes = {"uplink": (P, K), **{scheme: (P, K, K - 1) for scheme in schemes}}
     stats = {key: (np.zeros(s), np.zeros(s) if spread else None) for key, s in shapes.items()}
-    for (a, b, lo, hi), moments in zip(spans, _run_spans(reduce, spans)):
+    entries = min(step, P) * K * min(trials, GRAM_BLOCK)
+    for (a, b, lo, hi), moments in zip(spans, _run_spans(reduce, spans, entries)):
         for key, (block_mean, block_m2) in moments.items():
             mean, m2 = stats[key]
             delta = block_mean - mean[a:b]

@@ -144,11 +144,13 @@ def complex_gram_factor(M, K, rng, n):
 
 @pytest.mark.parametrize("M, K", [(100, 10), (300, 10), (5, 10), (24, 30), (3, 2), (1, 1)])
 def test_gram_factor_equals_complex_layout(M, K):
-    # Same generator calls, same values, zero signs included.
-    R = draw_gram_factor(M, K, np.random.default_rng(M * K), 256).view(float)
-    reference = complex_gram_factor(M, K, np.random.default_rng(M * K), 256).view(float)
-    assert np.array_equal(R, reference)
-    assert np.array_equal(np.signbit(R), np.signbit(reference))
+    # Same generator calls, same values, zero signs included; the second draw
+    # reads the entry positions cached by the first.
+    for seed in (M * K, M * K + 1):
+        R = draw_gram_factor(M, K, np.random.default_rng(seed), 256).view(float)
+        reference = complex_gram_factor(M, K, np.random.default_rng(seed), 256).view(float)
+        assert np.array_equal(R, reference)
+        assert np.array_equal(np.signbit(R), np.signbit(reference))
 
 
 @pytest.mark.parametrize("bad", [(0, 3, 5), (4, 0, 5), (4, 3, 0)])

@@ -1,6 +1,7 @@
 """Closed forms: Jensen bounds, inverse-norm moments, cross-product statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mwrelay import (
 )
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
 from mwrelay.exceptions import InvalidConfigError
+from mwrelay.schedule import SlotIndexer
 
 
 def test_uplink_bound_values():
@@ -231,3 +233,45 @@ def test_bounds_reject_bad_gains(bound, bad):
     # The LargeScaleProfile check: InvalidConfigError, which is a ValueError.
     with pytest.raises(InvalidConfigError):
         bound(np.array([1.0, bad, 1.0, 1.0]))
+
+
+def per_cell_report(config, beta):
+    """Every closed form evaluated cell by cell through the public scalar functions."""
+    M, K = config.M, config.K
+    idx = SlotIndexer(K)
+    users = range(1, K + 1)
+    return (
+        [uplink_bound(beta, config.p_u, M, k) for k in users],
+        [[conventional_dl_bound(beta, config.p_r, M, K, k, t) for t in range(1, K)] for k in users],
+        [[proposed_dl_bound(beta, config.p_r, M, K, k, t) for t in range(1, idx.sic_slots + 1)]
+         for k in users],
+        [[zf_asymptotic_rate(beta, config.p_r, K, k, n) for n in range(1, idx.n_unknowns + 1)]
+         for k in users],
+    )
+
+
+@pytest.mark.parametrize("K", range(2, 16))
+def test_bound_report_equals_per_cell_functions(K):
+    # The batched tables take the scalar operations in their order, so every
+    # cell is bit-equal, over gains spread across 0, 2 and 8 decades.
+    rng = np.random.default_rng(K)
+    for decades in (0, 2, 8):
+        beta = 10.0 ** rng.uniform(-decades / 2, decades / 2, K)
+        for M in sorted({3, K + 1, 3 * K, 100, 1000}):
+            for power in (0.1, 10.0, 1e8):
+                config = SystemConfig(M=M, K=K, p_u=power, p_r=power)
+                report = bound_report(config, beta)
+                tables = (report.uplink, report.dl_conventional, report.dl_proposed,
+                          report.zf_asymptotic)
+                for table, cells in zip(tables, per_cell_report(config, beta)):
+                    expected = np.array(cells).reshape(table.shape)
+                    assert np.array_equal(table, expected), (M, decades, power)
+
+
+@pytest.mark.parametrize("M, message", [
+    (1, "uplink bound needs M >= 2"),
+    (2, "downlink bounds need M >= 3 (fourth-moment identity)"),
+])
+def test_bound_report_rejects_small_arrays(M, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bound_report(SystemConfig(M=M, K=4, p_u=1.0, p_r=10.0), np.ones(4))

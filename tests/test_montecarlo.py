@@ -502,6 +502,44 @@ def test_two_user_downlink_single_slot():
 SCHEMES = ("conventional", "proposed")
 
 
+# One-profile K = 20 spans and two-profile K = 10 spans hold enough entries
+# for the pool; one-profile K = 10 spans run on the calling thread.
+def pool_estimate(K):
+    config = SystemConfig(M=100, K=K, p_u=1.0, p_r=10.0)
+    return estimate_link_se(config, np.linspace(0.5, 1.5, K), SCHEMES, 300, seed=9)
+
+
+def pool_cdf():
+    config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
+    return cdf_experiment(config, GeometryModel(), 2, 300, seed=9, schemes=SCHEMES)
+
+
+POOL_SHAPES = {  # name -> (run, whether it reaches the pool)
+    "estimate-k20": (lambda: pool_estimate(20), True),
+    "cdf-2-profiles-k10": (pool_cdf, True),
+    "estimate-k10": (lambda: pool_estimate(10), False),
+}
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES)
+def test_results_equal_on_and_off_the_pool(shape, monkeypatch):
+    run, pooled = POOL_SHAPES[shape]
+    opened = []
+    real = montecarlo.ThreadPoolExecutor
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                        lambda max_workers: opened.append(max_workers) or real(max_workers))
+    results = {}
+    for threads in (1, 2, 8):
+        monkeypatch.setenv("MWRELAY_THREADS", str(threads))
+        results[threads] = run()
+    # Two Gram blocks make two spans, so two workers whenever the pool runs.
+    assert opened == ([2, 2] if pooled else [])
+    for threads in (2, 8):
+        for scheme, result in results[threads].items():
+            for field, value in vars(result).items():
+                assert np.array_equal(value, getattr(results[1][scheme], field))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("K", [2, 10])
 def test_shared_draw_matches_single_scheme_runs(K, workers, monkeypatch):
