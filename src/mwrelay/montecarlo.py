@@ -6,7 +6,7 @@ It reads the protocol's one cyclic rule from ``SlotIndexer.order``: user
 k's beam at offset s is order[k, s] and in slot t it newly holds offset
 K - t. ``_block_terms`` gathers each Gram block once into a table by offset
 (``_offset_table``), with no profile axis and trials on the last, contiguous
-axis, and computes the uplink SE; ``_downlink_rates`` scores one scheme's
+axis, and computes the uplink SE; ``_slot_rates`` scores one scheme's
 broadcast slots from it. The zero-forcing stage (``_zf_noise_gains``) reads
 the same table: user k's residual entry (r, n) is offset sic_slots + n - r,
 so its residual Gram is Toeplitz in offsets and every diagonal is a window
@@ -16,7 +16,10 @@ oracle's pivot rule (``rates.check_pivots``) and raises SingularSystemError
 where it fails. Both estimators reduce trials in one scan (``_scan``) over
 spans of one Gram block times a fixed number of profiles, merged per
 profile in block order (Chan, Golub & LeVeque, 1979), so memory does not
-grow with the trial count. ``estimate_link_se`` is the P = 1 case and keeps
+grow with the trial count. Within a span each block of slots is reduced as
+it is made, so its largest arrays are the conventional scheme's K - 2
+stored prefix sums and the proposed scheme's cancelation rows, reused as its
+zero-forcing buffer. ``estimate_link_se`` is the P = 1 case and keeps
 each cell's M2 for its standard error; ``cdf_experiment`` is the P > 1 case
 and keeps means alone, which take the same operations in both, so its sample
 equals ``sum_se_once`` for its gains exactly. Both score every scheme asked
@@ -54,8 +57,9 @@ _ZF_BLOCK_ENTRIES = 16_384
 # Fewest entries in a span's (P, K, T) tables worth the pool's lock handoffs: two threads ran
 # one-profile spans at 0.87x one thread's speed at K = 11, 1.07x at K = 12 (BENCH_pool-floor.json).
 _POOL_ENTRIES = 3_072
-# Bytes of one span's (P, K, K, GRAM_BLOCK) float64 table, which sets its
-# profile count P: 61 at K = 10.
+# Bytes of a (P, K, K, GRAM_BLOCK) float64 array, which sets a span's profile count P: 61 at K = 10.
+# Slots are reduced as they are made, so a span keeps at most the conventional scheme's K - 2 prefix
+# sums or the proposed scheme's cancelation rows, reused as its zero-forcing buffer.
 _SPAN_BYTES = 12_500_000
 
 
@@ -173,11 +177,6 @@ class _BlockTerms:
     uplink: np.ndarray
 
 
-def _power(pair, cross_power, s):
-    """|g_k^H g_order[k,s]|^2 (P, K, T): the power user k receives from offset s."""
-    return pair[s] * cross_power[s]
-
-
 def _offset_table(gram_h):
     """(Re, Im) of h_k^H h_order[k,s] from (T, K, K) Grams: contiguous (K offsets, K, T) arrays."""
     K = gram_h.shape[-1]
@@ -193,47 +192,49 @@ def _block_terms(config, gram_h, betas):
     pair = (betas[:, :, None] * betas[:, order]).transpose(2, 0, 1)[..., None]
     cross_power = cross_re**2 + cross_im**2
     norms = cross_re[0] * betas[:, :, None]
-    interference = sum(_power(pair, cross_power, s) for s in range(1, K))
+    interference = sum(pair[s] * cross_power[s] for s in range(1, K))
     uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
     scale = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
     return _BlockTerms(betas, cross_re, cross_im, cross_power, pair, norms, scale, uplink)
 
 
-def _downlink_rates(terms, scheme):
-    """Per-trial downlink SE (P, K, K-1, T) of one scheme, trials last.
+def _slot_rates(terms, scheme):
+    """Yield one scheme's per-trial downlink SE in slot order, as (P, K, slots, T) blocks.
 
-    It is a view of a slot-major table, so each slot's (P, K, T) array is
-    contiguous. Slot t brings user k its beam at offset K - t. Offsets
-    1..K-t-1 interfere under both schemes; offsets K-t+1..K-1, decoded in
-    earlier cancelation slots, interfere only in the conventional one. Each
-    range is a running sum over slots, one add per slot, so no interference
-    is formed by subtraction, and slot 1, with no offset above K - 1, takes
-    the same value under both schemes.
+    Slot t brings user k its beam at offset K - 1 - t. Lower offsets interfere under both
+    schemes, higher ones (decoded in earlier cancelation slots) only in the conventional one;
+    each range is a running sum, one add per slot, never formed by subtraction. Lower sums grow
+    from the last slot and upper ones from the first, so the lower ones are stored, as prefix
+    sums over the last slot's zero. The zero-forcing block reuses the proposed scheme's
+    cancelation rows, so each block is valid until the next is asked for.
     """
     P, K, T = terms.uplink.shape
-    slots = K - 1 if scheme == "conventional" else SlotIndexer(K).sic_slots
-    dl = np.zeros((K - 1, P, K, T))
-    below = above = 0.0
+    c, pair, cross_power, idx = terms.scale, terms.pair, terms.cross_power, SlotIndexer(K)
+    slots = K - 1 if scheme == "conventional" else idx.sic_slots
+    rates = np.empty((slots, P, K, T))
+    rates[slots - 1] = 0.0
+    # Row t is row t + 1 plus offset K - 2 - t; the last row adds every offset below its own.
     for s in range(1, K - 1):
-        below = below + _power(terms.pair, terms.cross_power, s)
-        if K - 1 - s <= slots:
-            dl[K - 2 - s] = below
+        t = min(K - 2 - s, slots - 1)
+        np.add(rates[min(t + 1, slots - 1)], pair[s] * cross_power[s], out=rates[t])
     if scheme == "conventional":
-        for t in range(2, K):
-            above = above + _power(terms.pair, terms.cross_power, K - t + 1)
-            dl[t - 1] += above
-    c = terms.scale
-    signal = c * terms.norms**2
-    for t in range(slots):
-        dl[t] = np.log2(1.0 + signal / (c * dl[t] + 1.0))
+        above = 0.0
+        for t in range(1, K - 1):
+            above = above + pair[K - t] * cross_power[K - t]
+            rates[t] += above
+    np.add(np.multiply(c, rates, out=rates), 1.0, out=rates)
+    np.log2(np.add(np.divide(c * terms.norms**2, rates, out=rates), 1.0, out=rates), out=rates)
+    yield rates.transpose(1, 2, 0, 3)
     if scheme == "proposed":
+        zf = rates[:idx.n_unknowns]
         # Trial blocks small enough that the factor's (P, K, trials) temporaries stay in cache.
         step = max(1, _ZF_BLOCK_ENTRIES // (P * K))
         for lo in range(0, T, step):
             cross = (terms.cross_re[..., lo:lo + step], terms.cross_im[..., lo:lo + step])
             noise_gain = _zf_noise_gains(*cross, terms.betas).transpose(3, 0, 2, 1)
-            dl[slots:, ..., lo:lo + step] = np.log2(1.0 + c / noise_gain)
-    return dl.transpose(1, 2, 0, 3)
+            np.add(np.divide(c, noise_gain, out=noise_gain), 1.0, out=noise_gain)
+            np.log2(noise_gain, out=zf[..., lo:lo + step])
+        yield zf.transpose(1, 2, 0, 3)
 
 
 def _zf_noise_gains(cross_re, cross_im, betas):
@@ -246,11 +247,11 @@ def _zf_noise_gains(cross_re, cross_im, betas):
     to j+1, with rpair[s] = sqrt(beta_k) sqrt(beta_order[k,s]). For each
     distance d the profile-free products are formed once over all offsets,
     weighted, and window-summed for every j at once, highest offset first.
-    An unrolled Cholesky passes its pivots so far to ``rates.check_pivots``
-    before each square root, as the scalar oracle does, and the noise gains
-    are the squared column norms of L^-1. Everything runs in real arithmetic,
-    one IEEE operation per ufunc, so a trial's value does not depend on the
-    batch shape it is scored in.
+    An unrolled Cholesky overwrites those sums, never its inputs, with L and
+    passes its pivots so far to ``rates.check_pivots`` before each square
+    root, as the scalar oracle does; the noise gains are the squared column
+    norms of L^-1. Everything runs in real arithmetic, one IEEE operation per
+    ufunc, so a trial's value does not depend on the batch shape it is scored in.
     """
     K = cross_re.shape[0]
     idx = SlotIndexer(K)
@@ -266,37 +267,39 @@ def _zf_noise_gains(cross_re, cross_im, betas):
         im = _window_sum(weight, x_re[hi] * x_im[lo] - x_im[hi] * x_re[lo], S) if d else [None] * n
         for j in range(n - d):
             gram[j + d, j] = (re[j], im[j])
-    # Cholesky A = L L^H: low[i, j] = (Re, Im) of L_ij for i > j, inv[j] = 1 / L_jj.
-    low, inv = {}, {}
+    # Cholesky A = L L^H in place: gram[i, j] becomes L_ij for i > j, the pivot inv[j] = 1 / L_jj.
+    low, inv = gram, {}
     for j in range(n):
         pivot = gram[j, j][0]
         for m in range(j):
             pivot -= low[j, m][0] ** 2 + low[j, m][1] ** 2
-        least = pivot if j == 0 else np.minimum(least, pivot)
-        largest = pivot if j == 0 else np.maximum(largest, pivot)
+        least = np.minimum(least, pivot) if j else pivot.copy()
+        largest = np.maximum(largest, pivot) if j else least
         check_pivots(least, largest)
-        inv[j] = 1.0 / np.sqrt(pivot)
+        inv[j] = np.divide(1.0, np.sqrt(pivot, out=pivot), out=pivot)
         for i in range(j + 1, n):
             a_re, a_im = gram[i, j]
             for m in range(j):
                 (p_re, p_im), (q_re, q_im) = low[i, m], low[j, m]
                 a_re -= p_re * q_re + p_im * q_im
                 a_im -= p_im * q_re - p_re * q_im
-            low[i, j] = (a_re * inv[j], a_im * inv[j])
+            a_re *= inv[j]
+            a_im *= inv[j]
     # Column j of L^-1 by forward substitution; its squared norm is gain j.
     gains = np.empty((n, len(betas), K, cross_re.shape[-1]))
     for j in range(n):
         col = {}
         gains[j] = inv[j] ** 2
         for i in range(j + 1, n):
-            acc_re, acc_im = low[i, j][0] * inv[j], low[i, j][1] * inv[j]
+            acc_re, acc_im = col[i] = low[i, j][0] * inv[j], low[i, j][1] * inv[j]
             for m in range(j + 1, i):
                 (l_re, l_im), (v_re, v_im) = low[i, m], col[m]
                 acc_re += l_re * v_re - l_im * v_im
                 acc_im += l_re * v_im + l_im * v_re
             scale = -inv[i]
-            col[i] = (acc_re * scale, acc_im * scale)
-            gains[j] += col[i][0] ** 2 + col[i][1] ** 2
+            acc_re *= scale
+            acc_im *= scale
+            gains[j] += acc_re ** 2 + acc_im ** 2
     return gains.transpose(1, 3, 2, 0)
 
 
@@ -346,9 +349,11 @@ def _scan(config, betas, schemes, trials, seed, spread):
     def reduce(span):
         a, b, lo, hi = span
         terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas[a:b])
-        # One scheme at a time: each downlink table is reduced before the next is made.
-        return {"uplink": _moments(terms.uplink, spread),
-                **{scheme: _moments(_downlink_rates(terms, scheme), spread) for scheme in schemes}}
+        moments = {"uplink": _moments(terms.uplink, spread)}
+        for scheme in schemes:  # each block of slots is reduced as it is made
+            mean, m2 = zip(*(_moments(rates, spread) for rates in _slot_rates(terms, scheme)))
+            moments[scheme] = np.concatenate(mean, -1), np.concatenate(m2, -1) if spread else None
+        return moments
 
     shapes = {"uplink": (P, K), **{scheme: (P, K, K - 1) for scheme in schemes}}
     stats = {key: (np.zeros(s), np.zeros(s) if spread else None) for key, s in shapes.items()}
@@ -364,17 +369,12 @@ def _scan(config, betas, schemes, trials, seed, spread):
 
 
 def _moments(samples, spread):
-    """Mean and, if ``spread``, M2, the summed squared deviation from it, of (P, ..., trials)
-    samples. Deviations are formed one profile at a time, so the table is never copied whole."""
+    """Mean and, if ``spread``, M2, the summed squared deviation from it, of (..., trials) samples."""
     mean = samples.mean(axis=-1)
     if not spread:
         return mean, None
-    m2 = np.empty(mean.shape)
-    deviation = np.empty(samples.shape[1:])
-    for p, rows in enumerate(samples):
-        np.subtract(rows, mean[p, ..., None], out=deviation)
-        m2[p] = np.einsum("...t,...t->...", deviation, deviation)
-    return mean, m2
+    deviation = samples - mean[..., None]
+    return mean, np.einsum("...t,...t->...", deviation, deviation)
 
 
 def sum_se(estimate, scheme):

@@ -18,7 +18,7 @@ from mwrelay import SystemConfig, estimate_link_se
 from mwrelay import montecarlo
 from mwrelay.channel import _INV_SQRT2, draw_gram_factor, draw_small_scale
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
-from mwrelay.montecarlo import _block_terms, _downlink_rates
+from mwrelay.montecarlo import _block_terms, _slot_rates
 from mwrelay.schedule import SlotIndexer
 
 K = 10
@@ -42,13 +42,18 @@ def bartlett_grams(M, K, n, seed):
     return R.conj().transpose(0, 2, 1) @ R
 
 
+def downlink_rates(blocks):
+    """Per-trial downlink SE (T, K, K-1) of one profile, from ``_slot_rates`` blocks."""
+    return np.concatenate([rates[0].copy() for rates in blocks], axis=1).transpose(2, 0, 1)
+
+
 def kernel_rates(M, gram_h):
     """Per-trial uplink (T, K) and both schemes' downlink (T, K, K-1) rates of unit-gain Grams."""
     K = gram_h.shape[-1]
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     terms = _block_terms(config, gram_h, np.ones((1, K)))
     return {"uplink": terms.uplink[0].T,
-            **{scheme: _downlink_rates(terms, scheme)[0].transpose(2, 0, 1)
+            **{scheme: downlink_rates(_slot_rates(terms, scheme))
                for scheme in ("conventional", "proposed")}}
 
 
@@ -170,20 +175,20 @@ def test_sampler_rates_match_direct_draw(M, K):
 def test_estimator_rates_match_direct_draw(M, K, monkeypatch):
     # The rates estimate_link_se itself scores, captured at the kernel.
     captured = {"uplink": [], "conventional": [], "proposed": []}
-    real_terms, real_rates = montecarlo._block_terms, montecarlo._downlink_rates
+    real_terms, real_rates = montecarlo._block_terms, montecarlo._slot_rates
 
     def block_terms(*args):
         terms = real_terms(*args)
         captured["uplink"].append(terms.uplink[0].T)
         return terms
 
-    def downlink_rates(terms, scheme):
-        dl = real_rates(terms, scheme)
-        captured[scheme].append(dl[0].transpose(2, 0, 1))
-        return dl
+    def slot_rates(terms, scheme):
+        blocks = [rates.copy() for rates in real_rates(terms, scheme)]
+        captured[scheme].append(downlink_rates(blocks))
+        yield from blocks
 
     monkeypatch.setattr(montecarlo, "_block_terms", block_terms)
-    monkeypatch.setattr(montecarlo, "_downlink_rates", downlink_rates)
+    monkeypatch.setattr(montecarlo, "_slot_rates", slot_rates)
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     estimates = estimate_link_se(config, np.ones(K), ("conventional", "proposed"), TRIALS, seed=3)
@@ -208,7 +213,7 @@ def test_edge_sizes_match_direct_draw_verdicts(K, offset):
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     direct = _block_terms(config, direct_grams(M, K, trials, seed=4), np.ones((1, K)))
     try:
-        _downlink_rates(direct, "proposed")
+        downlink_rates(_slot_rates(direct, "proposed"))
         direct_singular = False
     except SingularSystemError:
         direct_singular = True

@@ -35,8 +35,8 @@ from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.montecarlo import (
     GRAM_BLOCK,
     _block_terms,
-    _downlink_rates,
     _offset_table,
+    _slot_rates,
     _zf_noise_gains,
 )
 from mwrelay.rates import check_pivots
@@ -117,10 +117,10 @@ def test_interference_slots_match_oracle_under_wide_spreads(K, extra, log_beta, 
     config = SystemConfig(M=M, K=K, p_u=power, p_r=power)
     H = draw_small_scale(M, K, np.random.default_rng(seed))
     terms = _block_terms(config, (H.conj().T @ H)[None], beta[None])
-    conv = _downlink_rates(terms, "conventional")[0, ..., 0]
+    conv = slot_table(terms, "conventional")[0, ..., 0]
     with mock.patch.object(montecarlo, "_zf_noise_gains", lambda cross_re, cross_im, betas:
                            np.ones((len(betas), cross_re.shape[-1], K, idx.n_unknowns))):
-        prop = _downlink_rates(terms, "proposed")[0, ..., 0]
+        prop = slot_table(terms, "proposed")[0, ..., 0]
     G = H * np.sqrt(beta)
     for k in range(1, K + 1):
         assert terms.uplink[0, k - 1, 0] == pytest.approx(
@@ -402,11 +402,81 @@ def gather_zf_noise_gains(gram_h, betas):
     return gains.transpose(1, 3, 2, 0)
 
 
-def proposed_rates_or_verdict(terms):
+def table_downlink_rates(terms, scheme):
+    """The downlink kernel in its table form, the oracle for ``_slot_rates``: per-trial SE
+    (P, K, K-1, T) of one scheme, every slot's interference a running sum over offsets."""
+    P, K, T = terms.uplink.shape
+    slots = K - 1 if scheme == "conventional" else SlotIndexer(K).sic_slots
+    dl = np.zeros((K - 1, P, K, T))
+    below = above = 0.0
+    for s in range(1, K - 1):
+        below = below + terms.pair[s] * terms.cross_power[s]
+        if K - 1 - s <= slots:
+            dl[K - 2 - s] = below
+    if scheme == "conventional":
+        for t in range(2, K):
+            above = above + terms.pair[K - t + 1] * terms.cross_power[K - t + 1]
+            dl[t - 1] += above
+    c = terms.scale
+    signal = c * terms.norms**2
+    for t in range(slots):
+        dl[t] = np.log2(1.0 + signal / (c * dl[t] + 1.0))
+    if scheme == "proposed":
+        step = max(1, montecarlo._ZF_BLOCK_ENTRIES // (P * K))
+        for lo in range(0, T, step):
+            cross = (terms.cross_re[..., lo:lo + step], terms.cross_im[..., lo:lo + step])
+            noise_gain = _zf_noise_gains(*cross, terms.betas).transpose(3, 0, 2, 1)
+            dl[slots:, ..., lo:lo + step] = np.log2(1.0 + c / noise_gain)
+    return dl.transpose(1, 2, 0, 3)
+
+
+def slot_table(terms, scheme):
+    """``_slot_rates`` blocks, each copied before the next is made, joined into (P, K, K-1, T)."""
+    return np.concatenate([rates.copy() for rates in _slot_rates(terms, scheme)], axis=2)
+
+
+def rates_or_verdict(kernel, terms, scheme):
     try:
-        return _downlink_rates(terms, "proposed")
+        return kernel(terms, scheme)
     except SingularSystemError:
         return "singular"
+
+
+@pytest.mark.parametrize("K", range(2, 16))
+def test_slot_rates_equal_table_form(K, monkeypatch):
+    # Block by block, the generator takes the table form's IEEE operations in
+    # its order under both schemes: at M from K to 100, gains spread over 0, 2
+    # and 8 decades and p_r = 1e8, with the factor's trial chunks cut small so
+    # that from K = 3 it runs in several. K = 2 has one slot and no
+    # interference, and K = 3 a slot with one interfering term, in either scheme.
+    monkeypatch.setattr(montecarlo, "_ZF_BLOCK_ENTRIES", 500)
+    trials = 64
+    for M in (K, K + 1, 3 * K, 100):
+        config = SystemConfig(M=M, K=K, p_u=1.0, p_r=1e8)
+        for decades in (0, 2, 8):
+            rng = np.random.default_rng([K, M, decades, 1])
+            betas = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=(3, K))
+            H = draw_small_scale(M, K * trials, rng).reshape(M, trials, K).transpose(1, 0, 2)
+            terms = _block_terms(config, H.conj().transpose(0, 2, 1) @ H, betas)
+            for scheme in SCHEMES:
+                table = rates_or_verdict(table_downlink_rates, terms, scheme)
+                rows = rates_or_verdict(slot_table, terms, scheme)
+                assert isinstance(rows, str) == isinstance(table, str), (M, decades, scheme)
+                assert isinstance(rows, str) or np.array_equal(rows, table), (M, decades, scheme)
+
+
+def test_zf_noise_gains_leave_inputs_unchanged():
+    # The factor overwrites its own Gram entries in place, never the offset
+    # table or gains it reads, so scoring the same arrays twice agrees.
+    K = 10
+    rng = np.random.default_rng(9)
+    betas = rng.uniform(0.2, 3.0, size=(3, K))
+    H = draw_small_scale(24, K * 50, rng).reshape(24, 50, K).transpose(1, 0, 2)
+    inputs = (*_offset_table(H.conj().transpose(0, 2, 1) @ H), betas)
+    saved = [x.tobytes() for x in inputs]
+    first = _zf_noise_gains(*inputs)
+    assert [x.tobytes() for x in inputs] == saved
+    assert np.array_equal(_zf_noise_gains(*inputs), first)
 
 
 @pytest.mark.parametrize("K", range(2, 16))
@@ -428,10 +498,10 @@ def test_offset_zf_kernel_equals_gather_form(K):
             for channels in (H, H[..., :1] + 1e-9 * H):
                 gram_h = channels.conj().transpose(0, 2, 1) @ channels
                 terms = _block_terms(config, gram_h, betas)
-                offset = proposed_rates_or_verdict(terms)
+                offset = rates_or_verdict(slot_table, terms, "proposed")
                 with mock.patch.object(montecarlo, "_zf_noise_gains",
                                        lambda *_: gather_zf_noise_gains(gram_h, betas)):
-                    gather = proposed_rates_or_verdict(terms)
+                    gather = rates_or_verdict(slot_table, terms, "proposed")
                 assert isinstance(offset, str) == isinstance(gather, str), (M, decades)
                 assert isinstance(offset, str) or np.array_equal(offset, gather), (M, decades)
                 verdicts.add(isinstance(offset, str))
@@ -456,10 +526,10 @@ def test_singular_verdict_matches_oracle(K):
         terms = _block_terms(config, (H.conj().T @ H)[None], betas)
         if singular:
             with pytest.raises(SingularSystemError) as info:
-                _downlink_rates(terms, "proposed")
+                slot_table(terms, "proposed")
             assert info.value.condition > 1e12 or math.isinf(info.value.condition)
         else:
-            assert np.all(np.isfinite(_downlink_rates(terms, "proposed")))
+            assert np.all(np.isfinite(slot_table(terms, "proposed")))
         for beta in betas:
             for k in range(1, K + 1):
                 if singular:
@@ -587,20 +657,20 @@ def test_merged_moments_match_two_pass_reduction(trials, monkeypatch):
     # in one two-pass numpy step over all trials.
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     tables = {"uplink": [], **{scheme: [] for scheme in SCHEMES}}
-    real_terms, real_rates = montecarlo._block_terms, montecarlo._downlink_rates
+    real_terms, real_rates = montecarlo._block_terms, montecarlo._slot_rates
 
     def block_terms(config, gram_h, betas):
         terms = real_terms(config, gram_h, betas)
         tables["uplink"].append(terms.uplink[0].copy())
         return terms
 
-    def downlink_rates(terms, scheme):
-        rates = real_rates(terms, scheme)
-        tables[scheme].append(rates[0].copy())
-        return rates
+    def slot_rates(terms, scheme):
+        blocks = [rates.copy() for rates in real_rates(terms, scheme)]
+        tables[scheme].append(np.concatenate(blocks, axis=2)[0])
+        yield from blocks
 
     monkeypatch.setattr(montecarlo, "_block_terms", block_terms)
-    monkeypatch.setattr(montecarlo, "_downlink_rates", downlink_rates)
+    monkeypatch.setattr(montecarlo, "_slot_rates", slot_rates)
     estimates = estimate_link_se(CONFIG, BETA, SCHEMES, trials, seed=13)
     samples = {key: np.concatenate(parts, axis=-1) for key, parts in tables.items()}
     assert samples["uplink"].shape == (CONFIG.K, trials)
@@ -667,6 +737,25 @@ def test_estimate_peak_memory_flat_in_trials(monkeypatch):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
+def test_placement_span_peak_memory(monkeypatch):
+    # One K = 10 span of 40 profiles x one Gram block, proposed scheme. With
+    # slots reduced as they are made and the factor run in place, the peak
+    # read 11.1 MB on numpy 2.4; a (P, K, K-1, T) slot table (7.4 MB) plus a
+    # factor holding a new array per factor entry read 18.3 MB.
+    import tracemalloc
+
+    monkeypatch.setenv("MWRELAY_THREADS", "1")
+    config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
+    cdf_experiment(config, GeometryModel(), 2, 10, seed=3)  # warm the caches
+    tracemalloc.start()
+    try:
+        cdf_experiment(config, GeometryModel(), 40, GRAM_BLOCK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
 
 
 @pytest.mark.parametrize("schemes", ["proposed", (), ("proposed", "hybrid")])
