@@ -8,6 +8,8 @@ the residual Gram with its mean.  That replacement is optimistic at small
 user counts — the Gram entries keep order-one relative spread however large
 the array gets — so unlike the Jensen bounds it is not a guaranteed lower
 bound (see the validation suite, which quantifies the gap).
+``BoundReport.downlink`` lays out a scheme's slots as ``LinkEstimate``
+does, and ``schedule.compose_sum_se`` turns them into its sum SE.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig, checked_gains
-from .schedule import SlotIndexer, partner_index
+from .schedule import SlotIndexer, compose_sum_se, partner_index
 
 __all__ = [
     "uplink_bound",
@@ -143,23 +145,17 @@ class BoundReport:
     dl_proposed: np.ndarray
     zf_asymptotic: np.ndarray
 
-    def sum_se(self, scheme):
-        """Closed-form sum SE: per-cell min(uplink, downlink), summed, pre-logged.
-
-        The proposed scheme composes the cancelation-slot bounds with the
-        zero-forcing asymptote and pre-log 1/(sic_slots + 1); the
-        conventional scheme uses its K - 1 slot bounds with pre-log 1/K.
-        """
-        idx = SlotIndexer(self.uplink.size)
+    def downlink(self, scheme):
+        """(K, K-1) slot table as in ``LinkEstimate``; proposed: dl_proposed | zf_asymptotic."""
+        if scheme == "conventional":
+            return self.dl_conventional
         if scheme == "proposed":
-            table = np.concatenate([self.dl_proposed, self.zf_asymptotic], axis=1)
-            pre_log = 1.0 / idx.proposed_slots
-        elif scheme == "conventional":
-            table = self.dl_conventional
-            pre_log = 1.0 / idx.conventional_slots
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        return float(pre_log * np.minimum(self.uplink[:, None], table).sum())
+            return np.concatenate([self.dl_proposed, self.zf_asymptotic], axis=1)
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+    def sum_se(self, scheme):
+        """Closed-form sum SE of ``downlink(scheme)``, composed by ``schedule.compose_sum_se``."""
+        return float(compose_sum_se(self.uplink, self.downlink(scheme), scheme)[1])
 
 
 def bound_report(config, beta):

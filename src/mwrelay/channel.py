@@ -196,9 +196,9 @@ def _factor_positions(rows, K):
 
 
 def compose_channel(H, beta):
-    """Scale column k of H by sqrt(beta_k); exact, no sampling."""
+    """Scale column k of H by sqrt(beta_k); exact, no sampling. Gains pass ``checked_gains``."""
     H = np.asarray(H)
-    beta = beta.beta if isinstance(beta, LargeScaleProfile) else np.asarray(beta, dtype=float)
+    beta = checked_gains(beta)
     if H.ndim != 2 or H.shape[1] != beta.size:
         raise InvalidConfigError(
             f"shape mismatch: H is {H.shape}, beta has {beta.size} entries"
@@ -227,8 +227,8 @@ def draw_large_scale(geometry, K, rng, seed=None):
 
 
 def write_beta_file(path, profile):
-    """Serialize a profile as one decimal gain per line."""
-    beta = profile.beta if isinstance(profile, LargeScaleProfile) else np.asarray(profile, float)
+    """Serialize a profile as one decimal gain per line; gains pass ``checked_gains`` first."""
+    beta = checked_gains(profile)
     with open(path, "w") as fh:
         for value in beta:
             fh.write(f"{float(value)!r}\n")

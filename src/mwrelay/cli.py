@@ -30,9 +30,9 @@ from .channel import (
     unit_profile,
 )
 from .exceptions import InvalidConfigError, SingularSystemError
-from .montecarlo import SCHEMES, cdf_experiment, estimate_link_se, sum_se
+from .montecarlo import cdf_experiment, estimate_link_se, sum_se
 from .rates import build_zf_stage
-from .schedule import SlotIndexer
+from .schedule import SCHEMES, SlotIndexer
 from .validation import run_round_noiseless
 
 __all__ = ["main", "parse_and_dispatch", "write_csv", "db_to_linear", "parse_m_range"]
@@ -198,26 +198,19 @@ def _require_out(options):
 
 def _closed_form_cells(report, scheme, K):
     """(user, slot, metric, closed-form value) per cell; slot 0 is the uplink."""
-    sic_slots = SlotIndexer(K).sic_slots
-    for k in range(1, K + 1):
-        yield k, 0, "se_bound", report.uplink[k - 1]
-        for t in range(1, K):
-            if scheme == "conventional":
-                yield k, t, "se_bound", report.dl_conventional[k - 1, t - 1]
-            elif t <= sic_slots:
-                yield k, t, "se_bound", report.dl_proposed[k - 1, t - 1]
-            else:
-                yield k, t, "se_asym", report.zf_asymptotic[k - 1, t - 1 - sic_slots]
+    table = np.column_stack([report.uplink, report.downlink(scheme)])
+    first_zf = SlotIndexer(K).sic_slots + 1 if scheme == "proposed" else K
+    for (k, t), value in np.ndenumerate(table):
+        yield k + 1, t, "se_asym" if t >= first_zf else "se_bound", value
 
 
 def _link_rows(experiment, scheme, config, seed, estimate, report):
     """Aggregate + per-user rows for one (M, scheme) cell."""
     M, K = config.M, config.K
     composed = sum_se(estimate, scheme)
-    analytic = report.sum_se(scheme)
     rows = [
         (experiment, scheme, M, K, 0, 0, "sum_se", composed.sum_se, composed.stderr, seed),
-        (experiment, scheme, M, K, 0, 0, "se_bound", analytic, 0.0, seed),
+        (experiment, scheme, M, K, 0, 0, "se_bound", report.sum_se(scheme), 0.0, seed),
     ]
     # Column 0 is the uplink, columns 1..K-1 the broadcast slots.
     mc = np.column_stack([estimate.uplink, estimate.downlink])

@@ -21,7 +21,8 @@ it is made, so its largest arrays are the conventional scheme's K - 2
 stored prefix sums and the proposed scheme's cancelation rows, reused as its
 zero-forcing buffer. ``estimate_link_se`` is the P = 1 case and keeps
 each cell's M2 for its standard error; ``cdf_experiment`` is the P > 1 case
-and keeps means alone, which take the same operations in both, so its sample
+and keeps means alone, which take the same operations in both, and both
+compose their sum SE through ``schedule.compose_sum_se``, so its sample
 equals ``sum_se_once`` for its gains exactly. Both score every scheme asked
 for on the same Grams, so each Gram is drawn once per span of profiles.
 
@@ -44,12 +45,11 @@ from .channel import (STREAM_GRAM, STREAM_PROFILE, checked_gains, draw_gram_fact
                       draw_large_scale, substream)
 from .exceptions import InvalidConfigError
 from .rates import check_pivots
-from .schedule import SlotIndexer
+from .schedule import SCHEMES, SlotIndexer, compose_sum_se
 
 __all__ = ["LinkEstimate", "SumSeReport", "CdfResult", "SCHEMES", "estimate_link_se", "sum_se",
            "sum_se_once", "cdf_experiment", "resolve_workers"]
 
-SCHEMES = ("conventional", "proposed")
 # Trials per Gram block: the unit of drawing and of work for the pool.
 GRAM_BLOCK = 256
 # Entries per (profile, user, trial) array in one zero-forcing block.
@@ -122,15 +122,10 @@ class CdfResult:
 
 
 def _check_schemes(schemes):
-    """The requested schemes as a tuple of checked names."""
-    if isinstance(schemes, str) or not schemes or not set(schemes) <= set(SCHEMES):
-        raise ValueError(f"schemes must be a nonempty tuple drawn from {SCHEMES}, got {schemes!r}")
+    """The requested schemes as a tuple of distinct checked names."""
+    if not schemes or len(set(schemes) & set(SCHEMES)) != len(schemes):
+        raise ValueError(f"schemes must be one or more distinct names from {SCHEMES}, got {schemes!r}")
     return tuple(schemes)
-
-
-def _pre_log(K, scheme):
-    idx = SlotIndexer(K)
-    return 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
 
 
 def _run_spans(fn, spans, entries):
@@ -312,11 +307,6 @@ def _window_sum(weight, part, S):
     return total
 
 
-def _min_sum(ul, dl):
-    """min(uplink_k, downlink_kt) summed over users and slots, per leading index."""
-    return np.minimum(ul[..., None], dl).sum(axis=(-2, -1))
-
-
 def estimate_link_se(config, beta, schemes, trials, seed):
     """Uplink and downlink ergodic SE of each scheme, from one set of channel draws.
 
@@ -380,20 +370,18 @@ def _moments(samples, spread):
 def sum_se(estimate, scheme):
     """Compose a LinkEstimate into the scheme's sum SE.
 
-    Applies min(uplink_k, downlink_{k,t}) to the already-averaged rates for
-    every user and slot, sums, and scales by the scheme pre-log
-    (1/(sic_slots + 1) proposed, 1/K conventional).
+    Applies ``schedule.compose_sum_se`` to the already-averaged rates:
+    min(uplink_k, downlink_{k,t}) for every user and slot, summed and scaled
+    by the scheme pre-log.
     """
-    _check_schemes((scheme,))
     ul, dl = estimate.uplink, estimate.downlink
     K = ul.shape[0]
     if dl.shape != (K, K - 1):
         raise ValueError(f"downlink estimates must cover {K} users x {K - 1} slots, got {dl.shape}")
-    pre_log = _pre_log(K, scheme)
+    pre_log, total = compose_sum_se(ul, dl, scheme)
     binding_err = np.where(ul[:, None] <= dl, estimate.uplink_stderr[:, None], estimate.downlink_stderr)
-    return SumSeReport(scheme=scheme, min_rates=np.minimum(ul[:, None], dl),
-                       sum_se=float(pre_log * _min_sum(ul, dl)), pre_log=pre_log,
-                       stderr=float(pre_log * binding_err.sum()))
+    return SumSeReport(scheme=scheme, min_rates=np.minimum(ul[:, None], dl), sum_se=float(total),
+                       pre_log=pre_log, stderr=float(pre_log * binding_err.sum()))
 
 
 def sum_se_once(config, beta, scheme, trials, seed):
@@ -427,5 +415,5 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
 
     stats = _scan(config, betas, schemes, trials_per_profile, seed, spread=False)
     ul = stats["uplink"][0]
-    return {scheme: CdfResult(samples=_pre_log(K, scheme) * _min_sum(ul, stats[scheme][0]))
+    return {scheme: CdfResult(samples=compose_sum_se(ul, stats[scheme][0], scheme)[1])
             for scheme in schemes}

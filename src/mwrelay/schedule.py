@@ -12,7 +12,9 @@ other module slices: ``order[k-1, d]`` is the d-th symbol user k ends up
 holding (column t is the slot-t target, columns sic_slots+1.. the
 remaining unknowns), and ``beams[k-1, t-1, d]`` the beam that carries it
 in slot t. The scalar functions (1-based indices) are the oracle the
-tables are tested against.
+tables are tested against. ``compose_sum_se`` turns per-cell rates into
+the sum SE of any scheme in ``SCHEMES``: 1 / (slots used) times the summed
+per-cell min(uplink, downlink).
 """
 
 import functools
@@ -23,13 +25,17 @@ import numpy as np
 from .exceptions import InvalidConfigError
 
 __all__ = [
+    "SCHEMES",
     "slot_count",
     "partner_index",
     "known_set",
     "remaining_unknowns",
     "zf_coefficient_offset",
     "SlotIndexer",
+    "compose_sum_se",
 ]
+
+SCHEMES = ("conventional", "proposed")
 
 
 def _check_users(K):
@@ -149,3 +155,13 @@ class SlotIndexer:
     def beam(self, k, m, n):
         """Column index whose beam carries unknown n in residual equation m of user k."""
         return self.partner(k, self.offset(m, n))
+
+
+def compose_sum_se(uplink, downlink, scheme):
+    """(pre_log, sum SE) of (..., K) uplink and (..., K, K-1) downlink rates: the sum over the
+    last two axes of min(uplink_k, downlink_kt), times pre_log 1/(sic_slots + 1) or 1/K."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    idx = SlotIndexer(uplink.shape[-1])
+    pre_log = 1.0 / (idx.proposed_slots if scheme == "proposed" else idx.conventional_slots)
+    return pre_log, pre_log * np.minimum(uplink[..., None], downlink).sum(axis=(-2, -1))

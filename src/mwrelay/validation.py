@@ -24,7 +24,7 @@ from .channel import (
     substream,
 )
 from .exceptions import SingularSystemError
-from .rates import build_zf_stage, relay_precode
+from .rates import _broadcast_scale, build_zf_stage, relay_precode
 from .schedule import SlotIndexer
 
 __all__ = [
@@ -86,11 +86,6 @@ class NoiselessRound:
     attempts: int
 
 
-def _amplitude(beta, p_r, M):
-    """Broadcast scale sqrt(p_r / (M sum(beta))) that a clean received symbol carries."""
-    return math.sqrt(p_r / (M * np.sum(beta)))
-
-
 def _decode_round(G, beta, p_r, x, idx, noise=None):
     """Decode one round at every user at once; returns (slot, zf).
 
@@ -106,7 +101,7 @@ def _decode_round(G, beta, p_r, x, idx, noise=None):
     """
     M, K = G.shape
     T = idx.sic_slots
-    scale = _amplitude(beta, p_r, M)
+    scale = math.sqrt(_broadcast_scale(beta, p_r, M))
     stage = build_zf_stage(G, np.arange(1, K + 1), idx)
     cross = stage.cross
     received = G.conj().T @ relay_precode(G, beta, p_r, x[idx.order[:, 1:T + 1]])
@@ -131,7 +126,7 @@ def run_round_noiseless(config, beta, seed, frame=None):
     M, K = config.M, config.K
     beta = checked_gains(beta, K)
     idx = SlotIndexer(K)
-    scale = _amplitude(beta, config.p_r, M)
+    scale = math.sqrt(_broadcast_scale(beta, config.p_r, M))
     last_error = None
     for attempt in range(8):
         rng = substream(seed, STREAM_CHANNEL, attempt)
@@ -190,7 +185,7 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     idx = SlotIndexer(K)
-    scale = _amplitude(beta, p_r, M)
+    scale = math.sqrt(_broadcast_scale(beta, p_r, M))
     targets = idx.order[:, 1:]
     errors = np.zeros((K, K - 1))
 

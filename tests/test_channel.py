@@ -73,6 +73,13 @@ def test_compose_rejects_mismatch():
         compose_channel(np.zeros((3, 4)), np.ones(5))
 
 
+@pytest.mark.parametrize("gains", [[-1.0, np.nan], [1.0, 0.0], [np.inf, 1.0]])
+def test_compose_rejects_bad_gains(gains):
+    # A bad gain used to come back as a NaN column with only a RuntimeWarning.
+    with pytest.raises(InvalidConfigError, match="positive and finite"):
+        compose_channel(np.ones((2, 2)), gains)
+
+
 def test_small_scale_is_reproducible_per_substream():
     a = draw_small_scale(16, 4, substream(7, STREAM_CHANNEL, 11))
     b = draw_small_scale(16, 4, substream(7, STREAM_CHANNEL, 11))
@@ -149,6 +156,14 @@ def test_beta_file_round_trip(tmp_path):
     assert np.array_equal(loaded.beta, profile.beta)
     assert loaded.provenance.startswith("file:")
     assert len(path.read_text().strip().splitlines()) == 7
+
+
+def test_beta_file_rejects_bad_gains(tmp_path):
+    # Gains that read_beta_file would reject are never written.
+    path = tmp_path / "beta.txt"
+    with pytest.raises(InvalidConfigError, match="positive and finite"):
+        write_beta_file(path, [0.0, -2.0])
+    assert not path.exists()
 
 
 def test_realization_keeps_inputs():

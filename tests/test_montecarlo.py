@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwrelay import (
+    BoundReport,
     GeometryModel,
     LinkEstimate,
     SystemConfig,
@@ -40,7 +41,8 @@ from mwrelay.montecarlo import (
     _zf_noise_gains,
 )
 from mwrelay.rates import check_pivots
-from mwrelay.schedule import SlotIndexer
+from mwrelay.schedule import SCHEMES as SCHEDULE_SCHEMES
+from mwrelay.schedule import SlotIndexer, compose_sum_se
 
 CONFIG = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
 BETA = np.array([0.5, 1.0, 2.0, 0.8, 1.3])
@@ -263,6 +265,49 @@ def test_sum_se_validates_coverage():
         sum_se(link_estimate(ul[:3], short, stderr=0.0, trials=5), "proposed")
     with pytest.raises(ValueError):
         sum_se(link_estimate(ul, np.ones((4, 3)), stderr=0.0, trials=5), "mixed")
+
+
+def test_schemes_must_be_distinct():
+    # A repeated name used to be scored once per repeat and returned once.
+    with pytest.raises(ValueError, match="distinct"):
+        estimate_link_se(CONFIG, BETA, ("proposed",) * 3, 20, seed=1)
+    with pytest.raises(ValueError, match="distinct"):
+        cdf_experiment(CONFIG, None, 2, 20, seed=1, schemes=("conventional", "conventional"))
+    for bad in ((), "proposed", ("proposed", "hybrid")):
+        with pytest.raises(ValueError):
+            estimate_link_se(CONFIG, BETA, bad, 20, seed=1)
+
+
+@pytest.mark.parametrize("K", range(2, 13))
+def test_sum_se_entry_points_compose_alike(K):
+    # Monte Carlo estimates, closed-form reports and a stack of P profiles all
+    # reach the sum SE through schedule.compose_sum_se, so they agree exactly.
+    assert montecarlo.SCHEMES is SCHEDULE_SCHEMES
+    idx, P = SlotIndexer(K), 6
+    rng = np.random.default_rng(K)
+    uplink = rng.uniform(0.1, 8.0, (P, K))
+    conventional = rng.uniform(0.1, 8.0, (P, K, K - 1))
+    cancelation = rng.uniform(0.1, 8.0, (P, K, idx.sic_slots))
+    zf = rng.uniform(0.1, 8.0, (P, K, idx.n_unknowns))
+    tables = {"conventional": conventional, "proposed": np.concatenate([cancelation, zf], -1)}
+    for scheme, slots in (("conventional", K), ("proposed", idx.sic_slots + 1)):
+        pre_log, stacked = compose_sum_se(uplink, tables[scheme], scheme)
+        assert pre_log == 1.0 / slots and stacked.shape == (P,)
+        for p in range(P):
+            report = BoundReport(uplink[p], conventional[p], cancelation[p], zf[p])
+            estimate = link_estimate(uplink[p], tables[scheme][p], stderr=0.0, trials=5)
+            assert np.array_equal(report.downlink(scheme), tables[scheme][p])
+            composed = sum_se(estimate, scheme)
+            assert composed.pre_log == pre_log
+            assert composed.sum_se == report.sum_se(scheme) == stacked[p]
+    report = BoundReport(uplink[0], conventional[0], cancelation[0], zf[0])
+    estimate = link_estimate(uplink[0], conventional[0], stderr=0.0, trials=5)
+    for call in (lambda: compose_sum_se(uplink, conventional, "hybrid"),
+                 lambda: sum_se(estimate, "hybrid"),
+                 lambda: report.sum_se("hybrid"),
+                 lambda: report.downlink("hybrid")):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            call()
 
 
 def test_cdf_unit_profiles_degenerate():
