@@ -22,7 +22,7 @@ print(f"  E||column||^2 {np.mean(np.sum(np.abs(H) ** 2, axis=0)):.3f} (target {M
 print()
 
 beta = np.array([0.25, 1.0, 4.0])
-G = compose_channel(H[:, :3], beta).G
+G = compose_channel(H[:, :3], beta)
 print("composition scales columns by sqrt(beta):")
 print(f"  beta = {beta}")
 print(f"  column energy ratio G/H = {np.sum(np.abs(G)**2, 0) / np.sum(np.abs(H[:, :3])**2, 0)}")
@@ -30,10 +30,10 @@ print()
 
 geometry = GeometryModel()
 print(f"placement model: {geometry}")
-profile = draw_large_scale(geometry, 100_000, substream(2024, STREAM_PROFILE, 0))
-decades = np.log10(profile.beta)
-print(f"  gains span {profile.beta.min():.2e} .. {profile.beta.max():.2e}")
-print(f"  median {np.median(profile.beta):.3e}")
+gains = draw_large_scale(geometry, 100_000, substream(2024, STREAM_PROFILE, 0))
+decades = np.log10(gains)
+print(f"  gains span {gains.min():.2e} .. {gains.max():.2e}")
+print(f"  median {np.median(gains):.3e}")
 d_med = np.sqrt((geometry.exclusion_radius**2 + geometry.cell_radius**2) / 2)
 print(f"  closed-form median (no shadowing would give "
       f"{(d_med / geometry.reference_distance) ** -geometry.path_loss_exponent:.3e})")

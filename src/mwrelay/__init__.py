@@ -21,17 +21,15 @@ from .bounds import (
     zf_asymptotic_rate,
 )
 from .channel import (
-    ChannelRealization,
     GeometryModel,
-    LargeScaleProfile,
     SystemConfig,
+    checked_gains,
     compose_channel,
     draw_gram_factor,
     draw_large_scale,
     draw_small_scale,
     read_beta_file,
     substream,
-    unit_profile,
     write_beta_file,
 )
 from .exceptions import DegenerateChannelError, InvalidConfigError, SingularSystemError
@@ -65,7 +63,6 @@ from .schedule import (
 )
 from .validation import (
     NoiselessRound,
-    SymbolFrame,
     fixed_frame,
     qpsk_frame,
     run_round_noiseless,

@@ -1,20 +1,21 @@
-"""Channel generation: large-scale fading profiles and Rayleigh realizations.
+"""Channel generation: large-scale gains and Rayleigh realizations.
 
-The composite channel is G = H * diag(beta)^(1/2) with H holding i.i.d.
-circularly-symmetric unit-variance complex Gaussian entries. Randomness is
-counter-based: every unit of work owns a substream derived from
-(seed, stream tag, index), so a realization depends only on the seed and its
-index, never on how work is spread over threads. ``draw_small_scale`` draws
-H itself, one trial per (STREAM_CHANNEL, trial) substream, for the symbol
-rounds and as the oracle of the Monte Carlo path. That path needs only the
-Gram H^H H, which ``draw_gram_factor`` samples through its Bartlett factor
-without drawing H, a fixed block of trials per (STREAM_GRAM, block)
-substream.
+Gains are plain float64 arrays, one per user, that pass ``checked_gains``.
+The composite channel is the M x K array G = H * diag(beta)^(1/2) with H
+holding i.i.d. circularly-symmetric unit-variance complex Gaussian entries.
+Randomness is counter-based: every unit of work owns a substream derived
+from (seed, stream tag, index), so a realization depends only on the seed
+and its index, never on how work is spread over threads.
+``draw_small_scale`` draws H itself, one trial per (STREAM_CHANNEL, trial)
+substream, for the symbol rounds and as the oracle of the Monte Carlo
+path. That path needs only the Gram H^H H, which ``draw_gram_factor``
+samples through its Bartlett factor without drawing H, a fixed block of
+trials per (STREAM_GRAM, block) substream.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +24,7 @@ from .exceptions import InvalidConfigError
 __all__ = [
     "SystemConfig",
     "GeometryModel",
-    "LargeScaleProfile",
     "checked_gains",
-    "ChannelRealization",
     "substream",
     "STREAM_CHANNEL",
     "STREAM_PROFILE",
@@ -34,7 +33,6 @@ __all__ = [
     "draw_gram_factor",
     "compose_channel",
     "draw_large_scale",
-    "unit_profile",
     "write_beta_file",
     "read_beta_file",
 ]
@@ -62,7 +60,7 @@ class SystemConfig:
 
     p_u is the normalized per-user transmit power and p_r the normalized
     relay transmit power; noise is unit-variance under the same
-    normalization.
+    normalization. Integral float counts are kept as ints.
     """
 
     M: int
@@ -79,6 +77,8 @@ class SystemConfig:
             raise InvalidConfigError(f"user power must be positive and finite, got {self.p_u!r}")
         if not 0 < self.p_r < math.inf:
             raise InvalidConfigError(f"relay power must be positive and finite, got {self.p_r!r}")
+        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "K", int(self.K))
 
 
 @dataclass(frozen=True)
@@ -102,50 +102,20 @@ class GeometryModel:
             raise InvalidConfigError("reference distance must be positive")
 
 
-@dataclass(frozen=True)
-class LargeScaleProfile:
-    """Per-user large-scale gains (the diagonal of D) plus their provenance."""
-
-    beta: np.ndarray
-    provenance: str = "uniform-unit"
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        if beta.ndim != 1 or beta.size == 0:
-            raise InvalidConfigError("beta must be a nonempty 1-D sequence")
-        if not np.all((beta > 0) & np.isfinite(beta)):
-            raise InvalidConfigError("all large-scale gains must be positive and finite")
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def K(self):
-        return self.beta.size
-
-
 def checked_gains(beta, K=None):
-    """Gains from an array or a LargeScaleProfile, checked as LargeScaleProfile does.
+    """Large-scale gains (the diagonal of D) as a float64 1-D array.
 
-    Raises InvalidConfigError unless they are positive, finite and 1-D, and,
-    when K is given, K of them.
+    Raises InvalidConfigError unless they are a nonempty 1-D sequence of
+    positive, finite values and, when K is given, K of them.
     """
-    beta = LargeScaleProfile(getattr(beta, "beta", beta)).beta
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim != 1 or beta.size == 0:
+        raise InvalidConfigError("beta must be a nonempty 1-D sequence")
+    if not np.all((beta > 0) & np.isfinite(beta)):
+        raise InvalidConfigError("all large-scale gains must be positive and finite")
     if K is not None and beta.size != K:
         raise InvalidConfigError(f"beta has {beta.size} gains, expected K={K}")
     return beta
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Composite channel matrix G (M x K) and the profile that scaled it."""
-
-    G: np.ndarray
-    beta: np.ndarray
-    H: np.ndarray = None
-
-
-def unit_profile(K):
-    """All-ones profile (every user at the reference gain)."""
-    return LargeScaleProfile(np.ones(int(K)), provenance="uniform-unit")
 
 
 def draw_small_scale(M, K, rng):
@@ -196,18 +166,18 @@ def _factor_positions(rows, K):
 
 
 def compose_channel(H, beta):
-    """Scale column k of H by sqrt(beta_k); exact, no sampling. Gains pass ``checked_gains``."""
+    """G: column k of H scaled by sqrt(beta_k); exact, no sampling. Gains pass ``checked_gains``."""
     H = np.asarray(H)
     beta = checked_gains(beta)
     if H.ndim != 2 or H.shape[1] != beta.size:
         raise InvalidConfigError(
             f"shape mismatch: H is {H.shape}, beta has {beta.size} entries"
         )
-    return ChannelRealization(G=H * np.sqrt(beta)[None, :], beta=beta, H=H)
+    return H * np.sqrt(beta)[None, :]
 
 
-def draw_large_scale(geometry, K, rng, seed=None):
-    """Draw one placement profile from the geometry model.
+def draw_large_scale(geometry, K, rng):
+    """Draw one placement profile from the geometry model: K checked gains.
 
     Users fall uniformly in area over the annulus between the exclusion and
     cell radii; the gain is shadow / (d / reference_distance)^nu with
@@ -222,20 +192,19 @@ def draw_large_scale(geometry, K, rng, seed=None):
     d = np.sqrt(r0sq + rng.uniform(size=K) * (rsq - r0sq))
     shadow_db = rng.standard_normal(K) * geometry.shadowing_sigma_db
     beta = 10.0 ** (shadow_db / 10.0) / (d / geometry.reference_distance) ** geometry.path_loss_exponent
-    tag = f"generated({geometry}" + (f", seed={seed})" if seed is not None else ")")
-    return LargeScaleProfile(beta, provenance=tag)
+    return checked_gains(beta)
 
 
-def write_beta_file(path, profile):
-    """Serialize a profile as one decimal gain per line; gains pass ``checked_gains`` first."""
-    beta = checked_gains(profile)
+def write_beta_file(path, beta):
+    """Serialize gains as one decimal per line; they pass ``checked_gains`` first."""
+    beta = checked_gains(beta)
     with open(path, "w") as fh:
         for value in beta:
             fh.write(f"{float(value)!r}\n")
 
 
 def read_beta_file(path):
-    """Load a profile written by write_beta_file (round-trips exactly)."""
+    """Checked gains written by write_beta_file (round-trips exactly)."""
     with open(path) as fh:
         values = [float(line) for line in fh if line.strip()]
-    return LargeScaleProfile(np.array(values), provenance=f"file:{path}")
+    return checked_gains(values)

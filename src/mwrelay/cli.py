@@ -24,10 +24,10 @@ from .channel import (
     STREAM_PROFILE,
     GeometryModel,
     SystemConfig,
+    checked_gains,
     draw_large_scale,
     read_beta_file,
     substream,
-    unit_profile,
 )
 from .exceptions import InvalidConfigError, SingularSystemError
 from .montecarlo import cdf_experiment, estimate_link_se, sum_se
@@ -176,17 +176,15 @@ def _geometry(options):
     return GeometryModel(**{field: options[name] for name, field in _GEOMETRY_FIELDS.items()})
 
 
-def _profile(options, K, seed):
+def _gains(options, K, seed):
+    """The K gains that --beta names."""
     choice = options["beta"]
     if choice == "unit":
-        return unit_profile(K)
+        return np.ones(K)
     if choice.startswith("file:"):
-        profile = read_beta_file(choice[len("file:"):])
-        if profile.K != K:
-            raise InvalidConfigError(f"beta file holds {profile.K} gains, expected {K}")
-        return profile
+        return checked_gains(read_beta_file(choice[len("file:"):]), K)
     if choice == "geometry":
-        return draw_large_scale(_geometry(options), K, substream(seed, STREAM_PROFILE, 0), seed=seed)
+        return draw_large_scale(_geometry(options), K, substream(seed, STREAM_PROFILE, 0))
     raise InvalidConfigError(f"--beta must be unit, file:PATH, or geometry, got {choice!r}")
 
 
@@ -224,13 +222,13 @@ def _link_rows(experiment, scheme, config, seed, estimate, report):
 def _run_sweep_m(options, aggregates_only=False):
     experiment, seed, K = options["experiment"], options["seed"], options["k"]
     p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
-    profile = _profile(options, K, seed)
+    beta = _gains(options, K, seed)
     schemes = _schemes(options)
     rows = []
     for M in parse_m_range(options["m"]):
         config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
-        report = bound_report(config, profile.beta)
-        estimates = estimate_link_se(config, profile.beta, schemes, options["trials"], seed)
+        report = bound_report(config, beta)
+        estimates = estimate_link_se(config, beta, schemes, options["trials"], seed)
         for scheme in schemes:
             cell = _link_rows(experiment, scheme, config, seed, estimates[scheme], report)
             rows.extend(cell[:2] if aggregates_only else cell)
@@ -261,11 +259,11 @@ def _run_cdf(options):
 def _run_bounds_table(options):
     experiment, seed, K = options["experiment"], options["seed"], options["k"]
     p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
-    profile = _profile(options, K, seed)
+    beta = _gains(options, K, seed)
     rows = []
     for M in parse_m_range(options["m"]):
         config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
-        report = bound_report(config, profile.beta)
+        report = bound_report(config, beta)
         for scheme in _schemes(options):
             rows.extend((experiment, scheme, M, K, k, t, metric, value, 0.0, seed)
                         for k, t, metric, value in _closed_form_cells(report, scheme, K))

@@ -394,7 +394,7 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
 
     Returns a dict mapping each name in ``schemes`` to its CdfResult. Each
     profile p draws its gains from the (seed, profile-stream, p) substream
-    (or uses the unit profile when geometry is None), so sample p never
+    (or unit gains when geometry is None), so sample p never
     depends on how many profiles run or on the thread count. All profiles
     and schemes are scored against the same channel draws (common random
     numbers): trial i's small-scale Gram is a function of (seed, M, K, i)
@@ -409,7 +409,7 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
         betas = np.ones((profiles, K))
     else:
         betas = np.stack([
-            draw_large_scale(geometry, K, substream(seed, STREAM_PROFILE, p)).beta
+            draw_large_scale(geometry, K, substream(seed, STREAM_PROFILE, p))
             for p in range(profiles)
         ])
 

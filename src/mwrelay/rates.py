@@ -67,6 +67,19 @@ def _outside_power(cross, window):
     return sum(float(abs(c) ** 2) for c in np.delete(cross, window))
 
 
+def _broadcast_sinr(G, beta, p_r, k, held):
+    """Downlink SINR of user k with the beams of the symbols it holds out of the interference.
+
+    ``held`` indexes user k's (K-1, K) beam table, ``SlotIndexer.beams[k-1]``,
+    at the slot and the held symbols whose beams drop out.
+    """
+    cross = _column_products(G, k)
+    n2 = float(cross[k - 1].real)
+    c = _broadcast_scale(beta, p_r, G.shape[0])
+    interference = _outside_power(cross, SlotIndexer(G.shape[1]).beams[k - 1][held])
+    return c * n2**2 / (c * interference + 1.0)
+
+
 def conventional_dl_sinr(G, beta, p_r, k, t):
     """Downlink SINR of user k in conventional broadcast slot t.
 
@@ -76,11 +89,7 @@ def conventional_dl_sinr(G, beta, p_r, k, t):
     K = G.shape[1]
     if not 1 <= t <= K - 1:
         raise ValueError(f"slot {t} outside 1..{K - 1}")
-    cross = _column_products(G, k)
-    n2 = float(cross[k - 1].real)
-    c = _broadcast_scale(beta, p_r, G.shape[0])
-    interference = _outside_power(cross, SlotIndexer(K).beams[k - 1, t - 1, [0, t]])
-    return c * n2**2 / (c * interference + 1.0)
+    return _broadcast_sinr(G, beta, p_r, k, (t - 1, [0, t]))
 
 
 def proposed_dl_sinr(G, beta, p_r, k, t):
@@ -91,15 +100,10 @@ def proposed_dl_sinr(G, beta, p_r, k, t):
     only K - (t + 1) terms remain. Coincides with the conventional SINR at
     t = 1 and is nondecreasing in t on any fixed realization.
     """
-    K = G.shape[1]
-    idx = SlotIndexer(K)
-    if not 1 <= t <= idx.sic_slots:
-        raise ValueError(f"slot {t} outside 1..{idx.sic_slots}")
-    cross = _column_products(G, k)
-    n2 = float(cross[k - 1].real)
-    c = _broadcast_scale(beta, p_r, G.shape[0])
-    interference = _outside_power(cross, idx.beams[k - 1, t - 1, :t + 1])
-    return c * n2**2 / (c * interference + 1.0)
+    T = SlotIndexer(G.shape[1]).sic_slots
+    if not 1 <= t <= T:
+        raise ValueError(f"slot {t} outside 1..{T}")
+    return _broadcast_sinr(G, beta, p_r, k, (t - 1, slice(t + 1)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ cancelation broadcast slots, zero-forcing extraction — and checks that every
 user ends up holding all K-1 foreign symbols. Relay decoding and
 cancelation are genie-aided (prior decisions assumed correct), matching the
 assumptions of the rate expressions; the noisy variant measures per-slot
-symbol error rates under that assumption. Both variants share one
+symbol error rates under that assumption. A symbol frame is a plain (K,)
+complex array of QPSK points, one per user. Both variants share one
 decoding walk that decodes every user of a round at once: one precode
 for all cancelation slots and one stacked zero-forcing stage for all users,
 whose cross products are the round's one channel Gram.
@@ -29,7 +30,6 @@ from .schedule import SlotIndexer
 
 __all__ = [
     "QPSK",
-    "SymbolFrame",
     "qpsk_frame",
     "fixed_frame",
     "NoiselessRound",
@@ -40,28 +40,14 @@ __all__ = [
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SymbolFrame:
-    """One unit-energy symbol per user plus the constellation it came from."""
-
-    symbols: np.ndarray
-    constellation: str
-
-    def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=complex)
-        if symbols.ndim != 1:
-            raise ValueError("symbols must be a 1-D vector")
-        object.__setattr__(self, "symbols", symbols)
-
-
 def qpsk_frame(K, rng):
-    """Uniform random QPSK frame."""
-    return SymbolFrame(QPSK[rng.integers(0, 4, size=int(K))], "QPSK")
+    """Uniform random QPSK frame: K symbols."""
+    return QPSK[rng.integers(0, 4, size=int(K))]
 
 
 def fixed_frame(K):
     """Deterministic frame cycling the QPSK points; for repeatable tests."""
-    return SymbolFrame(QPSK[np.arange(int(K)) % 4], "unit-test-fixed")
+    return QPSK[np.arange(int(K)) % 4]
 
 
 @dataclass(frozen=True)
@@ -120,20 +106,24 @@ def _decode_round(G, beta, p_r, x, idx, noise=None):
 def run_round_noiseless(config, beta, seed, frame=None):
     """Noise-free round: exact cancelation and zero-forcing recovery.
 
+    ``frame``, if given, is the (K,) array of symbols sent in every
+    attempt; otherwise each attempt draws a QPSK frame after its channel.
     Resamples the channel (bounded attempts) if the residual system of some
     user is numerically singular, and reports the attempt count.
     """
     M, K = config.M, config.K
     beta = checked_gains(beta, K)
+    if frame is not None:
+        frame = np.asarray(frame, dtype=complex)
+        if frame.shape != (K,):
+            raise ValueError(f"frame must hold {K} symbols")
     idx = SlotIndexer(K)
     scale = math.sqrt(_broadcast_scale(beta, config.p_r, M))
     last_error = None
     for attempt in range(8):
         rng = substream(seed, STREAM_CHANNEL, attempt)
-        G = compose_channel(draw_small_scale(M, K, rng), beta).G
-        x = (frame if frame is not None else qpsk_frame(K, rng)).symbols
-        if x.shape != (K,):
-            raise ValueError(f"frame must hold {K} symbols")
+        G = compose_channel(draw_small_scale(M, K, rng), beta)
+        x = frame if frame is not None else qpsk_frame(K, rng)
         try:
             slot, zf = _decode_round(G, beta, config.p_r, x, idx)
         except SingularSystemError as exc:
@@ -191,8 +181,8 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
 
     for trial in range(trials):
         rng = substream(seed, STREAM_CHANNEL, trial)
-        G = compose_channel(draw_small_scale(M, K, rng), beta).G
-        x = qpsk_frame(K, rng).symbols
+        G = compose_channel(draw_small_scale(M, K, rng), beta)
+        x = qpsk_frame(K, rng)
         noise = draw_small_scale(idx.sic_slots, K, rng)  # unit-variance CN per sample
         slot, zf = _decode_round(G, beta, p_r, x, idx, noise)
         decisions = _nearest_qpsk(np.hstack([slot, zf]), scale)

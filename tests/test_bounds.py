@@ -230,7 +230,7 @@ def test_jensen_ordering_smoke():
     lambda beta: bound_report(SystemConfig(M=16, K=4, p_u=1.0, p_r=10.0), beta),
 ], ids=["uplink", "conventional", "proposed", "zf_asymptotic", "report"])
 def test_bounds_reject_bad_gains(bound, bad):
-    # The LargeScaleProfile check: InvalidConfigError, which is a ValueError.
+    # The checked_gains check: InvalidConfigError, which is a ValueError.
     with pytest.raises(InvalidConfigError):
         bound(np.array([1.0, bad, 1.0, 1.0]))
 

@@ -1,21 +1,23 @@
 """Channel generation: distribution moments, composition, reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mwrelay import (
-    ChannelRealization,
     GeometryModel,
     InvalidConfigError,
-    LargeScaleProfile,
     SystemConfig,
+    bound_report,
+    checked_gains,
     compose_channel,
     draw_large_scale,
     draw_small_scale,
+    estimate_link_se,
     read_beta_file,
-    unit_profile,
+    run_round_noiseless,
     write_beta_file,
 )
 from mwrelay.channel import STREAM_CHANNEL, STREAM_PROFILE, substream
@@ -52,18 +54,18 @@ def test_compose_identity_and_scaling():
     rng = substream(9, STREAM_CHANNEL, 2)
     H = draw_small_scale(6, 4, rng)
     same = compose_channel(H, np.ones(4))
-    assert np.array_equal(same.G, H)
+    assert np.array_equal(same, H)
 
     H = np.zeros((2, 2), dtype=complex)
     H[0, 0] = 1 + 0j
-    realization = compose_channel(H, np.array([4.0, 1.0]))
-    assert realization.G[0, 0] == 2 + 0j
+    G = compose_channel(H, np.array([4.0, 1.0]))
+    assert G[0, 0] == 2 + 0j
 
 
 def test_compose_column_norm_oracle():
     rng = substream(10, STREAM_CHANNEL, 3)
     H = draw_small_scale(100, 5_000, rng)
-    G = compose_channel(H, np.full(5_000, 0.5)).G
+    G = compose_channel(H, np.full(5_000, 0.5))
     norms = (np.abs(G) ** 2).sum(axis=0)
     assert abs(norms.mean() - 50.0) / 50.0 < 0.01
 
@@ -89,17 +91,21 @@ def test_small_scale_is_reproducible_per_substream():
 
 
 def test_large_scale_golden_vector():
-    profile = draw_large_scale(GeometryModel(), 10, substream(42, STREAM_PROFILE, 0), seed=42)
-    assert np.allclose(profile.beta, GOLDEN_BETA_SEED42, rtol=1e-8)
-    assert profile.provenance.startswith("generated(")
-    assert "seed=42" in profile.provenance
+    beta = draw_large_scale(GeometryModel(), 10, substream(42, STREAM_PROFILE, 0))
+    assert beta.dtype == np.float64 and beta.shape == (10,)
+    assert np.allclose(beta, GOLDEN_BETA_SEED42, rtol=1e-8)
+
+
+def test_large_scale_rejects_zero_users():
+    with pytest.raises(InvalidConfigError, match="nonempty 1-D"):
+        draw_large_scale(GeometryModel(), 0, substream(42, STREAM_PROFILE, 0))
 
 
 def test_large_scale_collapses_at_reference_distance():
     geometry = GeometryModel(cell_radius=100.0 + 1e-9, exclusion_radius=100.0 - 1e-9,
                              shadowing_sigma_db=0.0)
-    profile = draw_large_scale(geometry, 50, substream(1, STREAM_PROFILE, 0))
-    assert np.allclose(profile.beta, 1.0, atol=1e-7)
+    beta = draw_large_scale(geometry, 50, substream(1, STREAM_PROFILE, 0))
+    assert np.allclose(beta, 1.0, atol=1e-7)
 
 
 def test_large_scale_median_matches_area_integral():
@@ -108,10 +114,10 @@ def test_large_scale_median_matches_area_integral():
     # placement gives median distance sqrt((r0^2 + R^2) / 2).
     geometry = GeometryModel(shadowing_sigma_db=0.0)
     rng = substream(77, STREAM_PROFILE, 0)
-    profile = draw_large_scale(geometry, 100_000, rng)
+    beta = draw_large_scale(geometry, 100_000, rng)
     d_med = math.sqrt((geometry.exclusion_radius**2 + geometry.cell_radius**2) / 2)
     analytic = (d_med / geometry.reference_distance) ** (-geometry.path_loss_exponent)
-    observed = float(np.median(profile.beta))
+    observed = float(np.median(beta))
     assert abs(observed - analytic) / analytic < 0.02
 
 
@@ -140,22 +146,59 @@ def test_system_config_validation():
                 SystemConfig(**{"M": 4, "K": 2, "p_u": 1.0, "p_r": 1.0, field: bad})
 
 
+def _same_fields(a, b):
+    """Field-by-field equality of two result dataclasses; arrays compare exactly."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, field.name
+
+
+@pytest.mark.parametrize("M, K", [(100, 10.0), (100.0, 10), (5.0, 10)])
+def test_system_config_integral_float_counts(M, K):
+    # Integral float counts used to be kept as floats, which later code
+    # rejected with TypeError or IndexError.
+    as_float = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
+    as_int = SystemConfig(M=int(M), K=int(K), p_u=1.0, p_r=10.0)
+    assert type(as_float.M) is int and type(as_float.K) is int
+    beta = np.ones(int(K))
+    estimates = [estimate_link_se(c, beta, ("conventional", "proposed"), 40, 3)
+                 for c in (as_float, as_int)]
+    assert list(estimates[0]) == list(estimates[1])
+    for scheme in estimates[0]:
+        _same_fields(estimates[0][scheme], estimates[1][scheme])
+    _same_fields(bound_report(as_float, beta), bound_report(as_int, beta))
+    _same_fields(run_round_noiseless(as_float, beta, 4), run_round_noiseless(as_int, beta, 4))
+
+
 def test_profile_validation_and_unit():
-    assert unit_profile(3).K == 3
-    with pytest.raises(InvalidConfigError):
-        LargeScaleProfile(np.array([1.0, -1.0]))
-    with pytest.raises(InvalidConfigError):
-        LargeScaleProfile(np.array([]))
+    unit = checked_gains([1, 1, 1], 3)
+    assert unit.dtype == np.float64 and np.array_equal(unit, np.ones(3))
+    with pytest.raises(InvalidConfigError, match="positive and finite"):
+        checked_gains(np.array([1.0, -1.0]))
+    with pytest.raises(InvalidConfigError, match="nonempty 1-D"):
+        checked_gains(np.array([]))
+    with pytest.raises(InvalidConfigError, match="nonempty 1-D"):
+        checked_gains(np.ones((2, 2)))
+    with pytest.raises(InvalidConfigError, match="beta has 3 gains, expected K=4"):
+        checked_gains(np.ones(3), 4)
 
 
 def test_beta_file_round_trip(tmp_path):
-    profile = draw_large_scale(GeometryModel(), 7, substream(3, STREAM_PROFILE, 4))
+    beta = draw_large_scale(GeometryModel(), 7, substream(3, STREAM_PROFILE, 4))
     path = tmp_path / "beta.txt"
-    write_beta_file(path, profile)
+    write_beta_file(path, beta)
     loaded = read_beta_file(path)
-    assert np.array_equal(loaded.beta, profile.beta)
-    assert loaded.provenance.startswith("file:")
+    assert loaded.dtype == np.float64
+    assert np.array_equal(loaded, beta)
     assert len(path.read_text().strip().splitlines()) == 7
+
+
+def test_empty_beta_file_rejected(tmp_path):
+    path = tmp_path / "beta.txt"
+    path.write_text("\n")
+    with pytest.raises(InvalidConfigError, match="nonempty 1-D"):
+        read_beta_file(path)
 
 
 def test_beta_file_rejects_bad_gains(tmp_path):
@@ -168,13 +211,14 @@ def test_beta_file_rejects_bad_gains(tmp_path):
 
 def test_realization_keeps_inputs():
     H = np.ones((2, 3), dtype=complex)
-    out = compose_channel(H, np.array([1.0, 4.0, 9.0]))
-    assert isinstance(out, ChannelRealization)
-    assert out.H is H
-    assert np.array_equal(out.beta, np.array([1.0, 4.0, 9.0]))
+    beta = np.array([1.0, 4.0, 9.0])
+    G = compose_channel(H, beta)
+    assert np.array_equal(G, [[1.0, 2.0, 3.0]] * 2)
+    assert np.array_equal(H, np.ones((2, 3)))
+    assert np.array_equal(beta, np.array([1.0, 4.0, 9.0]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0])
 def test_profile_rejects_nonfinite_and_zero_gains(bad):
-    with pytest.raises(InvalidConfigError):
-        LargeScaleProfile(np.array([1.0, bad, 1.0]))
+    with pytest.raises(InvalidConfigError, match="positive and finite"):
+        checked_gains(np.array([1.0, bad, 1.0]))

@@ -72,7 +72,7 @@ def scalar_rate_tables(config, beta, scheme, trials, seed):
     ul = np.empty((trials, K))
     dl = np.empty((trials, K, K - 1))
     for trial in range(trials):
-        G = compose_channel(bartlett_channel(config.M, K, seed, trial), beta).G
+        G = compose_channel(bartlett_channel(config.M, K, seed, trial), beta)
         for k in range(1, K + 1):
             ul[trial, k - 1] = math.log2(1 + uplink_sinr(G, config.p_u, k))
             if scheme == "conventional":
@@ -336,7 +336,7 @@ def test_cdf_matches_direct_scoring():
         config = SystemConfig(M=24, K=K, p_u=1.0, p_r=10.0)
         result = cdf_experiment(config, geometry, 4, 80, seed=14)["proposed"]
         for p in range(4):
-            beta = draw_large_scale(geometry, K, substream(14, STREAM_PROFILE, p)).beta
+            beta = draw_large_scale(geometry, K, substream(14, STREAM_PROFILE, p))
             direct = sum_se_once(config, beta, "proposed", 80, seed=14).sum_se
             assert result.samples[p] == direct
 
@@ -748,7 +748,7 @@ def test_cdf_over_several_profile_spans_matches_direct_scoring(monkeypatch):
     result = cdf_experiment(config, geometry, 70, 300, seed=15, schemes=SCHEMES)
     assert sorted(blocks) == [0, 0, GRAM_BLOCK, GRAM_BLOCK]
     for p in range(70):
-        beta = draw_large_scale(geometry, 10, substream(15, STREAM_PROFILE, p)).beta
+        beta = draw_large_scale(geometry, 10, substream(15, STREAM_PROFILE, p))
         for scheme in SCHEMES:
             assert result[scheme].samples[p] == sum_se_once(config, beta, scheme, 300, seed=15).sum_se
 

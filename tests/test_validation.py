@@ -23,11 +23,9 @@ from mwrelay.validation import QPSK
 def test_qpsk_constellation_unit_energy():
     assert np.allclose(np.abs(QPSK), 1.0)
     frame = qpsk_frame(100, substream(1, 0, 0))
-    assert np.allclose(np.abs(frame.symbols), 1.0)
-    assert frame.constellation == "QPSK"
-    fixed = fixed_frame(6)
-    assert fixed.constellation == "unit-test-fixed"
-    assert np.array_equal(fixed.symbols, QPSK[np.arange(6) % 4])
+    assert frame.shape == (100,) and frame.dtype == complex
+    assert np.allclose(np.abs(frame), 1.0)
+    assert np.array_equal(fixed_frame(6), QPSK[np.arange(6) % 4])
 
 
 def test_noiseless_recovery_small():
@@ -77,8 +75,15 @@ def test_noiseless_uses_fixed_frame():
     config = SystemConfig(M=16, K=4, p_u=1.0, p_r=10.0)
     frame = fixed_frame(4)
     outcome = run_round_noiseless(config, np.ones(4), seed=2, frame=frame)
-    assert np.array_equal(outcome.true_symbols, frame.symbols)
+    assert np.array_equal(outcome.true_symbols, frame)
     assert outcome.max_deviation <= 1e-10
+
+
+@pytest.mark.parametrize("frame", [fixed_frame(5), fixed_frame(4)[None, :]], ids=["long", "2-D"])
+def test_noiseless_rejects_misshaped_frame(frame):
+    config = SystemConfig(M=16, K=4, p_u=1.0, p_r=10.0)
+    with pytest.raises(ValueError, match="frame must hold 4 symbols"):
+        run_round_noiseless(config, np.ones(4), seed=2, frame=frame)
 
 
 def test_slot_estimates_carry_interference():
