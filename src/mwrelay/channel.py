@@ -15,6 +15,7 @@ trials per (STREAM_GRAM, block) substream.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def substream(seed, *path):
-    """Independent generator for the given (seed, path) counter tuple."""
-    if seed < 0:
-        raise InvalidConfigError("seed must be a nonnegative integer")
+    """Independent generator for the given (seed, path) counter tuple; the seed is an integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
 
@@ -122,12 +123,17 @@ def draw_small_scale(M, K, rng):
     """M x K matrix of i.i.d. CN(0, 1) entries.
 
     Real and imaginary parts are independent normals with variance 1/2,
-    drawn in a single generator call so the layout is reproducible.
+    drawn in a single generator call so the layout is reproducible: the
+    first M x K fill the real parts, the rest the imaginary parts.
     """
     if M < 1 or K < 1:
         raise InvalidConfigError("matrix dimensions must be >= 1")
     z = rng.standard_normal((2, M, K))
-    return (z[0] + 1j * z[1]) * _INV_SQRT2
+    H = np.empty((M, K), dtype=complex)
+    H.real = z[0]
+    H.imag = z[1]
+    H *= _INV_SQRT2
+    return H
 
 
 def draw_gram_factor(M, K, rng, n):

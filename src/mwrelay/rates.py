@@ -8,7 +8,8 @@ slot indices are 1-based, and a channel with a non-finite entry is rejected.
 The zero-forcing stage is built for one user or for a stack of users at
 once (one Cholesky and one triangular inverse over the stack); it keeps the
 users' cross products, so a caller that builds a stage for every user reads
-the channel Gram from it. ``check_pivots`` is the one singular rule for it
+the channel Gram from it; ``_stage_from_rows`` builds it from cross products
+with leading batch axes. ``check_pivots`` is the one singular rule for it
 and for the batched kernel in ``montecarlo``. ``relay_precode``
 likewise takes one symbol frame or a matrix of frames, one per column.
 """
@@ -117,18 +118,23 @@ class ZfStage:
     exact zeros above the diagonal, and ``noise_gain`` the diagonal of the
     Gram inverse — the per-unknown noise amplification of the zero-forcing
     combiner. A stage built for an array of users carries a leading user
-    axis on every array field, in the order of ``user``.
+    axis on every array field, in the order of ``user``, after any batch
+    axes of its cross products.
     """
 
     user: int | np.ndarray
     cross: np.ndarray
     mixing: np.ndarray
     inverse: np.ndarray
-    noise_gain: np.ndarray
 
     @property
     def n_unknowns(self):
         return self.mixing.shape[-1]
+
+    @property
+    def noise_gain(self):
+        """Squared column norms of L^-1, since gram^-1 = (L^-1)^H L^-1."""
+        return (np.abs(self.inverse) ** 2).sum(axis=-2)
 
     def combiner(self):
         """Zero-forcing combiner: gram^(-1) @ mixing^H, satisfying combiner @ mixing = I.
@@ -177,24 +183,35 @@ def build_zf_stage(G, k, indexer=None):
 
     ``k`` is one user or a 1-D array of users; an array stacks their
     systems along a leading axis and factors all of them with one Cholesky
-    call, raising SingularSystemError if any of them is singular. Entry
-    (m, n) is g_k^H g_j with j the beam that carries the n-th unknown in
-    broadcast slot m, read from the indexer's beam table. The noise gains
-    are the squared column norms of L^-1, with gram = L L^H, since
-    gram^-1 = (L^-1)^H L^-1. For K = 2 there is nothing left to solve and
-    the stage is empty.
+    call, raising SingularSystemError if any of them is singular. For K = 2
+    there is nothing left to solve and the stage is empty.
     """
     M, K = G.shape
     indexer = indexer if indexer is not None else SlotIndexer(K)
     if indexer.K != K:
         raise ValueError(f"indexer is for K={indexer.K}, channel has K={K}")
-    cross = _column_products(G, k)
+    return _stage_from_rows(_column_products(G, k), k, indexer)
+
+
+def _stage_from_rows(cross, k, indexer):
+    """``build_zf_stage`` from user k's cross-product row g_k^H g_i over all i.
+
+    ``cross`` holds one row per user of ``k``, after any leading batch axes,
+    which every stage field keeps; each Gram of the batch is checked on its
+    own. Entry (m, n) is g_k^H g_j with j the beam that carries the n-th
+    unknown in broadcast slot m, read from the indexer's beam table.
+    """
+    if not np.isfinite(cross).all():
+        raise ValueError("cross products hold non-finite entries")
     T = indexer.sic_slots
-    beams = indexer.beams[np.asarray(k) - 1, :T, T + 1:]
-    mixing = np.take_along_axis(cross[..., None, :], beams, axis=-1)
+    users = np.asarray(k) - 1
+    K = cross.shape[-1]
+    # Entry j of the r-th row sits at r * K + j once the rows are flattened.
+    rows = cross.reshape(cross.shape[:cross.ndim - users.ndim - 1] + (-1,))
+    offsets = K * np.arange(users.size).reshape(users.shape + (1, 1))
+    mixing = np.take(rows, indexer.beams[users, :T, T + 1:] + offsets, axis=-1)
     inverse = np.tril(np.linalg.inv(_factor_gram(mixing.conj().swapaxes(-1, -2) @ mixing)))
-    noise_gain = (np.abs(inverse) ** 2).sum(axis=-2)
-    return ZfStage(user=k, cross=cross, mixing=mixing, inverse=inverse, noise_gain=noise_gain)
+    return ZfStage(user=k, cross=cross, mixing=mixing, inverse=inverse)
 
 
 def zf_sinr(stage, beta, p_r, M, n):

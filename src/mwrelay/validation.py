@@ -6,13 +6,20 @@ user ends up holding all K-1 foreign symbols. Relay decoding and
 cancelation are genie-aided (prior decisions assumed correct), matching the
 assumptions of the rate expressions; the noisy variant measures per-slot
 symbol error rates under that assumption. A symbol frame is a plain (K,)
-complex array of QPSK points, one per user. Both variants share one
-decoding walk that decodes every user of a round at once: one precode
-for all cancelation slots and one stacked zero-forcing stage for all users,
-whose cross products are the round's one channel Gram.
+complex array of QPSK points, one per user.
+
+A round keeps only its K x K Gram G^H G and its (K, sic_slots) received
+table G^H (precoded broadcast) + noise, not the channel G. Both variants
+decode through one block decoder: for B rounds, one Cholesky and one
+triangular inverse over the (B, K, n_unknowns, n_unknowns) stack of residual
+Grams, one combiner product, one cumulative cancelation. Noisy rounds come
+in blocks of B = M // (sic_slots * (K - sic_slots)), so that a block's
+residual systems [mixing | residual] hold no more entries than one round's
+M x K channel; the noiseless round is a block of one.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +32,8 @@ from .channel import (
     substream,
 )
 from .exceptions import SingularSystemError
-from .rates import _broadcast_scale, build_zf_stage, relay_precode
-from .schedule import SlotIndexer
+from .rates import _broadcast_scale, _stage_from_rows, relay_precode
+from .schedule import SlotIndexer, slot_count
 
 __all__ = [
     "QPSK",
@@ -72,35 +79,62 @@ class NoiselessRound:
     attempts: int
 
 
-def _decode_round(G, beta, p_r, x, idx, noise=None):
-    """Decode one round at every user at once; returns (slot, zf).
+def _block_rounds(M, K):
+    """Rounds per block, M // (sic_slots * (K - sic_slots)) and at least one.
 
-    Both tables are in units of the broadcast scale: a clean copy of the
-    wanted symbol reads as scale * symbol. ``slot[k-1, t-1]`` is user k's
-    matched-filter estimate of its slot-t target after it cancels the t
-    symbols it holds, and ``zf[k-1, n-1]`` the zero-forcing estimate of its
-    n-th remaining unknown once all sic_slots + 1 held symbols are canceled.
-    Cancelation subtracts the true symbols (genie-aided); ``noise``, if
-    given, is the (sic_slots, K) table of receiver noise samples. Slot t
-    broadcasts the frame x[order[:, t]] (x rolled by t), so all slots are
-    precoded as the columns of one matrix.
+    A block's residual systems [mixing | residual] then hold no more entries
+    than one round's M x K channel.
     """
-    M, K = G.shape
+    T = slot_count(K)
+    return max(1, M // (T * (K - T)))
+
+
+def _form_round(G, beta, p_r, x, idx, cross, received):
+    """Write one round's Gram G^H G into ``cross`` and G^H times its broadcast into ``received``.
+
+    Slot t broadcasts x[order[:, t]], so all cancelation slots are precoded
+    as the columns of one matrix.
+    """
+    broadcast = relay_precode(G, beta, p_r, x[idx.order[:, 1:idx.sic_slots + 1]])
+    G_h = G.conj().T
+    np.matmul(G_h, G, out=cross)
+    np.matmul(G_h, broadcast, out=received)
+
+
+def _decode_block(cross, received, x, scale, idx):
+    """Decode B rounds at every user; returns (slot, zf).
+
+    The inputs are the rounds' (B, K, K) Grams, (B, K, sic_slots) received
+    tables and (B, K) frames. Both results are in units of the broadcast
+    scale: a clean copy of the wanted symbol reads as scale * symbol.
+    ``slot[b, k-1, t-1]`` is user k's matched-filter estimate of its slot-t
+    target in round b after it cancels the t symbols it holds, and
+    ``zf[b, k-1, n-1]`` the zero-forcing estimate of its n-th remaining
+    unknown once all sic_slots + 1 are canceled. Cancelation subtracts the
+    true symbols (genie-aided).
+    """
+    B, K = x.shape
     T = idx.sic_slots
-    scale = math.sqrt(_broadcast_scale(beta, p_r, M))
-    stage = build_zf_stage(G, np.arange(1, K + 1), idx)
-    cross = stage.cross
-    received = G.conj().T @ relay_precode(G, beta, p_r, x[idx.order[:, 1:T + 1]])
-    if noise is not None:
-        received += noise.T
-    users = np.arange(K)[:, None, None]
-    held = idx.order[:, None, :T + 1]
-    # canceled[k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
-    canceled = np.cumsum(scale * cross[users, idx.beams[:, :T, :T + 1]] * x[held], axis=2)
+    users = np.arange(K)
+    combiner = _stage_from_rows(cross, users + 1, idx).combiner()
+    # canceled[b, k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
+    canceled = np.take(cross.reshape(B, K * K), K * users[:, None, None] + idx.beams[:, :T, :T + 1],
+                       axis=1)
+    canceled *= scale
+    canceled *= x[:, idx.order[:, None, :T + 1]]
+    np.cumsum(canceled, axis=-1, out=canceled)
     slots = np.arange(T)
-    slot = (received - canceled[:, slots, slots]) / np.diag(cross).real[:, None]
-    zf = np.einsum("knm,km->kn", stage.combiner(), received - canceled[:, :, T])
-    return slot, zf
+    diagonal = np.diagonal(cross, axis1=-2, axis2=-1).real[..., None]
+    slot = (received - canceled[..., slots, slots]) / diagonal
+    residual = received - canceled[..., T]
+    return slot, np.einsum("...nm,...m->...n", combiner, residual)
+
+
+def _block_errors(cross, received, x, scale, idx):
+    """(K, K-1) count of wrong QPSK decisions per user and slot position over a block of rounds."""
+    slot, zf = _decode_block(cross, received, x, scale, idx)
+    decisions = _nearest_qpsk(np.concatenate([slot, zf], axis=-1), scale)
+    return (QPSK[decisions] != x[:, idx.order[:, 1:]]).sum(axis=0)
 
 
 def run_round_noiseless(config, beta, seed, frame=None):
@@ -119,16 +153,20 @@ def run_round_noiseless(config, beta, seed, frame=None):
             raise ValueError(f"frame must hold {K} symbols")
     idx = SlotIndexer(K)
     scale = math.sqrt(_broadcast_scale(beta, config.p_r, M))
+    cross = np.empty((1, K, K), dtype=complex)
+    received = np.empty((1, K, idx.sic_slots), dtype=complex)
     last_error = None
     for attempt in range(8):
         rng = substream(seed, STREAM_CHANNEL, attempt)
         G = compose_channel(draw_small_scale(M, K, rng), beta)
         x = frame if frame is not None else qpsk_frame(K, rng)
+        _form_round(G, beta, config.p_r, x, idx, cross[0], received[0])
         try:
-            slot, zf = _decode_round(G, beta, config.p_r, x, idx)
+            slot, zf = _decode_block(cross, received, x[None], scale, idx)
         except SingularSystemError as exc:
             last_error = exc
             continue
+        slot, zf = slot[0], zf[0]
 
         # Slot decisions are genie-corrected (the raw estimates still carry
         # the not-yet-decoded symbols as interference); the rest is the raw solve.
@@ -153,18 +191,31 @@ def run_round_noiseless(config, beta, seed, frame=None):
 
 
 def _nearest_qpsk(values, reference_scale):
-    """Indices of the constellation points minimizing |value - scale * point|, elementwise."""
-    values = np.asarray(values, dtype=complex)
-    return np.argmin(np.abs(values[..., None] - reference_scale * QPSK), axis=-1)
+    """Indices of the constellation points minimizing |value - scale * point|, elementwise.
+
+    One point at a time; a point wins only when strictly closer, so ties go
+    to the lower index, as with an argmin.
+    """
+    points = reference_scale * QPSK
+    best = np.abs(values - points[0])
+    index = np.zeros(best.shape, dtype=np.intp)
+    for i in range(1, QPSK.size):
+        distance = np.abs(values - points[i])
+        closer = distance < best
+        np.copyto(index, i, where=closer)
+        np.copyto(best, distance, where=closer)
+    return index
 
 
 def run_round_noisy(config, beta, trials, seed, p_r=None):
     """Per-user, per-slot-position QPSK symbol error rate over noisy rounds.
 
-    ``p_r`` may override the configured relay power with a finite value
-    >= 0; 0 is allowed as the channel-unused limit (decisions degenerate to
-    a fixed guess, so the error rate approaches 3/4). Cancelation subtracts
-    true symbols (genie-aided), so errors never propagate across slots.
+    ``trials`` is an integer >= 1. ``p_r`` may override the configured
+    relay power with a finite value >= 0; 0 is allowed as the
+    channel-unused limit (decisions degenerate to a fixed guess, so the
+    error rate approaches 3/4). Cancelation subtracts true symbols
+    (genie-aided), so errors never propagate across slots. Each round
+    draws its channel, frame and noise from its own substream.
     """
     M, K = config.M, config.K
     beta = checked_gains(beta, K)
@@ -172,20 +223,29 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
         p_r = config.p_r
     if not 0 <= p_r < math.inf:
         raise ValueError(f"relay power must be finite and >= 0, got {p_r!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be >= 1 and an integer, got {trials!r}")
     idx = SlotIndexer(K)
+    T = idx.sic_slots
     scale = math.sqrt(_broadcast_scale(beta, p_r, M))
-    targets = idx.order[:, 1:]
     errors = np.zeros((K, K - 1))
+    amplitude = np.sqrt(beta)
+    B = min(trials, _block_rounds(M, K))
+    cross = np.empty((B, K, K), dtype=complex)
+    received = np.empty((B, K, T), dtype=complex)
+    x = np.empty((B, K), dtype=complex)
 
-    for trial in range(trials):
-        rng = substream(seed, STREAM_CHANNEL, trial)
-        G = compose_channel(draw_small_scale(M, K, rng), beta)
-        x = qpsk_frame(K, rng)
-        noise = draw_small_scale(idx.sic_slots, K, rng)  # unit-variance CN per sample
-        slot, zf = _decode_round(G, beta, p_r, x, idx, noise)
-        decisions = _nearest_qpsk(np.hstack([slot, zf]), scale)
-        errors += decisions != _nearest_qpsk(x, 1.0)[targets]
+    for start in range(0, trials, B):
+        rounds = min(B, trials - start)
+        for r in range(rounds):
+            rng = substream(seed, STREAM_CHANNEL, start + r)
+            G = draw_small_scale(M, K, rng)
+            G *= amplitude  # G = H diag(beta)^(1/2), as compose_channel forms it
+            x[r] = qpsk_frame(K, rng)
+            noise = draw_small_scale(T, K, rng)  # unit-variance CN per sample
+            _form_round(G, beta, p_r, x[r], idx, cross[r], received[r])
+            received[r] += noise.T
+            del G  # no channel outlives its round's tables
+        errors += _block_errors(cross[:rounds], received[:rounds], x[:rounds], scale, idx)
 
     return errors / trials

@@ -18,6 +18,7 @@ from mwrelay import (
     estimate_link_se,
     read_beta_file,
     run_round_noiseless,
+    run_round_noisy,
     write_beta_file,
 )
 from mwrelay.channel import STREAM_CHANNEL, STREAM_PROFILE, substream
@@ -88,6 +89,38 @@ def test_small_scale_is_reproducible_per_substream():
     c = draw_small_scale(16, 4, substream(7, STREAM_CHANNEL, 12))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (100, 10)])
+def test_small_scale_fills_in_place_as_complex_sum(shape):
+    # Filling .real and .imag and scaling in place gives the same bits as
+    # forming z[0] + 1j z[1] and scaling a copy, from the same generator state.
+    z = substream(4, STREAM_CHANNEL, 2).standard_normal((2, *shape))
+    H = draw_small_scale(*shape, substream(4, STREAM_CHANNEL, 2))
+    assert H.shape == shape and H.dtype == complex
+    assert np.array_equal(H, (z[0] + 1j * z[1]) * (1 / math.sqrt(2)))
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.True_, "3", None, -1],
+                         ids=["fraction", "integral-float", "bool", "numpy-bool", "str", "none",
+                              "negative"])
+def test_seeds_must_be_nonnegative_integers(seed):
+    # int(seed) used to turn 1.5 into seed 1 and True into seed 1.
+    config = SystemConfig(M=16, K=4, p_u=1.0, p_r=10.0)
+    with pytest.raises(InvalidConfigError, match="seed must be a nonnegative integer"):
+        substream(seed, STREAM_CHANNEL, 0)
+    with pytest.raises(InvalidConfigError, match="seed must be a nonnegative integer"):
+        run_round_noisy(config, np.ones(4), 3, seed)
+    with pytest.raises(InvalidConfigError, match="seed must be a nonnegative integer"):
+        estimate_link_se(config, np.ones(4), ("proposed",), 8, seed)
+
+
+def test_numpy_integer_seed_matches_int_seed():
+    config = SystemConfig(M=16, K=4, p_u=1.0, p_r=10.0)
+    assert np.array_equal(run_round_noisy(config, np.ones(4), 5, np.int64(3)),
+                          run_round_noisy(config, np.ones(4), 5, 3))
+    assert np.array_equal(draw_small_scale(4, 3, substream(np.uint32(7), STREAM_CHANNEL, 1)),
+                          draw_small_scale(4, 3, substream(7, STREAM_CHANNEL, 1)))
 
 
 def test_large_scale_golden_vector():

@@ -1,15 +1,21 @@
 """End-to-end protocol rounds: recovery, knowledge evolution, error rates."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mwrelay import (
     SlotIndexer,
     SystemConfig,
+    build_zf_stage,
+    compose_channel,
     fixed_frame,
     known_set,
     partner_index,
     qpsk_frame,
+    relay_precode,
     run_round_noiseless,
     run_round_noisy,
 )
@@ -164,6 +170,22 @@ def test_noisy_rejects_zero_trials():
         run_round_noisy(config, np.ones(3), trials=0, seed=1)
 
 
+@pytest.mark.parametrize("trials", [-3, True, False, 2.5, 3.0, "3", None, np.float64(4.0)],
+                         ids=["negative", "true", "false", "fraction", "integral-float", "str",
+                              "none", "numpy-float"])
+def test_noisy_rejects_non_integer_trials(trials):
+    # True used to run one round, 2.5 and "3" raised raw TypeErrors.
+    config = SystemConfig(M=8, K=3, p_u=1.0, p_r=1.0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_round_noisy(config, np.ones(3), trials=trials, seed=1)
+
+
+def test_noisy_takes_numpy_integer_trials():
+    config = SystemConfig(M=8, K=3, p_u=1.0, p_r=1.0)
+    assert np.array_equal(run_round_noisy(config, np.ones(3), trials=np.int32(7), seed=1),
+                          run_round_noisy(config, np.ones(3), trials=7, seed=1))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
 @pytest.mark.parametrize("run", [
     lambda config, beta: run_round_noiseless(config, beta, seed=1),
@@ -176,7 +198,8 @@ def test_rounds_reject_bad_gains(run, bad):
 
 
 def test_singular_policy_noiseless_resamples_noisy_propagates(monkeypatch):
-    real = validation.build_zf_stage
+    # The block decoder factors every residual Gram through rates._factor_gram.
+    real = rates._factor_gram
     calls = []
 
     def first_call_singular(*args, **kwargs):
@@ -186,7 +209,7 @@ def test_singular_policy_noiseless_resamples_noisy_propagates(monkeypatch):
         return real(*args, **kwargs)
 
     config = SystemConfig(M=16, K=5, p_u=1.0, p_r=10.0)
-    monkeypatch.setattr(validation, "build_zf_stage", first_call_singular)
+    monkeypatch.setattr(rates, "_factor_gram", first_call_singular)
     outcome = run_round_noiseless(config, np.ones(5), seed=4)
     assert outcome.attempts == 2
     assert outcome.max_deviation <= 1e-9
@@ -216,22 +239,95 @@ def test_noisy_error_counts_at_benchmark_shape():
 
 @pytest.mark.parametrize("K", [2, 5, 10])
 def test_round_forms_one_gram_and_one_inverse(K, monkeypatch):
-    # The stacked stage's cross products are the round's channel Gram, and the
-    # combiner reuses the stage's triangular inverse instead of inverting again.
-    inverses, products = [], []
-    real_inv, real_products = np.linalg.inv, rates._column_products
+    # Each round forms its Gram and received table once; each block of B
+    # rounds is factored and inverted by one call over its (B, K, n, n)
+    # stack, and nothing forms per-user Gram rows from a channel again.
+    M = 16
+    B = validation._block_rounds(M, K)
+    trials = 2 * B + 1
+    inverses, rounds, products = [], [], []
+    real_inv, real_form = np.linalg.inv, validation._form_round
+    real_products = rates._column_products
 
     def counting_inv(a):
         inverses.append(np.shape(a))
         return real_inv(a)
+
+    def counting_form(G, *args):
+        rounds.append(G.shape)
+        return real_form(G, *args)
 
     def counting_products(G, k):
         products.append(np.shape(k))
         return real_products(G, k)
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(validation, "_form_round", counting_form)
     monkeypatch.setattr(rates, "_column_products", counting_products)
-    run_round_noisy(SystemConfig(M=16, K=K, p_u=1.0, p_r=2.0), np.ones(K), trials=1, seed=3)
+    run_round_noisy(SystemConfig(M=M, K=K, p_u=1.0, p_r=2.0), np.ones(K), trials=trials, seed=3)
     n = SlotIndexer(K).n_unknowns
-    assert inverses == [(K, n, n)]
-    assert products == [(K,)]
+    assert rounds == [(M, K)] * trials
+    assert inverses == [(B, K, n, n), (B, K, n, n), (1, K, n, n)]
+    assert products == []
+
+
+def reference_error_counts(config, beta, trials, seed, p_r):
+    """(K, K-1) wrong-decision counts from a per-round decode of the physical chain.
+
+    Each round precodes its frame with ``relay_precode``, builds every
+    user's zero-forcing stage with ``build_zf_stage`` on its channel G, and
+    decides by an argmin over the distances to all four scaled points.
+    """
+    M, K = config.M, config.K
+    idx = SlotIndexer(K)
+    T = idx.sic_slots
+    scale = math.sqrt(p_r / (M * float(np.sum(beta))))
+    users = np.arange(K)[:, None, None]
+    slots = np.arange(T)
+    counts = np.zeros((K, K - 1), dtype=int)
+    for trial in range(trials):
+        rng = substream(seed, STREAM_CHANNEL, trial)
+        G = compose_channel(draw_small_scale(M, K, rng), beta)
+        x = qpsk_frame(K, rng)
+        noise = draw_small_scale(T, K, rng)
+        stage = build_zf_stage(G, np.arange(1, K + 1), idx)
+        received = G.conj().T @ relay_precode(G, beta, p_r, x[idx.order[:, 1:T + 1]])
+        received += noise.T
+        held = scale * stage.cross[users, idx.beams[:, :T, :T + 1]] * x[idx.order[:, None, :T + 1]]
+        canceled = np.cumsum(held, axis=2)
+        slot = (received - canceled[:, slots, slots]) / np.diag(stage.cross).real[:, None]
+        zf = np.einsum("knm,km->kn", stage.combiner(), received - canceled[:, :, T])
+        distances = np.abs(np.hstack([slot, zf])[..., None] - scale * QPSK)
+        counts += QPSK[np.argmin(distances, axis=-1)] != x[idx.order[:, 1:]]
+    return counts
+
+
+@pytest.mark.parametrize("p_r", [2.0, 0.0])
+@pytest.mark.parametrize("spread", [False, True], ids=["unit", "spread"])
+@pytest.mark.parametrize("K, M", [(2, 8), (3, 12), (5, 16), (10, 100)])
+def test_block_decoder_matches_per_round_reference(K, M, spread, p_r):
+    config = SystemConfig(M=M, K=K, p_u=1.0, p_r=1.0)
+    beta = np.logspace(-1.5, 1.5, K) if spread else np.ones(K)
+    B = validation._block_rounds(M, K)
+    assert B > 1
+    for trials in (B - 1, B, B + 1, 2 * B + 1, 1):
+        counts = reference_error_counts(config, beta, trials, 5, p_r)
+        assert np.array_equal(run_round_noisy(config, beta, trials, 5, p_r=p_r), counts / trials)
+
+
+def test_noisy_peak_memory_flat_in_trials():
+    # Rounds keep only their Gram and received table, so the peak is set by
+    # one block and does not grow with the number of rounds.
+    M, K = 100, 10
+    config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
+    run_round_noisy(config, np.ones(K), 5, 1)
+    peaks = []
+    for trials in (300, 3000):
+        tracemalloc.start()
+        try:
+            run_round_noisy(config, np.ones(K), trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert max(peaks) <= 6 * 16 * M * K
