@@ -19,7 +19,6 @@ print(f"noiseless round, K={config.K}, M={config.M}:")
 print(f"  slots used          {outcome.slots_used} (1 access + "
       f"{outcome.slots_used - 1} broadcast)")
 print(f"  max recovery error  {outcome.max_deviation:.2e}")
-print(f"  channel resamples   {outcome.attempts - 1}")
 print()
 
 print("knowledge growth (user 1):")

@@ -16,7 +16,6 @@ from .bounds import (
     conventional_dl_bound,
     inverse_norm_moments,
     proposed_dl_bound,
-    trace_lemma_statistic,
     uplink_bound,
     zf_asymptotic_rate,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig, checked_gains
-from .schedule import SlotIndexer, compose_sum_se, partner_index
+from .schedule import SlotIndexer, compose_sum_se
 
 __all__ = [
     "uplink_bound",
@@ -25,7 +25,6 @@ __all__ = [
     "proposed_dl_bound",
     "zf_asymptotic_rate",
     "inverse_norm_moments",
-    "trace_lemma_statistic",
     "BoundReport",
     "bound_report",
     "analytic_sum_se",
@@ -113,22 +112,6 @@ def inverse_norm_moments(M, beta_k):
     if not beta_k > 0:
         raise ValueError("beta_k must be positive")
     return 1.0 / ((M - 1) * beta_k), 1.0 / ((M - 1) * (M - 2) * beta_k**2)
-
-
-def trace_lemma_statistic(G, k, i):
-    """Sample value of |g_k^H g_j|^2 / M with j the offset-i partner of k.
-
-    Its mean is exactly beta_k * beta_j at every M; the sample itself keeps
-    order-one relative spread (exponential-type), so single draws do not
-    concentrate around the mean.
-    """
-    M, K = G.shape
-    _check_user(k, K)
-    j = partner_index(k, i, K)
-    if j == k:
-        raise ValueError("offset i must not map user k onto itself")
-    inner = G[:, k - 1].conj() @ G[:, j - 1]
-    return float(abs(inner) ** 2) / M
 
 
 @dataclass(frozen=True)

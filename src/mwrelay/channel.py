@@ -119,6 +119,13 @@ def checked_gains(beta, K=None):
     return beta
 
 
+def checked_count(count, name):
+    """``count`` as an int; raises ValueError unless it is an integer >= 1, bools excluded."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer, got {count!r}")
+    return int(count)
+
+
 def draw_small_scale(M, K, rng):
     """M x K matrix of i.i.d. CN(0, 1) entries.
 

@@ -21,11 +21,13 @@ import numpy as np
 
 from .bounds import bound_report
 from .channel import (
+    STREAM_CHANNEL,
     STREAM_PROFILE,
     GeometryModel,
     SystemConfig,
     checked_gains,
     draw_large_scale,
+    draw_small_scale,
     read_beta_file,
     substream,
 )
@@ -304,13 +306,10 @@ def _run_selftest(options):
         check(f"noiseless recovery K={K}", ok, f"max deviation {round_.max_deviation:.2e}")
     print(f"worst recovery deviation: {worst:.3e}")
 
-    rng = substream(seed, 0, 987)
+    rng = substream(seed, STREAM_CHANNEL, 987)
     worst_zf = 0.0
     for K in (3, 5, 8, 12):
-        M = max(K, 16)
-        z = rng.standard_normal((2, M, K))
-        G = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-        stage = build_zf_stage(G, np.arange(1, K + 1))
+        stage = build_zf_stage(draw_small_scale(max(K, 16), K, rng), np.arange(1, K + 1))
         err = np.max(np.abs(stage.combiner() @ stage.mixing - np.eye(stage.n_unknowns)))
         worst_zf = max(worst_zf, float(err))
     check("zero-forcing exactness", worst_zf <= 1e-9, f"worst |Z A - I| = {worst_zf:.2e}")

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (STREAM_GRAM, STREAM_PROFILE, checked_gains, draw_gram_factor,
-                      draw_large_scale, substream)
+from .channel import (STREAM_GRAM, STREAM_PROFILE, checked_count, checked_gains,
+                      draw_gram_factor, draw_large_scale, substream)
 from .exceptions import InvalidConfigError
 from .rates import check_pivots
 from .schedule import SCHEMES, SlotIndexer, compose_sum_se
@@ -317,6 +317,7 @@ def estimate_link_se(config, beta, schemes, trials, seed):
     come from the zero-forcing stage.
     """
     schemes = _check_schemes(schemes)
+    trials = checked_count(trials, "trials")
     stats = _scan(config, checked_gains(beta, config.K)[None], schemes, trials, seed, spread=True)
     cells = {key: (mean[0], np.sqrt(m2[0] / max(1, trials - 1)) / np.sqrt(trials))
              for key, (mean, m2) in stats.items()}
@@ -329,8 +330,6 @@ def _scan(config, betas, schemes, trials, seed, spread):
     Gram block x the profiles _SPAN_BYTES allows) are reduced by _run_spans; a profile's
     block [lo, hi) joins the lo trials before it.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     M, K, P = config.M, config.K, len(betas)
     step = max(1, _SPAN_BYTES // (8 * K * K * GRAM_BLOCK))
     spans = [(a, min(a + step, P), lo, min(lo + GRAM_BLOCK, trials))
@@ -402,8 +401,8 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
     ``sum_se_once`` with that profile's gains and scheme.
     """
     schemes = _check_schemes(schemes)
-    if profiles < 1:
-        raise ValueError("profiles must be >= 1")
+    profiles = checked_count(profiles, "profiles")
+    trials_per_profile = checked_count(trials_per_profile, "trials")
     K = config.K
     if geometry is None:
         betas = np.ones((profiles, K))

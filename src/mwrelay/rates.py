@@ -6,11 +6,11 @@ broadcast slots, and the zero-forcing stage that extracts the remaining
 symbols from the residual linear system. All functions are pure; user and
 slot indices are 1-based, and a channel with a non-finite entry is rejected.
 The zero-forcing stage is built for one user or for a stack of users at
-once (one Cholesky and one triangular inverse over the stack); it keeps the
-users' cross products, so a caller that builds a stage for every user reads
-the channel Gram from it; ``_stage_from_rows`` builds it from cross products
-with leading batch axes. ``check_pivots`` is the one singular rule for it
-and for the batched kernel in ``montecarlo``. ``relay_precode``
+once (one Cholesky and one triangular inverse over the stack);
+``_stage_from_rows`` builds it from cross products with leading batch axes.
+``check_pivots`` is the one singular rule for it and for the batched kernel
+in ``montecarlo``: every zero-forcing path raises SingularSystemError on the
+first Gram that breaks it, and none redraws the channel. ``relay_precode``
 likewise takes one symbol frame or a matrix of frames, one per column.
 """
 
@@ -111,19 +111,16 @@ def proposed_dl_sinr(G, beta, p_r, k, t):
 class ZfStage:
     """Residual linear system of one user, or of a stack of users, after the cancelation slots.
 
-    ``cross`` is the row g_k^H g_i over all i that ``mixing`` is gathered
-    from, ``mixing`` the sic_slots x n_unknowns coefficient matrix (row m is
+    ``mixing`` is the sic_slots x n_unknowns coefficient matrix (row m is
     residual equation m), ``inverse`` the inverse L^-1 of the lower Cholesky
     factor of its Gram mixing^H mixing = L L^H, kept lower triangular with
     exact zeros above the diagonal, and ``noise_gain`` the diagonal of the
     Gram inverse — the per-unknown noise amplification of the zero-forcing
     combiner. A stage built for an array of users carries a leading user
-    axis on every array field, in the order of ``user``, after any batch
+    axis on every array field, in the order of those users, after any batch
     axes of its cross products.
     """
 
-    user: int | np.ndarray
-    cross: np.ndarray
     mixing: np.ndarray
     inverse: np.ndarray
 
@@ -178,7 +175,7 @@ def _factor_gram(gram):
     return low
 
 
-def build_zf_stage(G, k, indexer=None):
+def build_zf_stage(G, k):
     """Assemble user k's residual system and its noise gains.
 
     ``k`` is one user or a 1-D array of users; an array stacks their
@@ -186,32 +183,28 @@ def build_zf_stage(G, k, indexer=None):
     call, raising SingularSystemError if any of them is singular. For K = 2
     there is nothing left to solve and the stage is empty.
     """
-    M, K = G.shape
-    indexer = indexer if indexer is not None else SlotIndexer(K)
-    if indexer.K != K:
-        raise ValueError(f"indexer is for K={indexer.K}, channel has K={K}")
-    return _stage_from_rows(_column_products(G, k), k, indexer)
+    return _stage_from_rows(_column_products(G, k), k)
 
 
-def _stage_from_rows(cross, k, indexer):
+def _stage_from_rows(cross, k):
     """``build_zf_stage`` from user k's cross-product row g_k^H g_i over all i.
 
     ``cross`` holds one row per user of ``k``, after any leading batch axes,
     which every stage field keeps; each Gram of the batch is checked on its
     own. Entry (m, n) is g_k^H g_j with j the beam that carries the n-th
-    unknown in broadcast slot m, read from the indexer's beam table.
+    unknown in broadcast slot m, read from the ``SlotIndexer`` beam table.
     """
     if not np.isfinite(cross).all():
         raise ValueError("cross products hold non-finite entries")
-    T = indexer.sic_slots
     users = np.asarray(k) - 1
-    K = cross.shape[-1]
+    indexer = SlotIndexer(cross.shape[-1])
+    T = indexer.sic_slots
     # Entry j of the r-th row sits at r * K + j once the rows are flattened.
     rows = cross.reshape(cross.shape[:cross.ndim - users.ndim - 1] + (-1,))
-    offsets = K * np.arange(users.size).reshape(users.shape + (1, 1))
+    offsets = indexer.K * np.arange(users.size).reshape(users.shape + (1, 1))
     mixing = np.take(rows, indexer.beams[users, :T, T + 1:] + offsets, axis=-1)
     inverse = np.tril(np.linalg.inv(_factor_gram(mixing.conj().swapaxes(-1, -2) @ mixing)))
-    return ZfStage(user=k, cross=cross, mixing=mixing, inverse=inverse)
+    return ZfStage(mixing=mixing, inverse=inverse)
 
 
 def zf_sinr(stage, beta, p_r, M, n):

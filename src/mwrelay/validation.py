@@ -15,23 +15,23 @@ triangular inverse over the (B, K, n_unknowns, n_unknowns) stack of residual
 Grams, one combiner product, one cumulative cancelation. Noisy rounds come
 in blocks of B = M // (sic_slots * (K - sic_slots)), so that a block's
 residual systems [mixing | residual] hold no more entries than one round's
-M x K channel; the noiseless round is a block of one.
+M x K channel; the noiseless round is round 0's draw as a block of one.
+A singular residual Gram raises SingularSystemError; no round redraws.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
     STREAM_CHANNEL,
+    checked_count,
     checked_gains,
     compose_channel,
     draw_small_scale,
     substream,
 )
-from .exceptions import SingularSystemError
 from .rates import _broadcast_scale, _stage_from_rows, relay_precode
 from .schedule import SlotIndexer, slot_count
 
@@ -76,7 +76,6 @@ class NoiselessRound:
     max_deviation: float
     slots_used: int
     knowledge_history: tuple
-    attempts: int
 
 
 def _block_rounds(M, K):
@@ -116,7 +115,7 @@ def _decode_block(cross, received, x, scale, idx):
     B, K = x.shape
     T = idx.sic_slots
     users = np.arange(K)
-    combiner = _stage_from_rows(cross, users + 1, idx).combiner()
+    combiner = _stage_from_rows(cross, users + 1).combiner()
     # canceled[b, k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
     canceled = np.take(cross.reshape(B, K * K), K * users[:, None, None] + idx.beams[:, :T, :T + 1],
                        axis=1)
@@ -140,10 +139,9 @@ def _block_errors(cross, received, x, scale, idx):
 def run_round_noiseless(config, beta, seed, frame=None):
     """Noise-free round: exact cancelation and zero-forcing recovery.
 
-    ``frame``, if given, is the (K,) array of symbols sent in every
-    attempt; otherwise each attempt draws a QPSK frame after its channel.
-    Resamples the channel (bounded attempts) if the residual system of some
-    user is numerically singular, and reports the attempt count.
+    The channel and then, unless ``frame`` gives the (K,) symbols, a QPSK
+    frame are drawn from the (seed, STREAM_CHANNEL, 0) substream, as round 0
+    of ``run_round_noisy`` draws them.
     """
     M, K = config.M, config.K
     beta = checked_gains(beta, K)
@@ -153,40 +151,28 @@ def run_round_noiseless(config, beta, seed, frame=None):
             raise ValueError(f"frame must hold {K} symbols")
     idx = SlotIndexer(K)
     scale = math.sqrt(_broadcast_scale(beta, config.p_r, M))
-    cross = np.empty((1, K, K), dtype=complex)
-    received = np.empty((1, K, idx.sic_slots), dtype=complex)
-    last_error = None
-    for attempt in range(8):
-        rng = substream(seed, STREAM_CHANNEL, attempt)
-        G = compose_channel(draw_small_scale(M, K, rng), beta)
-        x = frame if frame is not None else qpsk_frame(K, rng)
-        _form_round(G, beta, config.p_r, x, idx, cross[0], received[0])
-        try:
-            slot, zf = _decode_block(cross, received, x[None], scale, idx)
-        except SingularSystemError as exc:
-            last_error = exc
-            continue
-        slot, zf = slot[0], zf[0]
+    rng = substream(seed, STREAM_CHANNEL, 0)
+    G = compose_channel(draw_small_scale(M, K, rng), beta)
+    x = frame if frame is not None else qpsk_frame(K, rng)
+    cross, received = np.empty((K, K), dtype=complex), np.empty((K, idx.sic_slots), dtype=complex)
+    _form_round(G, beta, config.p_r, x, idx, cross, received)
+    slot, zf = (a[0] for a in _decode_block(cross[None], received[None], x[None], scale, idx))
 
-        # Slot decisions are genie-corrected (the raw estimates still carry
-        # the not-yet-decoded symbols as interference); the rest is the raw solve.
-        recovered = np.tile(x, (K, 1))
-        recovered[np.arange(K)[:, None], idx.order[:, idx.sic_slots + 1:]] = zf / scale
-        history = [tuple(frozenset((row[:t + 1] + 1).tolist()) for row in idx.order)
-                   for t in range(idx.sic_slots + 1)]
-        if idx.n_unknowns:
-            history.append((frozenset(range(1, K + 1)),) * K)
-        return NoiselessRound(
-            recovered=recovered,
-            true_symbols=x,
-            slot_estimates=slot / scale,
-            max_deviation=float(np.max(np.abs(recovered - x[None, :]))),
-            slots_used=idx.proposed_slots,
-            knowledge_history=tuple(history),
-            attempts=attempt + 1,
-        )
-    raise SingularSystemError(
-        f"all channel resamples produced singular residual systems: {last_error}"
+    # Slot decisions are genie-corrected (the raw estimates still carry
+    # the not-yet-decoded symbols as interference); the rest is the raw solve.
+    recovered = np.tile(x, (K, 1))
+    recovered[np.arange(K)[:, None], idx.order[:, idx.sic_slots + 1:]] = zf / scale
+    history = [tuple(frozenset((row[:t + 1] + 1).tolist()) for row in idx.order)
+               for t in range(idx.sic_slots + 1)]
+    if idx.n_unknowns:
+        history.append((frozenset(range(1, K + 1)),) * K)
+    return NoiselessRound(
+        recovered=recovered,
+        true_symbols=x,
+        slot_estimates=slot / scale,
+        max_deviation=float(np.max(np.abs(recovered - x[None, :]))),
+        slots_used=idx.proposed_slots,
+        knowledge_history=tuple(history),
     )
 
 
@@ -223,8 +209,7 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
         p_r = config.p_r
     if not 0 <= p_r < math.inf:
         raise ValueError(f"relay power must be finite and >= 0, got {p_r!r}")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be >= 1 and an integer, got {trials!r}")
+    trials = checked_count(trials, "trials")
     idx = SlotIndexer(K)
     T = idx.sic_slots
     scale = math.sqrt(_broadcast_scale(beta, p_r, M))

@@ -104,7 +104,7 @@ def _mean_scaled_noise_gain(M, K, trials, seed):
     for trial in range(trials):
         G = draw_small_scale(M, K, substream(seed, STREAM_CHANNEL, trial))
         for k in range(1, K + 1):
-            totals += M * build_zf_stage(G, k, idx).noise_gain
+            totals += M * build_zf_stage(G, k).noise_gain
             count += 1
     return totals / count
 

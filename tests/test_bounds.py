@@ -15,7 +15,6 @@ from mwrelay import (
     inverse_norm_moments,
     proposed_dl_bound,
     sum_se,
-    trace_lemma_statistic,
     uplink_bound,
     zf_asymptotic_rate,
 )
@@ -115,34 +114,20 @@ def test_inverse_norm_moments_monte_carlo():
 
 
 def test_trace_statistic_mean_and_spread():
-    # The statistic's mean is exactly beta_k * beta_j, but single draws keep
-    # order-one spread at any M (the cross product never hardens).
+    # The trace-lemma statistic |g_k^H g_j|^2 / M has mean exactly beta_k * beta_j,
+    # but single draws keep order-one spread at any M (the cross product never hardens).
     rng = substream(32, STREAM_CHANNEL, 1)
     beta = np.array([1.0, 2.0, 0.5, 1.5])
     draws = 20_000
     values = np.empty(draws)
     for d in range(draws):
         G = draw_small_scale(64, 4, rng) * np.sqrt(beta)
-        values[d] = trace_lemma_statistic(G, 1, 1)
+        values[d] = abs(G[:, 0].conj() @ G[:, 1]) ** 2 / 64
     expected = beta[0] * beta[1]
     stderr = values.std(ddof=1) / math.sqrt(draws)
     assert abs(values.mean() - expected) < 4 * stderr
     assert abs(values.mean() - expected) / expected < 0.05
     assert values.std(ddof=1) / values.mean() > 0.5
-
-
-def test_trace_statistic_orthogonal_vectors():
-    G = np.zeros((6, 3), dtype=complex)
-    G[0, 0] = 1.0
-    G[1, 1] = 1.0
-    G[2, 2] = 1.0
-    assert trace_lemma_statistic(G, 1, 1) == 0.0
-
-
-def test_trace_statistic_rejects_self_offset():
-    G = np.ones((4, 3), dtype=complex)
-    with pytest.raises(ValueError):
-        trace_lemma_statistic(G, 1, 3)
 
 
 _BETA4 = np.array([1.0, 2.0, 3.0, 4.0])
@@ -154,8 +139,7 @@ _BETA4 = np.array([1.0, 2.0, 3.0, 4.0])
     lambda k: conventional_dl_bound(_BETA4, 10.0, 10, 4, k, 1),
     lambda k: proposed_dl_bound(_BETA4, 10.0, 10, 4, k, 1),
     lambda k: zf_asymptotic_rate(_BETA4, 10.0, 4, k, 1),
-    lambda k: trace_lemma_statistic(np.ones((8, 4), dtype=complex), k, 1),
-], ids=["uplink", "conventional", "proposed", "zf_asymptotic", "trace_lemma"])
+], ids=["uplink", "conventional", "proposed", "zf_asymptotic"])
 def test_bounds_reject_user_outside_range(bound, k):
     # k = 0 would otherwise wrap around to user K through negative indexing.
     with pytest.raises(ValueError, match=f"user {k} outside 1..4"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mwrelay import GeometryModel, write_beta_file
-from mwrelay import cli
+from mwrelay import cli, montecarlo
 from mwrelay.cli import (
     CSV_HEADER,
     OPTIONS,
@@ -14,7 +14,7 @@ from mwrelay.cli import (
     read_config_file,
     write_csv,
 )
-from mwrelay.exceptions import InvalidConfigError
+from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 
 
 def test_db_conversion_exact_points():
@@ -179,6 +179,20 @@ def test_cdf_zero_trials_nonzero(tmp_path):
         ["cdf", "--k", "4", "--m", "8", "--profiles", "3", "--trials", "0",
          "--out", str(out)]
     ) == 1
+    assert not out.exists()
+
+
+def test_singular_gram_fails_run_without_csv(tmp_path, monkeypatch, capsys):
+    def never_regular(least, largest):
+        raise SingularSystemError("forced")
+
+    monkeypatch.setattr(montecarlo, "check_pivots", never_regular)
+    out = tmp_path / "sweep.csv"
+    assert parse_and_dispatch(
+        ["sweep-m", "--k", "4", "--m", "16", "--trials", "40", "--seed", "1",
+         "--out", str(out)]
+    ) == 1
+    assert capsys.readouterr().err == "mwrelay: error: forced\n"
     assert not out.exists()
 
 

@@ -85,7 +85,7 @@ def scalar_rate_tables(config, beta, scheme, trials, seed):
                     dl[trial, k - 1, t - 1] = math.log2(
                         1 + proposed_dl_sinr(G, beta, config.p_r, k, t)
                     )
-                stage = build_zf_stage(G, k, idx)
+                stage = build_zf_stage(G, k)
                 for n in range(1, idx.n_unknowns + 1):
                     dl[trial, k - 1, idx.sic_slots + n - 1] = math.log2(
                         1 + zf_sinr(stage, beta, config.p_r, config.M, n)
@@ -319,6 +319,34 @@ def test_cdf_unit_profiles_degenerate():
 def test_cdf_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
         cdf_experiment(CONFIG, None, 3, 0, seed=1)
+
+
+_COUNT_RUNS = [
+    lambda n: estimate_link_se(CONFIG, np.ones(5), ("proposed",), n, seed=1)["proposed"].downlink,
+    lambda n: cdf_experiment(CONFIG, None, n, 20, seed=1)["proposed"].samples,
+    lambda n: cdf_experiment(CONFIG, None, 2, n, seed=1)["proposed"].samples,
+]
+_COUNT_IDS = ["link-trials", "cdf-profiles", "cdf-trials"]
+
+
+@pytest.mark.parametrize("count", [0, -3, True, False, 2.5, 3.0, "3", None, np.float64(4.0)],
+                         ids=["zero", "negative", "true", "false", "fraction", "integral-float",
+                              "str", "none", "numpy-float"])
+@pytest.mark.parametrize("run", _COUNT_RUNS, ids=_COUNT_IDS)
+def test_estimators_reject_non_integer_counts(run, count):
+    # True used to run one trial or score one profile; 2.5 and "3" raised raw TypeErrors.
+    with pytest.raises(ValueError, match="must be >= 1 and an integer"):
+        run(count)
+
+
+@pytest.mark.parametrize("run", _COUNT_RUNS, ids=_COUNT_IDS)
+def test_estimators_take_numpy_integer_counts(run):
+    assert np.array_equal(run(np.int32(3)), run(3))
+
+
+def test_link_estimate_trials_is_a_plain_int():
+    estimate = estimate_link_se(CONFIG, np.ones(5), ("proposed",), np.int64(3), seed=1)
+    assert type(estimate["proposed"].trials) is int and estimate["proposed"].trials == 3
 
 
 def test_cdf_substream_determinism():

@@ -9,7 +9,8 @@ import mwrelay
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mwrelay.__path__))
 # Value wrappers whose fields callers now receive as plain arrays.
-REMOVED = ("LargeScaleProfile", "ChannelRealization", "SymbolFrame", "unit_profile")
+REMOVED = ("LargeScaleProfile", "ChannelRealization", "SymbolFrame", "unit_profile",
+           "trace_lemma_statistic")
 
 
 def test_modules_found():

@@ -13,14 +13,20 @@ from mwrelay import (
     DegenerateChannelError,
     SingularSystemError,
     SlotIndexer,
+    SystemConfig,
     build_zf_stage,
+    cdf_experiment,
     conventional_dl_sinr,
+    estimate_link_se,
     instantaneous_se,
     proposed_dl_sinr,
     relay_precode,
+    run_round_noiseless,
+    run_round_noisy,
     uplink_sinr,
     zf_sinr,
 )
+import mwrelay.montecarlo as montecarlo
 import mwrelay.rates as rates
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
 
@@ -262,13 +268,12 @@ def test_stacked_zf_stage_matches_per_user_stages(K):
     G = random_channel(K + 6, K, seed=20 + K)
     idx = SlotIndexer(K)
     users = np.arange(1, K + 1)
-    stacked = build_zf_stage(G, users, idx)
-    assert np.array_equal(stacked.user, users)
+    stacked = build_zf_stage(G, users)
     assert stacked.n_unknowns == idx.n_unknowns
     combiners = stacked.combiner()
     for k in users:
-        single = build_zf_stage(G, int(k), idx)
-        for field in ("cross", "mixing", "inverse", "noise_gain"):
+        single = build_zf_stage(G, int(k))
+        for field in ("mixing", "inverse", "noise_gain"):
             np.testing.assert_allclose(getattr(stacked, field)[k - 1], getattr(single, field),
                                        rtol=1e-12, atol=0)
         np.testing.assert_allclose(combiners[k - 1], single.combiner(), rtol=1e-12, atol=1e-15)
@@ -324,6 +329,26 @@ def test_zf_singular_gram_detected():
     with pytest.raises(SingularSystemError) as info:
         build_zf_stage(G, 1)
     assert info.value.condition > 1e10 or math.isinf(info.value.condition)
+
+
+def _never_regular(least, largest):
+    raise SingularSystemError("forced")
+
+
+@pytest.mark.parametrize("run", [
+    lambda config: estimate_link_se(config, np.ones(5), ("proposed",), 40, seed=1),
+    lambda config: cdf_experiment(config, None, 3, 40, seed=1),
+    lambda config: run_round_noisy(config, np.ones(5), trials=3, seed=1),
+    lambda config: run_round_noiseless(config, np.ones(5), seed=1),
+    lambda config: build_zf_stage(random_channel(config.M, 5, seed=1), np.arange(1, 6)),
+], ids=["estimate_link_se", "cdf_experiment", "run_round_noisy", "run_round_noiseless",
+        "build_zf_stage"])
+def test_every_zf_path_raises_on_a_singular_pivot(run, monkeypatch):
+    # One policy: the first Gram that fails check_pivots raises; nothing redraws.
+    monkeypatch.setattr(rates, "check_pivots", _never_regular)
+    monkeypatch.setattr(montecarlo, "check_pivots", _never_regular)
+    with pytest.raises(SingularSystemError, match="forced"):
+        run(SystemConfig(M=16, K=5, p_u=1.0, p_r=10.0))
 
 
 def test_zf_sinr_constructed_identity():

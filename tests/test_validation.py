@@ -111,7 +111,6 @@ def test_slot_estimates_match_remaining_interference():
     K = 7
     config = SystemConfig(M=12, K=K, p_u=1.0, p_r=3.0)
     outcome = run_round_noiseless(config, np.ones(K), seed=2)
-    assert outcome.attempts == 1
     G = draw_small_scale(12, K, substream(2, STREAM_CHANNEL, 0))
     cross = G.conj().T @ G
     x = outcome.true_symbols
@@ -197,26 +196,38 @@ def test_rounds_reject_bad_gains(run, bad):
         run(config, np.array([1.0, 1.0, bad, 1.0, 1.0]))
 
 
-def test_singular_policy_noiseless_resamples_noisy_propagates(monkeypatch):
-    # The block decoder factors every residual Gram through rates._factor_gram.
-    real = rates._factor_gram
-    calls = []
+def test_singular_policy_both_rounds_propagate(monkeypatch):
+    # The block decoder factors every residual Gram through rates._factor_gram;
+    # a singular Gram raises at once and no round draws another channel.
+    draws = []
+    real_draw = validation.draw_small_scale
 
-    def first_call_singular(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
-            raise SingularSystemError("forced")
-        return real(*args, **kwargs)
+    def counting_draw(*args):
+        draws.append(args[:2])
+        return real_draw(*args)
+
+    def singular(gram):
+        raise SingularSystemError("forced")
 
     config = SystemConfig(M=16, K=5, p_u=1.0, p_r=10.0)
-    monkeypatch.setattr(rates, "_factor_gram", first_call_singular)
-    outcome = run_round_noiseless(config, np.ones(5), seed=4)
-    assert outcome.attempts == 2
-    assert outcome.max_deviation <= 1e-9
-
-    calls.clear()
+    monkeypatch.setattr(validation, "draw_small_scale", counting_draw)
+    monkeypatch.setattr(rates, "_factor_gram", singular)
+    with pytest.raises(SingularSystemError, match="forced"):
+        run_round_noiseless(config, np.ones(5), seed=4)
+    assert draws == [(16, 5)]
     with pytest.raises(SingularSystemError, match="forced"):
         run_round_noisy(config, np.ones(5), trials=3, seed=4)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 11])
+@pytest.mark.parametrize("K", [2, 5, 8])
+def test_noiseless_frame_follows_round_zero_channel(K, seed):
+    # The noiseless round draws channel then frame from (seed, STREAM_CHANNEL, 0),
+    # as round 0 of run_round_noisy does.
+    rng = substream(seed, STREAM_CHANNEL, 0)
+    draw_small_scale(12, K, rng)
+    outcome = run_round_noiseless(SystemConfig(M=12, K=K, p_u=1.0, p_r=3.0), np.ones(K), seed)
+    assert np.array_equal(outcome.true_symbols, qpsk_frame(K, rng))
 
 
 def test_noisy_error_counts_reproducible():
@@ -290,12 +301,13 @@ def reference_error_counts(config, beta, trials, seed, p_r):
         G = compose_channel(draw_small_scale(M, K, rng), beta)
         x = qpsk_frame(K, rng)
         noise = draw_small_scale(T, K, rng)
-        stage = build_zf_stage(G, np.arange(1, K + 1), idx)
+        stage = build_zf_stage(G, np.arange(1, K + 1))
+        cross = G.conj().T @ G
         received = G.conj().T @ relay_precode(G, beta, p_r, x[idx.order[:, 1:T + 1]])
         received += noise.T
-        held = scale * stage.cross[users, idx.beams[:, :T, :T + 1]] * x[idx.order[:, None, :T + 1]]
+        held = scale * cross[users, idx.beams[:, :T, :T + 1]] * x[idx.order[:, None, :T + 1]]
         canceled = np.cumsum(held, axis=2)
-        slot = (received - canceled[:, slots, slots]) / np.diag(stage.cross).real[:, None]
+        slot = (received - canceled[:, slots, slots]) / np.diag(cross).real[:, None]
         zf = np.einsum("knm,km->kn", stage.combiner(), received - canceled[:, :, T])
         distances = np.abs(np.hstack([slot, zf])[..., None] - scale * QPSK)
         counts += QPSK[np.argmin(distances, axis=-1)] != x[idx.order[:, 1:]]
