@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemConfig, checked_gains
+from .channel import checked_gains
 from .schedule import SlotIndexer, compose_sum_se
 
 __all__ = [

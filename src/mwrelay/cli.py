@@ -178,16 +178,24 @@ def _geometry(options):
     return GeometryModel(**{field: options[name] for name, field in _GEOMETRY_FIELDS.items()})
 
 
+def _beta_model(options):
+    """The gain model that --beta names: "unit", "file" or "geometry"."""
+    choice = options["beta"]
+    if choice in ("unit", "geometry"):
+        return choice
+    if choice.startswith("file:"):
+        return "file"
+    raise InvalidConfigError(f"--beta must be unit, file:PATH, or geometry, got {choice!r}")
+
+
 def _gains(options, K, seed):
     """The K gains that --beta names."""
-    choice = options["beta"]
-    if choice == "unit":
+    model = _beta_model(options)
+    if model == "unit":
         return np.ones(K)
-    if choice.startswith("file:"):
-        return checked_gains(read_beta_file(choice[len("file:"):]), K)
-    if choice == "geometry":
-        return draw_large_scale(_geometry(options), K, substream(seed, STREAM_PROFILE, 0))
-    raise InvalidConfigError(f"--beta must be unit, file:PATH, or geometry, got {choice!r}")
+    if model == "file":
+        return checked_gains(read_beta_file(options["beta"][len("file:"):]), K)
+    return draw_large_scale(_geometry(options), K, substream(seed, STREAM_PROFILE, 0))
 
 
 def _require_out(options):
@@ -242,9 +250,10 @@ def _run_cdf(options):
     m_values = parse_m_range(options["m"])
     if len(m_values) != 1:
         raise InvalidConfigError("cdf takes a single antenna count, not a range")
-    if options["beta"].startswith("file:"):
+    model = _beta_model(options)
+    if model == "file":
         raise InvalidConfigError("cdf draws random placements; --beta file is not meaningful here")
-    geometry = None if options["beta"] == "unit" else _geometry(options)
+    geometry = None if model == "unit" else _geometry(options)
     config = SystemConfig(M=m_values[0], K=K,
                           p_u=db_to_linear(options["pu-db"]), p_r=db_to_linear(options["pr-db"]))
     results = cdf_experiment(config, geometry, options["profiles"], options["trials"], seed,

@@ -5,13 +5,15 @@ Covers the four stages of the link: maximum-ratio combining at the relay
 broadcast slots, and the zero-forcing stage that extracts the remaining
 symbols from the residual linear system. All functions are pure; user and
 slot indices are 1-based, and a channel with a non-finite entry is rejected.
-The zero-forcing stage is built for one user or for a stack of users at
-once (one Cholesky and one triangular inverse over the stack);
-``_stage_from_rows`` builds it from cross products with leading batch axes.
-``check_pivots`` is the one singular rule for it and for the batched kernel
-in ``montecarlo``: every zero-forcing path raises SingularSystemError on the
-first Gram that breaks it, and none redraws the channel. ``relay_precode``
-likewise takes one symbol frame or a matrix of frames, one per column.
+The dense zero-forcing stage is built for one user or for a stack of users
+at once (one Cholesky and one triangular inverse over the stack) and is the
+oracle; ``_zf_solve`` takes cross products with leading batch axes and
+solves a whole stack of residual systems with one checked call, without
+forming any inverse. ``check_pivots`` is the one singular rule for both and
+for the batched kernel in ``montecarlo``: every zero-forcing path raises
+SingularSystemError on the first Gram that breaks it, and none redraws the
+channel. ``relay_precode`` likewise takes one symbol frame or a matrix of
+frames, one per column.
 """
 
 from dataclasses import dataclass
@@ -181,18 +183,21 @@ def build_zf_stage(G, k):
     ``k`` is one user or a 1-D array of users; an array stacks their
     systems along a leading axis and factors all of them with one Cholesky
     call, raising SingularSystemError if any of them is singular. For K = 2
-    there is nothing left to solve and the stage is empty.
+    there is nothing left to solve and the stage is empty. This dense
+    stage is the oracle for the residual solve of the symbol rounds.
     """
-    return _stage_from_rows(_column_products(G, k), k)
+    mixing = _zf_mixing(_column_products(G, k), k)
+    inverse = np.tril(np.linalg.inv(_factor_gram(mixing.conj().swapaxes(-1, -2) @ mixing)))
+    return ZfStage(mixing=mixing, inverse=inverse)
 
 
-def _stage_from_rows(cross, k):
-    """``build_zf_stage`` from user k's cross-product row g_k^H g_i over all i.
+def _zf_mixing(cross, k):
+    """User k's sic_slots x n_unknowns mixing matrix from its cross-product row g_k^H g_i.
 
     ``cross`` holds one row per user of ``k``, after any leading batch axes,
-    which every stage field keeps; each Gram of the batch is checked on its
-    own. Entry (m, n) is g_k^H g_j with j the beam that carries the n-th
-    unknown in broadcast slot m, read from the ``SlotIndexer`` beam table.
+    which the result keeps. Entry (m, n) is g_k^H g_j with j the beam that
+    carries the n-th unknown in broadcast slot m, read from the
+    ``SlotIndexer`` beam table.
     """
     if not np.isfinite(cross).all():
         raise ValueError("cross products hold non-finite entries")
@@ -202,9 +207,31 @@ def _stage_from_rows(cross, k):
     # Entry j of the r-th row sits at r * K + j once the rows are flattened.
     rows = cross.reshape(cross.shape[:cross.ndim - users.ndim - 1] + (-1,))
     offsets = indexer.K * np.arange(users.size).reshape(users.shape + (1, 1))
-    mixing = np.take(rows, indexer.beams[users, :T, T + 1:] + offsets, axis=-1)
-    inverse = np.tril(np.linalg.inv(_factor_gram(mixing.conj().swapaxes(-1, -2) @ mixing)))
-    return ZfStage(mixing=mixing, inverse=inverse)
+    return np.take(rows, indexer.beams[users, :T, T + 1:] + offsets, axis=-1)
+
+
+def _zf_solve(cross, k, residual):
+    """Zero-forcing estimates of user k's unknowns from its (sic_slots,) residual observations.
+
+    ``cross`` and ``k`` are as for ``_zf_mixing`` and ``residual`` carries the
+    same leading axes. Each residual Gram mixing^H mixing is checked by
+    ``_factor_gram`` (SingularSystemError on the first that fails) and then
+    solved against mixing^H residual, one call over the whole stack; up to
+    rounding, the estimates of ``build_zf_stage(...).combiner() @ residual``.
+    """
+    gram, rhs = _normal_equations(_zf_mixing(cross, k), residual)
+    _factor_gram(gram)
+    return np.linalg.solve(gram, rhs)[..., 0]
+
+
+def _normal_equations(mixing, residual):
+    """(mixing^H mixing, mixing^H residual), the latter with a trailing column axis.
+
+    The mixing stack and its conjugate are freed on return, before the
+    factor and the solve allocate theirs.
+    """
+    mixing_h = mixing.conj().swapaxes(-1, -2)
+    return mixing_h @ mixing, mixing_h @ residual[..., None]
 
 
 def zf_sinr(stage, beta, p_r, M, n):

@@ -8,14 +8,16 @@ assumptions of the rate expressions; the noisy variant measures per-slot
 symbol error rates under that assumption. A symbol frame is a plain (K,)
 complex array of QPSK points, one per user.
 
-A round keeps only its K x K Gram G^H G and its (K, sic_slots) received
-table G^H (precoded broadcast) + noise, not the channel G. Both variants
-decode through one block decoder: for B rounds, one Cholesky and one
-triangular inverse over the (B, K, n_unknowns, n_unknowns) stack of residual
-Grams, one combiner product, one cumulative cancelation. Noisy rounds come
-in blocks of B = M // (sic_slots * (K - sic_slots)), so that a block's
-residual systems [mixing | residual] hold no more entries than one round's
-M x K channel; the noiseless round is round 0's draw as a block of one.
+A round keeps only its K x K Gram G^H G and its (K, sic_slots) receiver
+noise, not the channel G: since G^H (sqrt(c) G X) = sqrt(c) (G^H G) X, the
+received tables of B rounds are formed from their Grams in one batched
+product. Both variants decode through one block decoder: for B rounds, one
+cumulative cancelation and one checked solve over the
+(B, K, n_unknowns, n_unknowns) stack of residual Grams (``rates._zf_solve``;
+no inverse is formed). Noisy rounds come in blocks of
+B = M // (sic_slots * (K - sic_slots)), so that a block's residual systems
+[mixing | residual] hold no more entries than one round's M x K channel;
+the noiseless round is round 0's draw as a block of one.
 A singular residual Gram raises SingularSystemError; no round redraws.
 """
 
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rates
 from .channel import (
     STREAM_CHANNEL,
     checked_count,
@@ -32,7 +35,7 @@ from .channel import (
     draw_small_scale,
     substream,
 )
-from .rates import _broadcast_scale, _stage_from_rows, relay_precode
+from .rates import _broadcast_scale
 from .schedule import SlotIndexer, slot_count
 
 __all__ = [
@@ -88,34 +91,43 @@ def _block_rounds(M, K):
     return max(1, M // (T * (K - T)))
 
 
-def _form_round(G, beta, p_r, x, idx, cross, received):
-    """Write one round's Gram G^H G into ``cross`` and G^H times its broadcast into ``received``.
-
-    Slot t broadcasts x[order[:, t]], so all cancelation slots are precoded
-    as the columns of one matrix.
-    """
-    broadcast = relay_precode(G, beta, p_r, x[idx.order[:, 1:idx.sic_slots + 1]])
-    G_h = G.conj().T
-    np.matmul(G_h, G, out=cross)
-    np.matmul(G_h, broadcast, out=received)
+def _round_gram(G, out=None):
+    """One round's K x K Gram G^H G, the only product a round forms from its channel."""
+    return np.matmul(G.conj().T, G, out=out)
 
 
-def _decode_block(cross, received, x, scale, idx):
+def _decode_block(cross, noise, x, scale, idx):
     """Decode B rounds at every user; returns (slot, zf).
 
-    The inputs are the rounds' (B, K, K) Grams, (B, K, sic_slots) received
-    tables and (B, K) frames. Both results are in units of the broadcast
-    scale: a clean copy of the wanted symbol reads as scale * symbol.
-    ``slot[b, k-1, t-1]`` is user k's matched-filter estimate of its slot-t
-    target in round b after it cancels the t symbols it holds, and
-    ``zf[b, k-1, n-1]`` the zero-forcing estimate of its n-th remaining
-    unknown once all sic_slots + 1 are canceled. Cancelation subtracts the
-    true symbols (genie-aided).
+    The inputs are the rounds' (B, K, K) Grams, (B, K, sic_slots) receiver
+    noise (0 for noise-free rounds) and (B, K) frames. Slot t broadcasts
+    x[order[:, t]] at the broadcast scale, so user k receives row k of
+    scale * G^H G x[order[:, t]] plus noise, and one product forms every
+    received table from the Grams. Both results are in units of the
+    broadcast scale: a clean copy of the wanted symbol reads as
+    scale * symbol. ``slot[b, k-1, t-1]`` is user k's matched-filter
+    estimate of its slot-t target in round b after it cancels the t symbols
+    it holds, and ``zf[b, k-1, n-1]`` the zero-forcing estimate of its n-th
+    remaining unknown once all sic_slots + 1 are canceled.
+    """
+    received = cross @ x[:, idx.order[:, 1:idx.sic_slots + 1]]
+    received *= scale
+    received += noise
+    slot, residual = _cancel_held(cross, received, x, scale, idx)
+    return slot, rates._zf_solve(cross, np.arange(1, x.shape[1] + 1), residual)
+
+
+def _cancel_held(cross, received, x, scale, idx):
+    """Cancel held symbols from a block's received tables; returns (slot, residual).
+
+    ``slot`` is the matched-filter estimate of each slot's target after the
+    symbols held before it are canceled, and ``residual`` the received
+    table once all sic_slots + 1 held symbols are canceled. Cancelation
+    subtracts the true symbols (genie-aided).
     """
     B, K = x.shape
     T = idx.sic_slots
     users = np.arange(K)
-    combiner = _stage_from_rows(cross, users + 1).combiner()
     # canceled[b, k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
     canceled = np.take(cross.reshape(B, K * K), K * users[:, None, None] + idx.beams[:, :T, :T + 1],
                        axis=1)
@@ -124,14 +136,12 @@ def _decode_block(cross, received, x, scale, idx):
     np.cumsum(canceled, axis=-1, out=canceled)
     slots = np.arange(T)
     diagonal = np.diagonal(cross, axis1=-2, axis2=-1).real[..., None]
-    slot = (received - canceled[..., slots, slots]) / diagonal
-    residual = received - canceled[..., T]
-    return slot, np.einsum("...nm,...m->...n", combiner, residual)
+    return (received - canceled[..., slots, slots]) / diagonal, received - canceled[..., T]
 
 
-def _block_errors(cross, received, x, scale, idx):
+def _block_errors(cross, noise, x, scale, idx):
     """(K, K-1) count of wrong QPSK decisions per user and slot position over a block of rounds."""
-    slot, zf = _decode_block(cross, received, x, scale, idx)
+    slot, zf = _decode_block(cross, noise, x, scale, idx)
     decisions = _nearest_qpsk(np.concatenate([slot, zf], axis=-1), scale)
     return (QPSK[decisions] != x[:, idx.order[:, 1:]]).sum(axis=0)
 
@@ -154,9 +164,7 @@ def run_round_noiseless(config, beta, seed, frame=None):
     rng = substream(seed, STREAM_CHANNEL, 0)
     G = compose_channel(draw_small_scale(M, K, rng), beta)
     x = frame if frame is not None else qpsk_frame(K, rng)
-    cross, received = np.empty((K, K), dtype=complex), np.empty((K, idx.sic_slots), dtype=complex)
-    _form_round(G, beta, config.p_r, x, idx, cross, received)
-    slot, zf = (a[0] for a in _decode_block(cross[None], received[None], x[None], scale, idx))
+    slot, zf = (a[0] for a in _decode_block(_round_gram(G)[None], 0.0, x[None], scale, idx))
 
     # Slot decisions are genie-corrected (the raw estimates still carry
     # the not-yet-decoded symbols as interference); the rest is the raw solve.
@@ -217,7 +225,7 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
     amplitude = np.sqrt(beta)
     B = min(trials, _block_rounds(M, K))
     cross = np.empty((B, K, K), dtype=complex)
-    received = np.empty((B, K, T), dtype=complex)
+    noise = np.empty((B, K, T), dtype=complex)
     x = np.empty((B, K), dtype=complex)
 
     for start in range(0, trials, B):
@@ -227,10 +235,9 @@ def run_round_noisy(config, beta, trials, seed, p_r=None):
             G = draw_small_scale(M, K, rng)
             G *= amplitude  # G = H diag(beta)^(1/2), as compose_channel forms it
             x[r] = qpsk_frame(K, rng)
-            noise = draw_small_scale(T, K, rng)  # unit-variance CN per sample
-            _form_round(G, beta, p_r, x[r], idx, cross[r], received[r])
-            received[r] += noise.T
-            del G  # no channel outlives its round's tables
-        errors += _block_errors(cross[:rounds], received[:rounds], x[:rounds], scale, idx)
+            noise[r] = draw_small_scale(T, K, rng).T  # unit-variance CN per sample
+            _round_gram(G, out=cross[r])
+            del G  # no channel outlives its round's Gram
+        errors += _block_errors(cross[:rounds], noise[:rounds], x[:rounds], scale, idx)
 
     return errors / trials

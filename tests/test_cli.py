@@ -423,3 +423,20 @@ def test_config_scheme_takes_the_flag_choices(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(InvalidConfigError):
         read_config_file(cfg)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cdf_rejects_unknown_beta_model(tmp_path, capsys, source):
+    # cdf checks --beta against the same vocabulary as the other experiments
+    # instead of running the geometry model for any other value.
+    out, cfg = tmp_path / "cdf.csv", tmp_path / "b.cfg"
+    argv = ["cdf", "--k", "4", "--m", "8", "--profiles", "2", "--trials", "5", "--out", str(out)]
+    if source == "flag":
+        argv += ["--beta", "bogus"]
+    else:
+        cfg.write_text("beta = bogus\n")
+        argv += ["--config", str(cfg)]
+    assert parse_and_dispatch(argv) == 1
+    assert ("mwrelay: error: --beta must be unit, file:PATH, or geometry, got 'bogus'"
+            in capsys.readouterr().err)
+    assert not out.exists()

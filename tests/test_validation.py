@@ -249,37 +249,77 @@ def test_noisy_error_counts_at_benchmark_shape():
 
 
 @pytest.mark.parametrize("K", [2, 5, 10])
-def test_round_forms_one_gram_and_one_inverse(K, monkeypatch):
-    # Each round forms its Gram and received table once; each block of B
-    # rounds is factored and inverted by one call over its (B, K, n, n)
-    # stack, and nothing forms per-user Gram rows from a channel again.
+def test_round_forms_one_gram_and_one_solve(K, monkeypatch):
+    # Each round forms its Gram once; each block of B rounds is factored and
+    # solved by one call each over its (B, K, n, n) stack. No inverse is
+    # formed, nothing precodes a broadcast, and nothing forms per-user Gram
+    # rows from a channel again.
     M = 16
     B = validation._block_rounds(M, K)
     trials = 2 * B + 1
-    inverses, rounds, products = [], [], []
-    real_inv, real_form = np.linalg.inv, validation._form_round
-    real_products = rates._column_products
+    calls = {name: [] for name in ("gram", "factor", "solve", "inv", "precode", "products")}
 
-    def counting_inv(a):
-        inverses.append(np.shape(a))
-        return real_inv(a)
+    def counting(name, real):
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return wrapper
 
-    def counting_form(G, *args):
-        rounds.append(G.shape)
-        return real_form(G, *args)
-
-    def counting_products(G, k):
-        products.append(np.shape(k))
-        return real_products(G, k)
-
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    monkeypatch.setattr(validation, "_form_round", counting_form)
-    monkeypatch.setattr(rates, "_column_products", counting_products)
+    monkeypatch.setattr(validation, "_round_gram", counting("gram", validation._round_gram))
+    monkeypatch.setattr(rates, "_factor_gram", counting("factor", rates._factor_gram))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(rates, "relay_precode", counting("precode", rates.relay_precode))
+    monkeypatch.setattr(rates, "_column_products", counting("products", rates._column_products))
     run_round_noisy(SystemConfig(M=M, K=K, p_u=1.0, p_r=2.0), np.ones(K), trials=trials, seed=3)
     n = SlotIndexer(K).n_unknowns
-    assert rounds == [(M, K)] * trials
-    assert inverses == [(B, K, n, n), (B, K, n, n), (1, K, n, n)]
-    assert products == []
+    stacks = [(B, K, n, n), (B, K, n, n), (1, K, n, n)]
+    assert calls["gram"] == [(M, K)] * trials
+    assert calls["factor"] == stacks
+    assert calls["solve"] == stacks
+    assert calls["inv"] == calls["precode"] == calls["products"] == []
+
+
+@pytest.mark.parametrize("K", [2, 5, 10])
+def test_received_tables_from_gram_match_precoded_broadcast(K):
+    # G^H (sqrt(c) G X) = sqrt(c) (G^H G) X: the rounds form received tables
+    # from their Grams instead of precoding each broadcast.
+    M, p_r = 3 * K, 4.0
+    rng = np.random.default_rng(K)
+    beta = rng.uniform(0.05, 20.0, K)
+    G = compose_channel(draw_small_scale(M, K, rng), beta)
+    X = qpsk_frame(K * 6, rng).reshape(K, 6)
+    scale = math.sqrt(p_r / (M * beta.sum()))
+    expected = G.conj().T @ relay_precode(G, beta, p_r, X)
+    np.testing.assert_allclose(scale * (G.conj().T @ G) @ X, expected,
+                               rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["unit", "spread"])
+@pytest.mark.parametrize("K", range(2, 13))
+def test_noiseless_solve_matches_dense_combiner(K, spread):
+    # The rounds solve each residual system with one checked solve; the dense
+    # oracle's combiner on the physically precoded broadcast gives the same
+    # unknowns. The canceled terms grow with the gain spread, and so do the
+    # digits their subtraction loses.
+    beta = np.logspace(-1.5, 1.5, K) if spread else np.ones(K)
+    tolerance = 1e-12 * beta.max() / beta.min()
+    idx = SlotIndexer(K)
+    T, users = idx.sic_slots, np.arange(K)
+    for M in sorted({K + 1, 3 * K, 100}):
+        config = SystemConfig(M=M, K=K, p_u=1.0, p_r=3.0)
+        outcome = run_round_noiseless(config, beta, seed=K)
+        G = compose_channel(draw_small_scale(M, K, substream(K, STREAM_CHANNEL, 0)), beta)
+        x = outcome.true_symbols
+        scale = math.sqrt(config.p_r / (M * beta.sum()))
+        cross = G.conj().T @ G
+        received = G.conj().T @ relay_precode(G, beta, config.p_r, x[idx.order[:, 1:T + 1]])
+        held = cross[users[:, None, None], idx.beams[:, :T, :T + 1]] * x[idx.order[:, None, :T + 1]]
+        residual = received - scale * held.sum(axis=-1)
+        combiner = build_zf_stage(G, users + 1).combiner()
+        expected = np.einsum("knm,km->kn", combiner, residual) / scale
+        recovered = outcome.recovered[users[:, None], idx.order[:, T + 1:]]
+        np.testing.assert_allclose(recovered, expected, rtol=0, atol=tolerance)
 
 
 def reference_error_counts(config, beta, trials, seed, p_r):
