@@ -7,6 +7,8 @@ symbols exactly from its residual equations. The noisy sweep shows the
 per-slot QPSK symbol error rate falling with relay power.
 """
 
+import dataclasses
+
 import numpy as np
 
 from mwrelay import SlotIndexer, SystemConfig, run_round_noiseless, run_round_noisy
@@ -42,5 +44,5 @@ print()
 print("noisy rounds, QPSK, genie-aided cancelation (200 trials per point):")
 print("relay power   mean SER   worst-slot SER")
 for p_r in (0.5, 2.0, 8.0, 32.0, 128.0):
-    ser = run_round_noisy(config, beta, trials=200, seed=8, p_r=p_r)
+    ser = run_round_noisy(dataclasses.replace(config, p_r=p_r), beta, trials=200, seed=8)
     print(f"{p_r:11.1f}   {ser.mean():8.4f}   {ser.max():13.4f}")

@@ -62,7 +62,6 @@ from .schedule import (
 )
 from .validation import (
     NoiselessRound,
-    fixed_frame,
     qpsk_frame,
     run_round_noiseless,
     run_round_noisy,

@@ -70,6 +70,9 @@ class SystemConfig:
     p_r: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
         if not (1 <= self.M < math.inf and int(self.M) == self.M):
             raise InvalidConfigError(f"antenna count must be an integer >= 1, got {self.M!r}")
         if not (2 <= self.K < math.inf and int(self.K) == self.K):

@@ -169,7 +169,7 @@ def _resolve_options(args):
 
 def _schemes(options):
     choice = options["scheme"]
-    if choice in (None, ""):
+    if choice is None:
         return EXPERIMENTS[options["experiment"]][2]
     return SCHEMES if choice == "both" else (choice,)
 
@@ -198,10 +198,10 @@ def _gains(options, K, seed):
     return draw_large_scale(_geometry(options), K, substream(seed, STREAM_PROFILE, 0))
 
 
-def _require_out(options):
-    if not options["out"]:
-        raise InvalidConfigError("this experiment writes CSV; pass --out PATH")
-    return options["out"]
+def _configs(options):
+    """One SystemConfig per antenna count that --m names, with the powers converted from dB."""
+    p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
+    return [SystemConfig(M=M, K=options["k"], p_u=p_u, p_r=p_r) for M in parse_m_range(options["m"])]
 
 
 def _closed_form_cells(report, scheme, K):
@@ -230,13 +230,11 @@ def _link_rows(experiment, scheme, config, seed, estimate, report):
 
 
 def _run_sweep_m(options, aggregates_only=False):
-    experiment, seed, K = options["experiment"], options["seed"], options["k"]
-    p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
-    beta = _gains(options, K, seed)
+    experiment, seed = options["experiment"], options["seed"]
+    beta = _gains(options, options["k"], seed)
     schemes = _schemes(options)
     rows = []
-    for M in parse_m_range(options["m"]):
-        config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
+    for config in _configs(options):
         report = bound_report(config, beta)
         estimates = estimate_link_se(config, beta, schemes, options["trials"], seed)
         for scheme in schemes:
@@ -246,21 +244,19 @@ def _run_sweep_m(options, aggregates_only=False):
 
 
 def _run_cdf(options):
-    experiment, seed, K = options["experiment"], options["seed"], options["k"]
-    m_values = parse_m_range(options["m"])
-    if len(m_values) != 1:
+    experiment, seed = options["experiment"], options["seed"]
+    config, *others = _configs(options)
+    if others:
         raise InvalidConfigError("cdf takes a single antenna count, not a range")
     model = _beta_model(options)
     if model == "file":
         raise InvalidConfigError("cdf draws random placements; --beta file is not meaningful here")
     geometry = None if model == "unit" else _geometry(options)
-    config = SystemConfig(M=m_values[0], K=K,
-                          p_u=db_to_linear(options["pu-db"]), p_r=db_to_linear(options["pr-db"]))
     results = cdf_experiment(config, geometry, options["profiles"], options["trials"], seed,
                              schemes=_schemes(options))
     rows = []
     for scheme, result in results.items():
-        cell = (experiment, scheme, config.M, K, 0)
+        cell = (experiment, scheme, config.M, config.K, 0)
         rows.extend((*cell, rank, "cdf_sample", float(value), 0.0, seed)
                     for rank, value in enumerate(result.sorted_samples, start=1))
         rows.append((*cell, 0, "p5", result.likely_95, 0.0, seed))
@@ -269,14 +265,12 @@ def _run_cdf(options):
 
 def _run_bounds_table(options):
     experiment, seed, K = options["experiment"], options["seed"], options["k"]
-    p_u, p_r = db_to_linear(options["pu-db"]), db_to_linear(options["pr-db"])
     beta = _gains(options, K, seed)
     rows = []
-    for M in parse_m_range(options["m"]):
-        config = SystemConfig(M=M, K=K, p_u=p_u, p_r=p_r)
+    for config in _configs(options):
         report = bound_report(config, beta)
         for scheme in _schemes(options):
-            rows.extend((experiment, scheme, M, K, k, t, metric, value, 0.0, seed)
+            rows.extend((experiment, scheme, config.M, K, k, t, metric, value, 0.0, seed)
                         for k, t, metric, value in _closed_form_cells(report, scheme, K))
     return rows
 
@@ -351,9 +345,11 @@ def parse_and_dispatch(argv=None):
         runner = EXPERIMENTS[args.experiment][1]
         if runner is _run_selftest:
             return runner(options)
+        if not options["out"]:
+            raise InvalidConfigError("this experiment writes CSV; pass --out PATH")
         rows = runner(options)
         params = {k: v for k, v in options.items() if v is not None and k != "out"}
-        write_csv(_require_out(options), rows, params)
+        write_csv(options["out"], rows, params)
         return 0
     except (InvalidConfigError, SingularSystemError, ValueError, OSError) as exc:
         print(f"mwrelay: error: {exc}", file=sys.stderr)

@@ -141,12 +141,12 @@ def _run_spans(fn, spans, entries):
 def _gram_block(M, K, seed, lo, hi):
     """Small-scale Grams H^H H of trials lo..hi-1, which lie in one block.
 
-    The block holding trial lo is drawn whole from its own substream and
-    then sliced, so each trial's Gram is the same whichever span asks.
+    The block's Bartlett factors are drawn whole from its own substream and
+    sliced before the product, so each trial's Gram is the same whichever span asks.
     """
     block, start = divmod(lo, GRAM_BLOCK)
-    R = draw_gram_factor(M, K, substream(seed, STREAM_GRAM, block), GRAM_BLOCK)
-    return (R.conj().transpose(0, 2, 1) @ R)[start:start + hi - lo]
+    R = draw_gram_factor(M, K, substream(seed, STREAM_GRAM, block), GRAM_BLOCK)[start:start + hi - lo]
+    return R.conj().transpose(0, 2, 1) @ R
 
 
 @dataclass(frozen=True)

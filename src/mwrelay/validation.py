@@ -11,13 +11,13 @@ complex array of QPSK points, one per user.
 A round keeps only its K x K Gram G^H G and its (K, sic_slots) receiver
 noise, not the channel G: since G^H (sqrt(c) G X) = sqrt(c) (G^H G) X, the
 received tables of B rounds are formed from their Grams in one batched
-product. Both variants decode through one block decoder: for B rounds, one
-cumulative cancelation and one checked solve over the
-(B, K, n_unknowns, n_unknowns) stack of residual Grams (``rates._zf_solve``;
-no inverse is formed). Noisy rounds come in blocks of
-B = M // (sic_slots * (K - sic_slots)), so that a block's residual systems
-[mixing | residual] hold no more entries than one round's M x K channel;
-the noiseless round is round 0's draw as a block of one.
+product. Both variants draw rounds through ``_round_blocks`` at the relay
+power ``config.p_r`` and decode them with one block decoder: one cumulative
+cancelation and one checked solve over the (B, K, n_unknowns, n_unknowns)
+stack of residual Grams (``rates._zf_solve``; no inverse is formed). Noisy
+rounds come in blocks of B = M // (sic_slots * (K - sic_slots)), so that a
+block's residual systems [mixing | residual] hold no more entries than one
+round's M x K channel; the noiseless round is round 0 without its noise.
 A singular residual Gram raises SingularSystemError; no round redraws.
 """
 
@@ -31,7 +31,6 @@ from .channel import (
     STREAM_CHANNEL,
     checked_count,
     checked_gains,
-    compose_channel,
     draw_small_scale,
     substream,
 )
@@ -41,7 +40,6 @@ from .schedule import SlotIndexer, slot_count
 __all__ = [
     "QPSK",
     "qpsk_frame",
-    "fixed_frame",
     "NoiselessRound",
     "run_round_noiseless",
     "run_round_noisy",
@@ -53,11 +51,6 @@ QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
 def qpsk_frame(K, rng):
     """Uniform random QPSK frame: K symbols."""
     return QPSK[rng.integers(0, 4, size=int(K))]
-
-
-def fixed_frame(K):
-    """Deterministic frame cycling the QPSK points; for repeatable tests."""
-    return QPSK[np.arange(int(K)) % 4]
 
 
 @dataclass(frozen=True)
@@ -94,6 +87,33 @@ def _block_rounds(M, K):
 def _round_gram(G, out=None):
     """One round's K x K Gram G^H G, the only product a round forms from its channel."""
     return np.matmul(G.conj().T, G, out=out)
+
+
+def _round_blocks(config, beta, trials, seed):
+    """Yield (Grams, noise, frames) of rounds 0..trials-1 in blocks of ``_block_rounds``.
+
+    Round r draws from the (seed, STREAM_CHANNEL, r) substream its channel
+    G = H diag(beta)^(1/2), then its frame, then its unit-variance noise, and
+    keeps only its Gram. The next block overwrites the buffers yielded.
+    """
+    M, K = config.M, config.K
+    T = slot_count(K)
+    amplitude = np.sqrt(beta)
+    B = min(trials, _block_rounds(M, K))
+    cross = np.empty((B, K, K), dtype=complex)
+    noise = np.empty((B, K, T), dtype=complex)
+    x = np.empty((B, K), dtype=complex)
+    for start in range(0, trials, B):
+        rounds = min(B, trials - start)
+        for r in range(rounds):
+            rng = substream(seed, STREAM_CHANNEL, start + r)
+            G = draw_small_scale(M, K, rng)
+            G *= amplitude
+            x[r] = qpsk_frame(K, rng)
+            noise[r] = draw_small_scale(T, K, rng).T
+            _round_gram(G, out=cross[r])
+            del G  # no channel outlives its round's Gram
+        yield cross[:rounds], noise[:rounds], x[:rounds]
 
 
 def _decode_block(cross, noise, x, scale, idx):
@@ -146,25 +166,18 @@ def _block_errors(cross, noise, x, scale, idx):
     return (QPSK[decisions] != x[:, idx.order[:, 1:]]).sum(axis=0)
 
 
-def run_round_noiseless(config, beta, seed, frame=None):
+def run_round_noiseless(config, beta, seed):
     """Noise-free round: exact cancelation and zero-forcing recovery.
 
-    The channel and then, unless ``frame`` gives the (K,) symbols, a QPSK
-    frame are drawn from the (seed, STREAM_CHANNEL, 0) substream, as round 0
-    of ``run_round_noisy`` draws them.
+    The round is round 0 of ``run_round_noisy`` (same channel and frame)
+    decoded without its noise.
     """
-    M, K = config.M, config.K
+    K = config.K
     beta = checked_gains(beta, K)
-    if frame is not None:
-        frame = np.asarray(frame, dtype=complex)
-        if frame.shape != (K,):
-            raise ValueError(f"frame must hold {K} symbols")
     idx = SlotIndexer(K)
-    scale = math.sqrt(_broadcast_scale(beta, config.p_r, M))
-    rng = substream(seed, STREAM_CHANNEL, 0)
-    G = compose_channel(draw_small_scale(M, K, rng), beta)
-    x = frame if frame is not None else qpsk_frame(K, rng)
-    slot, zf = (a[0] for a in _decode_block(_round_gram(G)[None], 0.0, x[None], scale, idx))
+    scale = math.sqrt(_broadcast_scale(beta, config.p_r, config.M))
+    cross, _, (x,) = next(_round_blocks(config, beta, 1, seed))
+    slot, zf = (a[0] for a in _decode_block(cross, 0.0, x[None], scale, idx))
 
     # Slot decisions are genie-corrected (the raw estimates still carry
     # the not-yet-decoded symbols as interference); the rest is the raw solve.
@@ -201,43 +214,17 @@ def _nearest_qpsk(values, reference_scale):
     return index
 
 
-def run_round_noisy(config, beta, trials, seed, p_r=None):
+def run_round_noisy(config, beta, trials, seed):
     """Per-user, per-slot-position QPSK symbol error rate over noisy rounds.
 
-    ``trials`` is an integer >= 1. ``p_r`` may override the configured
-    relay power with a finite value >= 0; 0 is allowed as the
-    channel-unused limit (decisions degenerate to a fixed guess, so the
-    error rate approaches 3/4). Cancelation subtracts true symbols
+    ``trials`` is an integer >= 1. Cancelation subtracts true symbols
     (genie-aided), so errors never propagate across slots. Each round
     draws its channel, frame and noise from its own substream.
     """
-    M, K = config.M, config.K
-    beta = checked_gains(beta, K)
-    if p_r is None:
-        p_r = config.p_r
-    if not 0 <= p_r < math.inf:
-        raise ValueError(f"relay power must be finite and >= 0, got {p_r!r}")
+    beta = checked_gains(beta, config.K)
     trials = checked_count(trials, "trials")
-    idx = SlotIndexer(K)
-    T = idx.sic_slots
-    scale = math.sqrt(_broadcast_scale(beta, p_r, M))
-    errors = np.zeros((K, K - 1))
-    amplitude = np.sqrt(beta)
-    B = min(trials, _block_rounds(M, K))
-    cross = np.empty((B, K, K), dtype=complex)
-    noise = np.empty((B, K, T), dtype=complex)
-    x = np.empty((B, K), dtype=complex)
-
-    for start in range(0, trials, B):
-        rounds = min(B, trials - start)
-        for r in range(rounds):
-            rng = substream(seed, STREAM_CHANNEL, start + r)
-            G = draw_small_scale(M, K, rng)
-            G *= amplitude  # G = H diag(beta)^(1/2), as compose_channel forms it
-            x[r] = qpsk_frame(K, rng)
-            noise[r] = draw_small_scale(T, K, rng).T  # unit-variance CN per sample
-            _round_gram(G, out=cross[r])
-            del G  # no channel outlives its round's Gram
-        errors += _block_errors(cross[:rounds], noise[:rounds], x[:rounds], scale, idx)
-
+    idx = SlotIndexer(config.K)
+    scale = math.sqrt(_broadcast_scale(beta, config.p_r, config.M))
+    errors = sum(_block_errors(cross, noise, x, scale, idx)
+                 for cross, noise, x in _round_blocks(config, beta, trials, seed))
     return errors / trials

@@ -179,6 +179,18 @@ def test_system_config_validation():
                 SystemConfig(**{"M": 4, "K": 2, "p_u": 1.0, "p_r": 1.0, field: bad})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("M", True), ("M", np.True_), ("K", np.False_), ("p_u", True), ("p_r", True),
+    ("M", "100"), ("K", "4"), ("M", None), ("p_r", "1.0"),
+], ids=["M-true", "M-numpy-true", "K-numpy-false", "p_u-true", "p_r-true", "M-str", "K-str",
+        "M-none", "p_r-str"])
+def test_system_config_rejects_bools_and_non_numbers(field, bad):
+    # M=True used to become M=1 and p_r=True stayed a bool; strings and None
+    # raised raw TypeErrors from the range checks.
+    with pytest.raises(InvalidConfigError, match=f"{field} must be a real number"):
+        SystemConfig(**{"M": 4, "K": 2, "p_u": 1.0, "p_r": 1.0, field: bad})
+
+
 def _same_fields(a, b):
     """Field-by-field equality of two result dataclasses; arrays compare exactly."""
     assert type(a) is type(b)

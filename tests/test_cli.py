@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mwrelay import GeometryModel, write_beta_file
+from mwrelay import GeometryModel, SystemConfig, bound_report, draw_large_scale, write_beta_file
 from mwrelay import cli, montecarlo
+from mwrelay.channel import STREAM_PROFILE, substream
 from mwrelay.cli import (
     CSV_HEADER,
     OPTIONS,
@@ -264,6 +265,33 @@ def test_unwritable_output_nonzero(tmp_path):
 
 def test_missing_out_nonzero():
     assert parse_and_dispatch(["sweep-m", "--k", "4", "--m", "8", "--trials", "5"]) == 1
+
+
+def test_missing_out_fails_before_the_experiment_runs(monkeypatch, capsys):
+    # The --out check used to run after the Monte Carlo, so a long run was lost.
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran without --out")
+
+    monkeypatch.setattr(cli, "estimate_link_se", never)
+    assert parse_and_dispatch(["sweep-m", "--k", "10", "--m", "100:300:100"]) == 1
+    assert "pass --out PATH" in capsys.readouterr().err
+
+
+def test_bounds_table_geometry_gains_are_profile_zero(tmp_path):
+    # --beta geometry draws the gains of cdf_experiment's profile 0 from the seed.
+    K, seed, out = 4, 7, tmp_path / "table.csv"
+    assert parse_and_dispatch(["bounds-table", "--k", str(K), "--m", "16:32:16", "--beta",
+                               "geometry", "--seed", str(seed), "--out", str(out)]) == 0
+    beta = draw_large_scale(GeometryModel(), K, substream(seed, STREAM_PROFILE, 0))
+    written = {(r[1], int(r[2]), int(r[4]), int(r[5])): r[7] for r in _data_rows(out)}
+    expected = {}
+    for M in (16, 32):
+        report = bound_report(SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0), beta)
+        for scheme in ("conventional", "proposed"):
+            table = np.column_stack([report.uplink, report.downlink(scheme)])
+            expected.update({(scheme, M, k + 1, t): f"{value:.12g}"
+                             for (k, t), value in np.ndenumerate(table)})
+    assert written == expected
 
 
 def test_selftest_exits_zero(monkeypatch, capsys):

@@ -8,9 +8,10 @@ import pytest
 import mwrelay
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mwrelay.__path__))
-# Value wrappers whose fields callers now receive as plain arrays.
+# Removed public names: value wrappers whose fields callers now receive as
+# plain arrays, and helpers that no caller needs any more.
 REMOVED = ("LargeScaleProfile", "ChannelRealization", "SymbolFrame", "unit_profile",
-           "trace_lemma_statistic")
+           "trace_lemma_statistic", "fixed_frame")
 
 
 def test_modules_found():
