@@ -6,11 +6,13 @@ holding i.i.d. circularly-symmetric unit-variance complex Gaussian entries.
 Randomness is counter-based: every unit of work owns a substream derived
 from (seed, stream tag, index), so a realization depends only on the seed
 and its index, never on how work is spread over threads.
-``draw_small_scale`` draws H itself, one trial per (STREAM_CHANNEL, trial)
-substream, for the symbol rounds and as the oracle of the Monte Carlo
-path. That path needs only the Gram H^H H, which ``draw_gram_factor``
-samples through its Bartlett factor without drawing H, a fixed block of
-trials per (STREAM_GRAM, block) substream.
+Both simulators need only the Gram H^H H, which ``draw_gram_factor``
+samples through its Bartlett factor without drawing H: the Monte Carlo
+path a fixed block of trials per (STREAM_GRAM, block) substream, the
+symbol rounds a block of rounds per (STREAM_ROUND, block) substream.
+``draw_small_scale`` draws H itself; neither simulator calls it, it is
+the oracle of both (the selftest's dense zero-forcing check and the
+reference chains draw through it).
 """
 
 import functools
@@ -30,6 +32,7 @@ __all__ = [
     "STREAM_CHANNEL",
     "STREAM_PROFILE",
     "STREAM_GRAM",
+    "STREAM_ROUND",
     "draw_small_scale",
     "draw_gram_factor",
     "compose_channel",
@@ -38,12 +41,14 @@ __all__ = [
     "read_beta_file",
 ]
 
-# Substream namespaces. Direct channel draws use (STREAM_CHANNEL, trial),
-# placement profiles (STREAM_PROFILE, p), and Monte Carlo Gram blocks, which
-# placement sweeps share across profiles, (STREAM_GRAM, block).
+# Substream namespaces. Direct channel draws (the oracles) use
+# (STREAM_CHANNEL, trial), placement profiles (STREAM_PROFILE, p), Monte Carlo
+# Gram blocks, which placement sweeps share across profiles, (STREAM_GRAM,
+# block), and blocks of symbol rounds (STREAM_ROUND, block).
 STREAM_CHANNEL = 0
 STREAM_PROFILE = 1
 STREAM_GRAM = 2
+STREAM_ROUND = 3
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -154,17 +159,21 @@ def draw_gram_factor(M, K, rng, n):
     i = 1..min(M, K), and every entry above it is i.i.d. CN(0, 1) (Goodman
     1963; Tulino & Verdu 2004). That is the R of a QR factorization H = QR;
     when M < K the last K - M columns are Q^H times independent CN(0, I_M)
-    columns. The diagonal is drawn in one generator call, then the entries
-    above it in another, so the layout is reproducible. Cost is O(n K^2),
-    whatever M.
+    columns. The diagonal is drawn first, one generator call per row, then
+    the entries above it in one call, so the layout is reproducible. Cost
+    is O(n K^2), whatever M.
     """
     if M < 1 or K < 1 or n < 1:
         raise InvalidConfigError("factor dimensions and count must be >= 1")
     rows = min(M, K)
     R = np.zeros((n, rows, K), dtype=complex)
+    # One scalar-shape call per row: each array-shape gamma call leaves one
+    # more tuple on the interpreter's free list, so memory would grow with
+    # the call count.
+    for i in range(rows):
+        R[:, i, i] = np.sqrt(rng.gamma(M - i, size=n))
     flat = R.reshape(n, rows * K).view(float)  # Re, Im of entry (i, j) at 2(iK + j), 2(iK + j) + 1
-    diag, upper_re, upper_im = _factor_positions(rows, K)
-    flat[:, diag] = np.sqrt(rng.gamma(M - np.arange(rows), size=(n, rows)))
+    upper_re, upper_im = _upper_positions(rows, K)
     z = rng.standard_normal((2, n, upper_re.size))
     flat[:, upper_re] = z[0] * _INV_SQRT2
     flat[:, upper_im] = z[1] * _INV_SQRT2
@@ -172,10 +181,10 @@ def draw_gram_factor(M, K, rng, n):
 
 
 @functools.cache
-def _factor_positions(rows, K):
-    """Flat float positions of Re R_ii, and of Re and Im R_ij, i < j, in a (rows, K) factor."""
+def _upper_positions(rows, K):
+    """Flat float positions of Re and Im R_ij, i < j, in a (rows, K) factor."""
     i, j = np.triu_indices(rows, 1, K)
-    positions = 2 * (K + 1) * np.arange(rows), 2 * (i * K + j), 2 * (i * K + j) + 1
+    positions = 2 * (i * K + j), 2 * (i * K + j) + 1
     for table in positions:
         table.flags.writeable = False
     return positions

@@ -8,17 +8,20 @@ assumptions of the rate expressions; the noisy variant measures per-slot
 symbol error rates under that assumption. A symbol frame is a plain (K,)
 complex array of QPSK points, one per user.
 
-A round keeps only its K x K Gram G^H G and its (K, sic_slots) receiver
+A round needs only its K x K Gram G^H G and its (K, sic_slots) receiver
 noise, not the channel G: since G^H (sqrt(c) G X) = sqrt(c) (G^H G) X, the
 received tables of B rounds are formed from their Grams in one batched
-product. Both variants draw rounds through ``_round_blocks`` at the relay
-power ``config.p_r`` and decode them with one block decoder: one cumulative
-cancelation and one checked solve over the (B, K, n_unknowns, n_unknowns)
-stack of residual Grams (``rates._zf_solve``; no inverse is formed). Noisy
-rounds come in blocks of B = M // (sic_slots * (K - sic_slots)), so that a
-block's residual systems [mixing | residual] hold no more entries than one
-round's M x K channel; the noiseless round is round 0 without its noise.
-A singular residual Gram raises SingularSystemError; no round redraws.
+product. So no round draws its M x K channel: ``_round_blocks`` samples a
+block's Grams through their Bartlett factors (``channel.draw_gram_factor``,
+O(K^2) draws per round whatever M), then its frames and noise, all from one
+(STREAM_ROUND, block) substream. Both variants draw rounds through it at the
+relay power ``config.p_r`` and decode them with one block decoder: one
+cumulative cancelation and one checked solve over the
+(B, K, n_unknowns, n_unknowns) stack of residual Grams (``rates._zf_solve``;
+no inverse is formed). Rounds come in blocks of
+B = M // (sic_slots * (K - sic_slots)), which bounds a block's decode
+memory; the noiseless round is round 0 without its noise. A singular
+residual Gram raises SingularSystemError; no round redraws.
 """
 
 import math
@@ -28,10 +31,11 @@ import numpy as np
 
 from . import rates
 from .channel import (
-    STREAM_CHANNEL,
+    _INV_SQRT2,
+    STREAM_ROUND,
     checked_count,
     checked_gains,
-    draw_small_scale,
+    draw_gram_factor,
     substream,
 )
 from .rates import _broadcast_scale
@@ -77,42 +81,44 @@ class NoiselessRound:
 def _block_rounds(M, K):
     """Rounds per block, M // (sic_slots * (K - sic_slots)) and at least one.
 
-    A block's residual systems [mixing | residual] then hold no more entries
-    than one round's M x K channel.
+    The rule bounds a block's decode memory: its residual systems
+    [mixing | residual] hold no more than M x K entries.
     """
     T = slot_count(K)
     return max(1, M // (T * (K - T)))
 
 
-def _round_gram(G, out=None):
-    """One round's K x K Gram G^H G, the only product a round forms from its channel."""
-    return np.matmul(G.conj().T, G, out=out)
+def _block_grams(R, out):
+    """The (B, K, K) Grams R^H R of a block's Bartlett factors, formed into ``out``."""
+    return np.matmul(R.conj().transpose(0, 2, 1), R, out=out)
 
 
 def _round_blocks(config, beta, trials, seed):
     """Yield (Grams, noise, frames) of rounds 0..trials-1 in blocks of ``_block_rounds``.
 
-    Round r draws from the (seed, STREAM_CHANNEL, r) substream its channel
-    G = H diag(beta)^(1/2), then its frame, then its unit-variance noise, and
-    keeps only its Gram. The next block overwrites the buffers yielded.
+    Block b draws from the (seed, STREAM_ROUND, b) substream the Bartlett
+    factors of its B rounds, then their (B, K) frames, then their
+    (B, K, sic_slots) unit-variance noise. Round r's Gram is
+    D^(1/2) R^H R D^(1/2), the law of G^H G for G = H diag(beta)^(1/2).
+    A block is drawn whole and then sliced, so round r depends only on
+    (seed, M, K, r). The next block overwrites the buffers yielded.
     """
     M, K = config.M, config.K
     T = slot_count(K)
     amplitude = np.sqrt(beta)
-    B = min(trials, _block_rounds(M, K))
+    scaling = amplitude[:, None] * amplitude
+    B = _block_rounds(M, K)
     cross = np.empty((B, K, K), dtype=complex)
     noise = np.empty((B, K, T), dtype=complex)
     x = np.empty((B, K), dtype=complex)
-    for start in range(0, trials, B):
+    for b, start in enumerate(range(0, trials, B)):
+        rng = substream(seed, STREAM_ROUND, b)
+        _block_grams(draw_gram_factor(M, K, rng, B), out=cross)
+        cross *= scaling
+        x[...] = qpsk_frame(B * K, rng).reshape(B, K)
+        rng.standard_normal(out=noise.view(float))
+        noise *= _INV_SQRT2
         rounds = min(B, trials - start)
-        for r in range(rounds):
-            rng = substream(seed, STREAM_CHANNEL, start + r)
-            G = draw_small_scale(M, K, rng)
-            G *= amplitude
-            x[r] = qpsk_frame(K, rng)
-            noise[r] = draw_small_scale(T, K, rng).T
-            _round_gram(G, out=cross[r])
-            del G  # no channel outlives its round's Gram
         yield cross[:rounds], noise[:rounds], x[:rounds]
 
 
@@ -218,8 +224,8 @@ def run_round_noisy(config, beta, trials, seed):
     """Per-user, per-slot-position QPSK symbol error rate over noisy rounds.
 
     ``trials`` is an integer >= 1. Cancelation subtracts true symbols
-    (genie-aided), so errors never propagate across slots. Each round
-    draws its channel, frame and noise from its own substream.
+    (genie-aided), so errors never propagate across slots. Each block of
+    rounds draws its Grams, frames and noise from its own substream.
     """
     beta = checked_gains(beta, config.K)
     trials = checked_count(trials, "trials")

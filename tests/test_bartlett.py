@@ -10,13 +10,15 @@ SINR, so their KS statistic is the SINRs'.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mwrelay import SystemConfig, estimate_link_se
 from mwrelay import montecarlo
-from mwrelay.channel import _INV_SQRT2, draw_gram_factor, draw_small_scale
+from mwrelay.channel import (_INV_SQRT2, STREAM_ROUND, draw_gram_factor, draw_small_scale,
+                             substream)
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.montecarlo import _block_terms, _slot_rates
 from mwrelay.schedule import SlotIndexer
@@ -139,8 +141,8 @@ def complex_gram_factor(M, K, rng, n):
     """The Bartlett factor written entry by entry as complex values: the reference layout."""
     rows = min(M, K)
     R = np.zeros((n, rows, K), dtype=complex)
-    diag = np.arange(rows)
-    R[:, diag, diag] = np.sqrt(rng.gamma(M - diag, size=(n, rows)))
+    for i in range(rows):
+        R[:, i, i] = np.sqrt(rng.gamma(M - i, size=n))
     upper = np.triu_indices(rows, 1, K)
     z = rng.standard_normal((2, n, upper[0].size))
     R[:, upper[0], upper[1]] = (z[0] + 1j * z[1]) * _INV_SQRT2
@@ -156,6 +158,28 @@ def test_gram_factor_equals_complex_layout(M, K):
         reference = complex_gram_factor(M, K, np.random.default_rng(seed), 256).view(float)
         assert np.array_equal(R, reference)
         assert np.array_equal(np.signbit(R), np.signbit(reference))
+
+
+def test_gram_factor_memory_flat_in_calls():
+    # The symbol rounds draw one small block of factors per substream, so
+    # the sampler runs thousands of times per run; what it leaves allocated
+    # must not grow with the calls (each array-shape gamma call leaves one
+    # more tuple on the interpreter's free list).
+    def draw(blocks):
+        for b in blocks:
+            draw_gram_factor(100, 10, substream(1, STREAM_ROUND, b), 4)
+
+    draw(range(5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        draw(range(75))
+        few = tracemalloc.get_traced_memory()[0] - base
+        draw(range(75, 3000))
+        many = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert many <= few
 
 
 @pytest.mark.parametrize("bad", [(0, 3, 5), (4, 0, 5), (4, 3, 0)])

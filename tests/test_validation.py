@@ -1,5 +1,6 @@
 """End-to-end protocol rounds: recovery, knowledge evolution, error rates."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -18,11 +19,48 @@ from mwrelay import (
     run_round_noiseless,
     run_round_noisy,
 )
+import mwrelay.channel as channel
 import mwrelay.rates as rates
 import mwrelay.validation as validation
-from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
+from mwrelay.channel import (_INV_SQRT2, STREAM_CHANNEL, STREAM_ROUND, draw_gram_factor,
+                             draw_small_scale, substream)
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.validation import QPSK
+
+
+def round_draws(M, K, beta, trials, seed):
+    """Yield (G, frame, noise) of rounds 0..trials-1 as the rounds draw them.
+
+    Block b of B rounds draws from (seed, STREAM_ROUND, b) its B Bartlett
+    factors R, then its (B, K) frames, then its (B, K, sic_slots) noise.
+    The channel G = [R; 0] diag(sqrt(beta)) (M >= K), or R diag(sqrt(beta))
+    (M < K), has exactly the round's Gram, so the physical chain run on it
+    is the round.
+    """
+    B = validation._block_rounds(M, K)
+    T = SlotIndexer(K).sic_slots
+    for b, start in enumerate(range(0, trials, B)):
+        rng = substream(seed, STREAM_ROUND, b)
+        R = draw_gram_factor(M, K, rng, B)
+        x = qpsk_frame(B * K, rng).reshape(B, K)
+        noise = rng.standard_normal((B, K, 2 * T)).view(complex) * _INV_SQRT2
+        for r in range(min(B, trials - start)):
+            H = np.zeros((M, K), dtype=complex)
+            H[:R.shape[1]] = R[r]
+            yield compose_channel(H, beta), x[r], noise[r]
+
+
+def physical_draws(M, K, beta, trials, seed):
+    """Yield (G, frame, noise) of rounds whose M x K channels are drawn entry by entry.
+
+    Round r draws from (seed, STREAM_CHANNEL, r) its channel, its frame and
+    its (K, sic_slots) noise: the same law as the rounds, another stream.
+    """
+    T = SlotIndexer(K).sic_slots
+    for trial in range(trials):
+        rng = substream(seed, STREAM_CHANNEL, trial)
+        G = compose_channel(draw_small_scale(M, K, rng), beta)
+        yield G, qpsk_frame(K, rng), draw_small_scale(K, T, rng)
 
 
 def test_qpsk_constellation_unit_energy():
@@ -94,7 +132,7 @@ def test_slot_estimates_match_remaining_interference():
     K = 7
     config = SystemConfig(M=12, K=K, p_u=1.0, p_r=3.0)
     outcome = run_round_noiseless(config, np.ones(K), seed=2)
-    G = draw_small_scale(12, K, substream(2, STREAM_CHANNEL, 0))
+    G, _, _ = next(round_draws(12, K, np.ones(K), 1, 2))
     cross = G.conj().T @ G
     x = outcome.true_symbols
     for k in range(1, K + 1):
@@ -168,63 +206,71 @@ def test_rounds_reject_bad_gains(run, bad):
 
 def test_singular_policy_both_rounds_propagate(monkeypatch):
     # The block decoder factors every residual Gram through rates._factor_gram;
-    # a singular Gram raises at once and no round draws another channel.
+    # a singular Gram raises at once and no round draws another block.
     draws = []
-    real_draw = validation.draw_small_scale
+    real_draw = validation.draw_gram_factor
 
-    def counting_draw(*args):
-        draws.append(args[:2])
-        return real_draw(*args)
+    def counting_draw(M, K, rng, n):
+        draws.append((M, K, n))
+        return real_draw(M, K, rng, n)
+
+    def no_channel(*args):
+        raise AssertionError("a round drew an M x K channel")
 
     def singular(gram):
         raise SingularSystemError("forced")
 
     config = SystemConfig(M=16, K=5, p_u=1.0, p_r=10.0)
-    monkeypatch.setattr(validation, "draw_small_scale", counting_draw)
+    B = validation._block_rounds(16, 5)
+    monkeypatch.setattr(validation, "draw_gram_factor", counting_draw)
+    monkeypatch.setattr(channel, "draw_small_scale", no_channel)
     monkeypatch.setattr(rates, "_factor_gram", singular)
+    assert not hasattr(validation, "draw_small_scale")
     with pytest.raises(SingularSystemError, match="forced"):
         run_round_noiseless(config, np.ones(5), seed=4)
-    # Round 0's channel, then its noise: still exactly one channel draw.
-    assert draws == [(16, 5), (2, 5)]
+    # Round 0's block of factors: exactly one draw, and no channel.
+    assert draws == [(16, 5, B)]
     with pytest.raises(SingularSystemError, match="forced"):
         run_round_noisy(config, np.ones(5), trials=3, seed=4)
+    assert draws == [(16, 5, B)] * 2
 
 
 @pytest.mark.parametrize("seed", [1, 3, 11])
 @pytest.mark.parametrize("K", [2, 5, 8])
 def test_noiseless_frame_follows_round_zero_channel(K, seed):
-    # The noiseless round draws channel then frame from (seed, STREAM_CHANNEL, 0),
-    # as round 0 of run_round_noisy does.
-    rng = substream(seed, STREAM_CHANNEL, 0)
-    draw_small_scale(12, K, rng)
+    # The noiseless round draws its block's factors, then its frames, from
+    # (seed, STREAM_ROUND, 0), as round 0 of run_round_noisy does.
+    B = validation._block_rounds(12, K)
+    rng = substream(seed, STREAM_ROUND, 0)
+    draw_gram_factor(12, K, rng, B)
     outcome = run_round_noiseless(SystemConfig(M=12, K=K, p_u=1.0, p_r=3.0), np.ones(K), seed)
-    assert np.array_equal(outcome.true_symbols, qpsk_frame(K, rng))
+    assert np.array_equal(outcome.true_symbols, qpsk_frame(B * K, rng)[:K])
 
 
 def test_noisy_error_counts_reproducible():
     config = SystemConfig(M=16, K=5, p_u=1.0, p_r=2.0)
     counts = run_round_noisy(config, np.ones(5), 40, seed=3) * 40
-    expected = [[4, 3, 26, 22], [8, 2, 21, 23], [5, 2, 16, 22], [3, 0, 20, 14], [4, 5, 15, 19]]
+    expected = [[1, 0, 19, 22], [4, 3, 15, 16], [4, 2, 21, 16], [5, 2, 20, 21], [1, 1, 19, 20]]
     assert np.array_equal(counts, expected)
 
 
 def test_noisy_error_counts_at_benchmark_shape():
     config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
     counts = run_round_noisy(config, np.ones(10), 20, seed=3) * 20
-    expected = [[0, 0, 0, 0, 0, 4, 6, 0, 4], [0, 0, 0, 0, 0, 4, 3, 3, 5],
-                [0, 0, 0, 0, 0, 4, 4, 1, 3], [1, 0, 0, 0, 0, 2, 3, 3, 4],
-                [0, 0, 0, 0, 0, 4, 2, 2, 4], [0, 0, 0, 0, 0, 2, 4, 0, 6],
-                [0, 0, 0, 0, 0, 4, 2, 1, 3], [0, 0, 0, 0, 0, 2, 3, 4, 4],
-                [0, 0, 0, 0, 0, 6, 2, 2, 2], [0, 0, 0, 0, 0, 4, 3, 3, 3]]
+    expected = [[0, 0, 0, 0, 0, 4, 5, 5, 4], [0, 0, 0, 0, 0, 1, 3, 1, 4],
+                [0, 0, 0, 0, 0, 3, 1, 3, 5], [0, 0, 0, 0, 0, 4, 4, 5, 5],
+                [0, 0, 0, 0, 0, 4, 5, 4, 2], [0, 0, 0, 0, 0, 3, 1, 3, 4],
+                [0, 0, 0, 0, 0, 5, 3, 2, 3], [0, 0, 0, 0, 0, 1, 1, 3, 2],
+                [0, 0, 0, 0, 0, 6, 3, 1, 3], [0, 0, 0, 0, 0, 6, 2, 2, 5]]
     assert np.array_equal(counts, expected)
 
 
 @pytest.mark.parametrize("K", [2, 5, 10])
 def test_round_forms_one_gram_and_one_solve(K, monkeypatch):
-    # Each round forms its Gram once; each block of B rounds is factored and
-    # solved by one call each over its (B, K, n, n) stack. No inverse is
-    # formed, nothing precodes a broadcast, and nothing forms per-user Gram
-    # rows from a channel again.
+    # Each block forms the Grams of its B rounds in one product of their
+    # factors, and is factored and solved by one call each over its
+    # (B, K, n, n) stack. No inverse is formed, nothing precodes a broadcast,
+    # and nothing forms per-user Gram rows from a channel again.
     M = 16
     B = validation._block_rounds(M, K)
     trials = 2 * B + 1
@@ -236,7 +282,7 @@ def test_round_forms_one_gram_and_one_solve(K, monkeypatch):
             return real(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(validation, "_round_gram", counting("gram", validation._round_gram))
+    monkeypatch.setattr(validation, "_block_grams", counting("gram", validation._block_grams))
     monkeypatch.setattr(rates, "_factor_gram", counting("factor", rates._factor_gram))
     monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
@@ -245,7 +291,7 @@ def test_round_forms_one_gram_and_one_solve(K, monkeypatch):
     run_round_noisy(SystemConfig(M=M, K=K, p_u=1.0, p_r=2.0), np.ones(K), trials=trials, seed=3)
     n = SlotIndexer(K).n_unknowns
     stacks = [(B, K, n, n), (B, K, n, n), (1, K, n, n)]
-    assert calls["gram"] == [(M, K)] * trials
+    assert calls["gram"] == [(B, K, K)] * 3
     assert calls["factor"] == stacks
     assert calls["solve"] == stacks
     assert calls["inv"] == calls["precode"] == calls["products"] == []
@@ -280,7 +326,7 @@ def test_noiseless_solve_matches_dense_combiner(K, spread):
     for M in sorted({K + 1, 3 * K, 100}):
         config = SystemConfig(M=M, K=K, p_u=1.0, p_r=3.0)
         outcome = run_round_noiseless(config, beta, seed=K)
-        G = compose_channel(draw_small_scale(M, K, substream(K, STREAM_CHANNEL, 0)), beta)
+        G, _, _ = next(round_draws(M, K, beta, 1, K))
         x = outcome.true_symbols
         scale = math.sqrt(config.p_r / (M * beta.sum()))
         cross = G.conj().T @ G
@@ -293,12 +339,13 @@ def test_noiseless_solve_matches_dense_combiner(K, spread):
         np.testing.assert_allclose(recovered, expected, rtol=0, atol=tolerance)
 
 
-def reference_error_counts(config, beta, trials, seed):
+def reference_error_counts(config, beta, draws):
     """(K, K-1) wrong-decision counts from a per-round decode of the physical chain.
 
-    Each round precodes its frame with ``relay_precode``, builds every
-    user's zero-forcing stage with ``build_zf_stage`` on its channel G, and
-    decides by an argmin over the distances to all four scaled points.
+    ``draws`` yields each round's (G, frame, noise). Each round precodes its
+    frame with ``relay_precode``, builds every user's zero-forcing stage with
+    ``build_zf_stage`` on its channel G, and decides by an argmin over the
+    distances to all four scaled points.
     """
     M, K, p_r = config.M, config.K, config.p_r
     idx = SlotIndexer(K)
@@ -307,15 +354,11 @@ def reference_error_counts(config, beta, trials, seed):
     users = np.arange(K)[:, None, None]
     slots = np.arange(T)
     counts = np.zeros((K, K - 1), dtype=int)
-    for trial in range(trials):
-        rng = substream(seed, STREAM_CHANNEL, trial)
-        G = compose_channel(draw_small_scale(M, K, rng), beta)
-        x = qpsk_frame(K, rng)
-        noise = draw_small_scale(T, K, rng)
+    for G, x, noise in draws:
         stage = build_zf_stage(G, np.arange(1, K + 1))
         cross = G.conj().T @ G
         received = G.conj().T @ relay_precode(G, beta, p_r, x[idx.order[:, 1:T + 1]])
-        received += noise.T
+        received += noise
         held = scale * cross[users, idx.beams[:, :T, :T + 1]] * x[idx.order[:, None, :T + 1]]
         canceled = np.cumsum(held, axis=2)
         slot = (received - canceled[:, slots, slots]) / np.diag(cross).real[:, None]
@@ -334,8 +377,50 @@ def test_block_decoder_matches_per_round_reference(K, M, spread, p_r):
     B = validation._block_rounds(M, K)
     assert B > 1
     for trials in (B - 1, B, B + 1, 2 * B + 1, 1):
-        counts = reference_error_counts(config, beta, trials, 5)
+        counts = reference_error_counts(config, beta, round_draws(M, K, beta, trials, 5))
         assert np.array_equal(run_round_noisy(config, beta, trials, 5), counts / trials)
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["unit", "spread"])
+@pytest.mark.parametrize("K, M, p_r", [(3, 6, 2.0), (5, 12, 4.0), (10, 30, 20.0)])
+def test_noisy_error_rates_match_physical_channels(K, M, p_r, spread):
+    # The rounds sample their Grams through the Bartlett factor; the physical
+    # chain on channels drawn entry by entry has the same error rates. The
+    # two sides use different streams, so each cell agrees within 5 binomial
+    # standard deviations of the difference of two independent rates.
+    config = SystemConfig(M=M, K=K, p_u=1.0, p_r=p_r)
+    beta = np.logspace(-1.5, 1.5, K) if spread else np.ones(K)
+    seeds, trials = range(20), 100
+    rounds = len(seeds) * trials
+    counts = sum(run_round_noisy(config, beta, trials, seed) * trials for seed in seeds)
+    reference = sum(reference_error_counts(config, beta, physical_draws(M, K, beta, trials, seed))
+                    for seed in seeds)
+    pooled = (counts + reference) / (2 * rounds)
+    tolerance = 5.0 * np.sqrt(2.0 * pooled * (1.0 - pooled) / rounds)
+    assert 0.02 < pooled.mean() < 0.5
+    assert np.all(np.abs(counts - reference) / rounds <= tolerance)
+
+
+@pytest.mark.parametrize("K, M", [(5, 16), (10, 100)])
+def test_round_draws_do_not_depend_on_trials(K, M):
+    # A block is drawn whole and then sliced, so round r's Gram, frame and
+    # noise depend only on (seed, M, K, r).
+    config = SystemConfig(M=M, K=K, p_u=1.0, p_r=2.0)
+    beta = np.logspace(-1.5, 1.5, K)
+    B = validation._block_rounds(M, K)
+    rounds = {}
+    for trials in (B - 1, B, 2 * B + 1):
+        rounds[trials] = [tuple(a[r].copy() for a in block)
+                          for block in validation._round_blocks(config, beta, trials, 7)
+                          for r in range(len(block[0]))]
+        assert len(rounds[trials]) == trials
+    for r, (cross, noise, x) in enumerate(rounds[2 * B + 1]):
+        for trials in (B - 1, B):
+            if r < trials:
+                assert all(np.array_equal(a, b) for a, b in zip(rounds[trials][r], (cross, noise, x)))
+        G, frame, expected_noise = next(itertools.islice(round_draws(M, K, beta, r + 1, 7), r, None))
+        np.testing.assert_allclose(cross, G.conj().T @ G, rtol=1e-12, atol=1e-12 * beta.max())
+        assert np.array_equal(x, frame) and np.array_equal(noise, expected_noise)
 
 
 def test_noisy_peak_memory_flat_in_trials():
