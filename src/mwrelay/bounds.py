@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import checked_gains
-from .schedule import SlotIndexer, compose_sum_se
+from .schedule import SlotIndexer, checked_user_index, compose_sum_se
 
 __all__ = [
     "uplink_bound",
@@ -29,11 +29,6 @@ __all__ = [
     "bound_report",
     "analytic_sum_se",
 ]
-
-
-def _check_user(k, K):
-    if not 1 <= k <= K:
-        raise ValueError(f"user {k} outside 1..{K}")
 
 
 def _check_antennas(M, least):
@@ -53,7 +48,7 @@ def uplink_bound(beta, p_u, M, k):
     """Jensen lower bound on the uplink ergodic SE of user k, bit/s/Hz."""
     _check_antennas(M, 2)
     beta = checked_gains(beta)
-    _check_user(k, beta.size)
+    checked_user_index(k, beta.size)
     others = beta.sum() - beta[k - 1]
     return float(np.log2(1.0 + p_u * (M - 1) * beta[k - 1] / (p_u * others + 1.0)))
 
@@ -62,7 +57,7 @@ def conventional_dl_bound(beta, p_r, M, K, k, t):
     """Jensen lower bound for conventional slot t (K - 2 interference terms)."""
     _check_antennas(M, 3)
     beta = checked_gains(beta, K)
-    _check_user(k, K)
+    checked_user_index(k, K)
     if not 1 <= t <= K - 1:
         raise ValueError(f"slot {t} outside 1..{K - 1}")
     interfering = beta.sum() - beta[k - 1] - beta[SlotIndexer(K).beams[k - 1, t - 1, 0]]
@@ -75,7 +70,7 @@ def proposed_dl_bound(beta, p_r, M, K, k, t):
     """Jensen lower bound for cancelation slot t (K - t - 1 interference terms)."""
     _check_antennas(M, 3)
     beta = checked_gains(beta, K)
-    _check_user(k, K)
+    checked_user_index(k, K)
     idx = SlotIndexer(K)
     if not 1 <= t <= idx.sic_slots:
         raise ValueError(f"slot {t} outside 1..{idx.sic_slots}")
@@ -93,7 +88,7 @@ def zf_asymptotic_rate(beta, p_r, K, k, n):
     gains at offsets n .. n + sic_slots - 1, over sum(beta)).
     """
     beta = checked_gains(beta, K)
-    _check_user(k, K)
+    checked_user_index(k, K)
     idx = SlotIndexer(K)
     if not 1 <= n <= idx.n_unknowns:
         raise ValueError(f"unknown index {n} outside 1..{idx.n_unknowns}")

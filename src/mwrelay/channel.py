@@ -80,14 +80,12 @@ class SystemConfig:
                 raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
         if not (1 <= self.M < math.inf and int(self.M) == self.M):
             raise InvalidConfigError(f"antenna count must be an integer >= 1, got {self.M!r}")
-        if not (2 <= self.K < math.inf and int(self.K) == self.K):
-            raise InvalidConfigError(f"user count must be an integer >= 2, got {self.K!r}")
+        object.__setattr__(self, "K", checked_user_count(self.K))
         if not 0 < self.p_u < math.inf:
             raise InvalidConfigError(f"user power must be positive and finite, got {self.p_u!r}")
         if not 0 < self.p_r < math.inf:
             raise InvalidConfigError(f"relay power must be positive and finite, got {self.p_r!r}")
         object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "K", int(self.K))
 
 
 @dataclass(frozen=True)
@@ -132,6 +130,17 @@ def checked_count(count, name):
     if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError(f"{name} must be >= 1 and an integer, got {count!r}")
     return int(count)
+
+
+def checked_user_count(K):
+    """User count ``K`` as an int; raises InvalidConfigError unless it is a finite integer >= 2.
+
+    Bools are excluded and integral floats pass.
+    """
+    if isinstance(K, bool) or not isinstance(K, numbers.Real) or not (
+            2 <= K < math.inf and int(K) == K):
+        raise InvalidConfigError(f"user count must be an integer >= 2, got {K!r}")
+    return int(K)
 
 
 def draw_small_scale(M, K, rng):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateChannelError, SingularSystemError
-from .schedule import SlotIndexer
+from .schedule import SlotIndexer, checked_user_index
 
 __all__ = [
     "ZfStage",
@@ -40,10 +40,7 @@ PIVOT_RTOL = 1e-12
 
 def _column_products(G, k):
     """Row g_k^H g_i over all i; one row per user when ``k`` is an array of users."""
-    K = G.shape[1]
-    users = np.asarray(k)
-    if users.ndim > 1 or not np.all((1 <= users) & (users <= K)):
-        raise ValueError(f"user {k} outside 1..{K}")
+    users = checked_user_index(k, G.shape[1])
     if not np.isfinite(G).all():
         raise ValueError("channel matrix holds non-finite entries")
     return G[:, users - 1].conj().T @ G

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidConfigError
+from .channel import checked_user_count
 
 __all__ = [
     "SCHEMES",
@@ -38,15 +38,21 @@ __all__ = [
 SCHEMES = ("conventional", "proposed")
 
 
-def _check_users(K):
-    if int(K) != K or K < 2:
-        raise InvalidConfigError(f"user count must be an integer >= 2, got {K!r}")
-    return int(K)
+def checked_user_index(k, K):
+    """1-based user ``k`` of K, one int or a 1-D integer array of users, as an array.
+
+    Raises ValueError unless every user is an integer in 1..K; bools and
+    fractions are rejected, so no user wraps or truncates into another.
+    """
+    users = np.asarray(k)
+    if users.dtype.kind not in "iu" or users.ndim > 1 or not np.all((1 <= users) & (users <= K)):
+        raise ValueError(f"user {k} outside 1..{K}")
+    return users
 
 
 def slot_count(K):
     """Number of successive-cancelation broadcast slots, ceil((K-1)/2)."""
-    return _check_users(K) // 2
+    return checked_user_count(K) // 2
 
 
 def partner_index(k, t, K):
@@ -56,7 +62,7 @@ def partner_index(k, t, K):
     k and t so that successive-cancelation offsets (k - t <= 0) need no
     special casing. Satisfies partner_index(k - t, t, K) == k.
     """
-    K = _check_users(K)
+    K = checked_user_count(K)
     return (k + t - 1) % K + 1
 
 
@@ -92,7 +98,7 @@ def zf_coefficient_offset(m, n, sic_slots):
 @functools.cache
 def _tables(K):
     """The read-only (order, beams) tables of a K-user exchange."""
-    K = _check_users(K)
+    K = checked_user_count(K)
     order = (np.arange(K)[:, None] + np.arange(K)) % K
     beams = (order[:, None, :] - np.arange(1, K)[:, None]) % K
     order.flags.writeable = False

@@ -8,17 +8,20 @@ assumptions of the rate expressions; the noisy variant measures per-slot
 symbol error rates under that assumption. A symbol frame is a plain (K,)
 complex array of QPSK points, one per user.
 
-A round needs only its K x K Gram G^H G and its (K, sic_slots) receiver
-noise, not the channel G: since G^H (sqrt(c) G X) = sqrt(c) (G^H G) X, the
+A round needs only its K x K Gram and its (K, sic_slots) receiver noise,
+not the channel G: since G^H (sqrt(c) G X) = sqrt(c) (G^H G) X, the
 received tables of B rounds are formed from their Grams in one batched
 product. So no round draws its M x K channel: ``_round_blocks`` samples a
 block's Grams through their Bartlett factors (``channel.draw_gram_factor``,
 O(K^2) draws per round whatever M), then its frames and noise, all from one
-(STREAM_ROUND, block) substream. Both variants draw rounds through it at the
-relay power ``config.p_r`` and decode them with one block decoder: one
-cumulative cancelation and one checked solve over the
-(B, K, n_unknowns, n_unknowns) stack of residual Grams (``rates._zf_solve``;
-no inverse is formed). Rounds come in blocks of
+(STREAM_ROUND, block) substream. It is the one place that knows the
+broadcast scale sqrt(c) = sqrt(p_r / (M sum(beta))): each Gram it yields
+is sqrt(c) G^H G, so every estimate decoded from it is in symbol units.
+Both variants draw rounds through it at the relay power ``config.p_r`` and
+decode them with one block decoder: one cumulative cancelation and one
+checked solve over the (B, K, n_unknowns, n_unknowns) stack of residual
+Grams (``rates._zf_solve``; no inverse is formed). QPSK decisions are by
+quadrant, the constellation's decision regions. Rounds come in blocks of
 B = M // (sic_slots * (K - sic_slots)), which bounds a block's decode
 memory; the noiseless round is round 0 without its noise. A singular
 residual Gram raises SingularSystemError; no round redraws.
@@ -99,14 +102,15 @@ def _round_blocks(config, beta, trials, seed):
     Block b draws from the (seed, STREAM_ROUND, b) substream the Bartlett
     factors of its B rounds, then their (B, K) frames, then their
     (B, K, sic_slots) unit-variance noise. Round r's Gram is
-    D^(1/2) R^H R D^(1/2), the law of G^H G for G = H diag(beta)^(1/2).
-    A block is drawn whole and then sliced, so round r depends only on
-    (seed, M, K, r). The next block overwrites the buffers yielded.
+    sqrt(c) D^(1/2) R^H R D^(1/2): the law of sqrt(c) G^H G for
+    G = H diag(beta)^(1/2), with c = p_r / (M sum(beta)) the broadcast
+    scale. A block is drawn whole and then sliced, so round r depends only
+    on (seed, M, K, r). The next block overwrites the buffers yielded.
     """
     M, K = config.M, config.K
     T = slot_count(K)
     amplitude = np.sqrt(beta)
-    scaling = amplitude[:, None] * amplitude
+    scaling = math.sqrt(_broadcast_scale(beta, config.p_r, M)) * amplitude[:, None] * amplitude
     B = _block_rounds(M, K)
     cross = np.empty((B, K, K), dtype=complex)
     noise = np.empty((B, K, T), dtype=complex)
@@ -122,34 +126,33 @@ def _round_blocks(config, beta, trials, seed):
         yield cross[:rounds], noise[:rounds], x[:rounds]
 
 
-def _decode_block(cross, noise, x, scale, idx):
-    """Decode B rounds at every user; returns (slot, zf).
+def _decode_block(cross, noise, x, idx):
+    """Decode B rounds at every user; returns (slot, zf) in symbol units.
 
-    The inputs are the rounds' (B, K, K) Grams, (B, K, sic_slots) receiver
-    noise (0 for noise-free rounds) and (B, K) frames. Slot t broadcasts
-    x[order[:, t]] at the broadcast scale, so user k receives row k of
-    scale * G^H G x[order[:, t]] plus noise, and one product forms every
-    received table from the Grams. Both results are in units of the
-    broadcast scale: a clean copy of the wanted symbol reads as
-    scale * symbol. ``slot[b, k-1, t-1]`` is user k's matched-filter
+    The inputs are the rounds' (B, K, K) Grams sqrt(c) G^H G, their
+    (B, K, sic_slots) receiver noise (0 for noise-free rounds) and (B, K)
+    frames. Slot t broadcasts x[order[:, t]], so user k receives row k of
+    sqrt(c) G^H G x[order[:, t]] plus noise, and one product forms every
+    received table from the Grams. A clean copy of the wanted symbol reads
+    as the symbol. ``slot[b, k-1, t-1]`` is user k's matched-filter
     estimate of its slot-t target in round b after it cancels the t symbols
     it holds, and ``zf[b, k-1, n-1]`` the zero-forcing estimate of its n-th
     remaining unknown once all sic_slots + 1 are canceled.
     """
     received = cross @ x[:, idx.order[:, 1:idx.sic_slots + 1]]
-    received *= scale
     received += noise
-    slot, residual = _cancel_held(cross, received, x, scale, idx)
+    slot, residual = _cancel_held(cross, received, x, idx)
     return slot, rates._zf_solve(cross, np.arange(1, x.shape[1] + 1), residual)
 
 
-def _cancel_held(cross, received, x, scale, idx):
+def _cancel_held(cross, received, x, idx):
     """Cancel held symbols from a block's received tables; returns (slot, residual).
 
-    ``slot`` is the matched-filter estimate of each slot's target after the
-    symbols held before it are canceled, and ``residual`` the received
-    table once all sic_slots + 1 held symbols are canceled. Cancelation
-    subtracts the true symbols (genie-aided).
+    ``slot`` is the matched-filter estimate, in symbol units, of each
+    slot's target after the symbols held before it are canceled: the
+    remainder divided by the scaled ||g_k||^2 on the Gram's diagonal.
+    ``residual`` is the received table once all sic_slots + 1 held symbols
+    are canceled. Cancelation subtracts the true symbols (genie-aided).
     """
     B, K = x.shape
     T = idx.sic_slots
@@ -157,7 +160,6 @@ def _cancel_held(cross, received, x, scale, idx):
     # canceled[b, k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
     canceled = np.take(cross.reshape(B, K * K), K * users[:, None, None] + idx.beams[:, :T, :T + 1],
                        axis=1)
-    canceled *= scale
     canceled *= x[:, idx.order[:, None, :T + 1]]
     np.cumsum(canceled, axis=-1, out=canceled)
     slots = np.arange(T)
@@ -165,11 +167,16 @@ def _cancel_held(cross, received, x, scale, idx):
     return (received - canceled[..., slots, slots]) / diagonal, received - canceled[..., T]
 
 
-def _block_errors(cross, noise, x, scale, idx):
-    """(K, K-1) count of wrong QPSK decisions per user and slot position over a block of rounds."""
-    slot, zf = _decode_block(cross, noise, x, scale, idx)
-    decisions = _nearest_qpsk(np.concatenate([slot, zf], axis=-1), scale)
-    return (QPSK[decisions] != x[:, idx.order[:, 1:]]).sum(axis=0)
+def _block_errors(cross, noise, x, idx):
+    """(K, K-1) count of wrong QPSK decisions per user and slot position over a block of rounds.
+
+    A decision is wrong where the estimate's real or imaginary part has
+    the opposite sign of the sent symbol's: QPSK decides by quadrant.
+    """
+    estimates = np.concatenate(_decode_block(cross, noise, x, idx), axis=-1)
+    sent = x[:, idx.order[:, 1:]]
+    wrong = (estimates.real * sent.real < 0) | (estimates.imag * sent.imag < 0)
+    return wrong.sum(axis=0)
 
 
 def run_round_noiseless(config, beta, seed):
@@ -181,14 +188,13 @@ def run_round_noiseless(config, beta, seed):
     K = config.K
     beta = checked_gains(beta, K)
     idx = SlotIndexer(K)
-    scale = math.sqrt(_broadcast_scale(beta, config.p_r, config.M))
     cross, _, (x,) = next(_round_blocks(config, beta, 1, seed))
-    slot, zf = (a[0] for a in _decode_block(cross, 0.0, x[None], scale, idx))
+    slot, zf = (a[0] for a in _decode_block(cross, 0.0, x[None], idx))
 
     # Slot decisions are genie-corrected (the raw estimates still carry
     # the not-yet-decoded symbols as interference); the rest is the raw solve.
     recovered = np.tile(x, (K, 1))
-    recovered[np.arange(K)[:, None], idx.order[:, idx.sic_slots + 1:]] = zf / scale
+    recovered[np.arange(K)[:, None], idx.order[:, idx.sic_slots + 1:]] = zf
     history = [tuple(frozenset((row[:t + 1] + 1).tolist()) for row in idx.order)
                for t in range(idx.sic_slots + 1)]
     if idx.n_unknowns:
@@ -196,28 +202,11 @@ def run_round_noiseless(config, beta, seed):
     return NoiselessRound(
         recovered=recovered,
         true_symbols=x,
-        slot_estimates=slot / scale,
+        slot_estimates=slot,
         max_deviation=float(np.max(np.abs(recovered - x[None, :]))),
         slots_used=idx.proposed_slots,
         knowledge_history=tuple(history),
     )
-
-
-def _nearest_qpsk(values, reference_scale):
-    """Indices of the constellation points minimizing |value - scale * point|, elementwise.
-
-    One point at a time; a point wins only when strictly closer, so ties go
-    to the lower index, as with an argmin.
-    """
-    points = reference_scale * QPSK
-    best = np.abs(values - points[0])
-    index = np.zeros(best.shape, dtype=np.intp)
-    for i in range(1, QPSK.size):
-        distance = np.abs(values - points[i])
-        closer = distance < best
-        np.copyto(index, i, where=closer)
-        np.copyto(best, distance, where=closer)
-    return index
 
 
 def run_round_noisy(config, beta, trials, seed):
@@ -230,7 +219,6 @@ def run_round_noisy(config, beta, trials, seed):
     beta = checked_gains(beta, config.K)
     trials = checked_count(trials, "trials")
     idx = SlotIndexer(config.K)
-    scale = math.sqrt(_broadcast_scale(beta, config.p_r, config.M))
-    errors = sum(_block_errors(cross, noise, x, scale, idx)
+    errors = sum(_block_errors(cross, noise, x, idx)
                  for cross, noise, x in _round_blocks(config, beta, trials, seed))
     return errors / trials

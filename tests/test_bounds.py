@@ -146,6 +146,13 @@ def test_bounds_reject_user_outside_range(bound, k):
         bound(k)
 
 
+@pytest.mark.parametrize("k", [1.5, True], ids=["fraction", "bool"])
+def test_bounds_reject_non_integer_user(k):
+    # 1.5 used to raise IndexError and True to stand for user 1.
+    with pytest.raises(ValueError, match="outside 1..4"):
+        uplink_bound(_BETA4, 1.0, 8, k)
+
+
 def test_cross_term_mean_zero():
     # (1/M) g_j^H g_k g_k^H g_j' has zero mean for j != j'.
     rng = substream(33, STREAM_CHANNEL, 2)

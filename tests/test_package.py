@@ -1,13 +1,17 @@
-"""Package surface: every exported name resolves, and removed names stay gone."""
+"""Package surface: every exported name resolves, removed names stay gone, no import is unused."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import mwrelay
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mwrelay.__path__))
+SOURCES = sorted(path.name for path in Path(mwrelay.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
 # Removed public names: value wrappers whose fields callers now receive as
 # plain arrays, and helpers that no caller needs any more.
 REMOVED = ("LargeScaleProfile", "ChannelRealization", "SymbolFrame", "unit_profile",
@@ -38,3 +42,15 @@ def test_removed_names_gone(name):
     assert not hasattr(mwrelay, name)
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"mwrelay.{module}"), name)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_no_unused_imports(source):
+    # No linter is a dependency, so this is the check that an import left
+    # behind by a change is found. A name is used when the module reads it.
+    tree = ast.parse((Path(mwrelay.__file__).parent / source).read_text(), filename=source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

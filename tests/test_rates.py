@@ -322,6 +322,15 @@ def test_stacked_zf_stage_rejects_bad_users():
             build_zf_stage(G, users)
 
 
+@pytest.mark.parametrize("k", [1.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("fn", [lambda G, k: uplink_sinr(G, 1.0, k), build_zf_stage],
+                         ids=["uplink", "zf_stage"])
+def test_non_integer_user_rejected(fn, k):
+    # 1.5 used to raise IndexError and True to stand for user 1.
+    with pytest.raises(ValueError, match="outside 1..4"):
+        fn(random_channel(8, 4, seed=3), k)
+
+
 def test_zf_singular_gram_detected():
     # Identical columns collapse the residual coefficients to rank one.
     base = random_channel(6, 1, seed=6)[:, 0]

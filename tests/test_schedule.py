@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mwrelay import (
     InvalidConfigError,
     SlotIndexer,
+    SystemConfig,
     known_set,
     partner_index,
     remaining_unknowns,
@@ -29,6 +30,21 @@ def test_slot_count_rejects_small_k():
         slot_count(1)
     with pytest.raises(InvalidConfigError):
         slot_count(0)
+
+
+@pytest.mark.parametrize("K", [float("inf"), float("nan"), True, 1, 2.5],
+                         ids=["inf", "nan", "true", "one", "fraction"])
+@pytest.mark.parametrize("make", [
+    slot_count,
+    SlotIndexer,
+    lambda K: partner_index(1, 1, K),
+    lambda K: SystemConfig(M=16, K=K, p_u=1.0, p_r=1.0),
+], ids=["slot_count", "indexer", "partner", "config"])
+def test_user_count_rule_shared(make, K):
+    # The schedule used to raise OverflowError for inf and a bare ValueError
+    # for NaN, where SystemConfig raised InvalidConfigError.
+    with pytest.raises(InvalidConfigError, match="user count must be an integer >= 2|K must be"):
+        make(K)
 
 
 def test_partner_index_examples():

@@ -404,9 +404,11 @@ def test_noisy_error_rates_match_physical_channels(K, M, p_r, spread):
 @pytest.mark.parametrize("K, M", [(5, 16), (10, 100)])
 def test_round_draws_do_not_depend_on_trials(K, M):
     # A block is drawn whole and then sliced, so round r's Gram, frame and
-    # noise depend only on (seed, M, K, r).
+    # noise depend only on (seed, M, K, r). Each Gram carries the broadcast
+    # scale sqrt(c).
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=2.0)
     beta = np.logspace(-1.5, 1.5, K)
+    scale = math.sqrt(config.p_r / (M * beta.sum()))
     B = validation._block_rounds(M, K)
     rounds = {}
     for trials in (B - 1, B, 2 * B + 1):
@@ -419,7 +421,8 @@ def test_round_draws_do_not_depend_on_trials(K, M):
             if r < trials:
                 assert all(np.array_equal(a, b) for a, b in zip(rounds[trials][r], (cross, noise, x)))
         G, frame, expected_noise = next(itertools.islice(round_draws(M, K, beta, r + 1, 7), r, None))
-        np.testing.assert_allclose(cross, G.conj().T @ G, rtol=1e-12, atol=1e-12 * beta.max())
+        np.testing.assert_allclose(cross, scale * (G.conj().T @ G), rtol=1e-12,
+                                   atol=1e-12 * scale * beta.max())
         assert np.array_equal(x, frame) and np.array_equal(noise, expected_noise)
 
 
