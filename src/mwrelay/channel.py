@@ -181,22 +181,14 @@ def draw_gram_factor(M, K, rng, n):
     # the call count.
     for i in range(rows):
         R[:, i, i] = np.sqrt(rng.gamma(M - i, size=n))
-    flat = R.reshape(n, rows * K).view(float)  # Re, Im of entry (i, j) at 2(iK + j), 2(iK + j) + 1
-    upper_re, upper_im = _upper_positions(rows, K)
-    z = rng.standard_normal((2, n, upper_re.size))
-    flat[:, upper_re] = z[0] * _INV_SQRT2
-    flat[:, upper_im] = z[1] * _INV_SQRT2
+    i, j = _upper(rows, 1, K)
+    z = rng.standard_normal((2, n, i.size))
+    R.real[:, i, j] = z[0] * _INV_SQRT2
+    R.imag[:, i, j] = z[1] * _INV_SQRT2
     return R
 
 
-@functools.cache
-def _upper_positions(rows, K):
-    """Flat float positions of Re and Im R_ij, i < j, in a (rows, K) factor."""
-    i, j = np.triu_indices(rows, 1, K)
-    positions = 2 * (i * K + j), 2 * (i * K + j) + 1
-    for table in positions:
-        table.flags.writeable = False
-    return positions
+_upper = functools.cache(np.triu_indices)  # (i, j) above the diagonal, once per factor shape
 
 
 def compose_channel(H, beta):

@@ -70,8 +70,14 @@ _CHOICES = {"scheme": (*SCHEMES, "both")}
 
 
 def db_to_linear(value_db):
-    """10^(dB/10); exact at the common calibration points 0 and 10 dB."""
-    return 10.0 ** (value_db / 10.0)
+    """10^(dB/10); exact at the common calibration points 0 and 10 dB.
+
+    Raises InvalidConfigError where a finite dB value overflows a float.
+    """
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise InvalidConfigError(f"power {value_db!r} dB overflows a float") from None
 
 
 def parse_m_range(text):

@@ -147,12 +147,14 @@ def check_pivots(least, largest):
 
     ``least`` and ``largest`` are the least and largest pivots (squared
     diagonal entries of the factor) of one Gram or of a stack of them. A
-    Gram passes when least > 0 and least >= PIVOT_RTOL * largest, so a
-    nonpositive or NaN pivot fails; ``condition`` is the worst largest /
-    least ratio among the failures, or inf where a pivot is not positive.
+    Gram passes when least >= the smallest normal float and least >=
+    PIVOT_RTOL * largest, so a nonpositive, NaN or subnormal pivot fails (a
+    solve on a subnormal one can return NaN); ``condition`` is the worst
+    largest / least ratio among the failures, or inf where a pivot is not
+    positive.
     """
     least, largest = np.asarray(least), np.asarray(largest)
-    bad = ~((least > 0) & (least >= PIVOT_RTOL * largest))
+    bad = ~((least >= np.finfo(float).tiny) & (least >= PIVOT_RTOL * largest))
     if bad.any():
         least, largest = least[bad], largest[bad]
         condition = float((largest / least).max()) if np.all(least > 0) else float("inf")

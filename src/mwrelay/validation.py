@@ -91,9 +91,9 @@ def _block_rounds(M, K):
     return max(1, M // (T * (K - T)))
 
 
-def _block_grams(R, out):
-    """The (B, K, K) Grams R^H R of a block's Bartlett factors, formed into ``out``."""
-    return np.matmul(R.conj().transpose(0, 2, 1), R, out=out)
+def _block_grams(R):
+    """The (B, K, K) Grams R^H R of a block's Bartlett factors."""
+    return R.conj().transpose(0, 2, 1) @ R
 
 
 def _round_blocks(config, beta, trials, seed):
@@ -105,22 +105,19 @@ def _round_blocks(config, beta, trials, seed):
     sqrt(c) D^(1/2) R^H R D^(1/2): the law of sqrt(c) G^H G for
     G = H diag(beta)^(1/2), with c = p_r / (M sum(beta)) the broadcast
     scale. A block is drawn whole and then sliced, so round r depends only
-    on (seed, M, K, r). The next block overwrites the buffers yielded.
+    on (seed, M, K, r); each block is drawn into arrays of its own.
     """
     M, K = config.M, config.K
     T = slot_count(K)
     amplitude = np.sqrt(beta)
     scaling = math.sqrt(_broadcast_scale(beta, config.p_r, M)) * amplitude[:, None] * amplitude
     B = _block_rounds(M, K)
-    cross = np.empty((B, K, K), dtype=complex)
-    noise = np.empty((B, K, T), dtype=complex)
-    x = np.empty((B, K), dtype=complex)
     for b, start in enumerate(range(0, trials, B)):
         rng = substream(seed, STREAM_ROUND, b)
-        _block_grams(draw_gram_factor(M, K, rng, B), out=cross)
+        cross = _block_grams(draw_gram_factor(M, K, rng, B))
         cross *= scaling
-        x[...] = qpsk_frame(B * K, rng).reshape(B, K)
-        rng.standard_normal(out=noise.view(float))
+        x = qpsk_frame(B * K, rng).reshape(B, K)
+        noise = rng.standard_normal((B, K, 2 * T)).view(complex)
         noise *= _INV_SQRT2
         rounds = min(B, trials - start)
         yield cross[:rounds], noise[:rounds], x[:rounds]

@@ -7,8 +7,6 @@ asymptote overstates the simulated zero-forcing rates at these user counts
 checks fail and document the gap; the remaining criteria pass.
 """
 
-import math
-
 import numpy as np
 import pytest
 

@@ -152,7 +152,7 @@ def complex_gram_factor(M, K, rng, n):
 @pytest.mark.parametrize("M, K", [(100, 10), (300, 10), (5, 10), (24, 30), (3, 2), (1, 1)])
 def test_gram_factor_equals_complex_layout(M, K):
     # Same generator calls, same values, zero signs included; the second draw
-    # reads the entry positions cached by the first.
+    # reads the upper-triangle indices cached by the first.
     for seed in (M * K, M * K + 1):
         R = draw_gram_factor(M, K, np.random.default_rng(seed), 256).view(float)
         reference = complex_gram_factor(M, K, np.random.default_rng(seed), 256).view(float)

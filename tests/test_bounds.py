@@ -14,7 +14,6 @@ from mwrelay import (
     estimate_link_se,
     inverse_norm_moments,
     proposed_dl_bound,
-    sum_se,
     uplink_bound,
     zf_asymptotic_rate,
 )

@@ -240,14 +240,23 @@ def test_beta_file_flow(tmp_path, monkeypatch):
     ) == 1
 
 
-def test_non_finite_power_nonzero(tmp_path):
-    # 1e309 dB parses to an infinite float and so to an infinite linear power.
+def test_non_finite_power_nonzero(tmp_path, capsys):
+    # 1e309 dB parses to an infinite float and so to an infinite linear power;
+    # 4000 dB is finite, but its linear power overflows a float, through a
+    # flag or a config file.
+    config = tmp_path / "p.cfg"
+    config.write_text("pr-db = 4000\n")
     out = tmp_path / "x.csv"
-    assert parse_and_dispatch(
-        ["sweep-m", "--k", "4", "--m", "8", "--trials", "8", "--pr-db", "1e309",
-         "--out", str(out)]
-    ) == 1
-    assert not out.exists()
+    for power, message in ((["--pr-db", "1e309"], "got inf"),
+                           (["--pr-db", "4000"], "4000.0 dB"),
+                           (["--pu-db", "4000"], "4000.0 dB"),
+                           (["--config", str(config)], "4000.0 dB")):
+        assert parse_and_dispatch(
+            ["sweep-m", "--k", "4", "--m", "8", "--trials", "8", *power, "--out", str(out)]
+        ) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("mwrelay: error: ") and message in err
 
 
 def test_unknown_flag_nonzero():

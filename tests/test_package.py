@@ -10,8 +10,13 @@ import pytest
 import mwrelay
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mwrelay.__path__))
-SOURCES = sorted(path.name for path in Path(mwrelay.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# Source files by test id: package modules by file name, tests and demos by
+# folder and file name.
+SOURCES = {path.name: path for path in Path(mwrelay.__file__).parent.glob("*.py")
+           if path.name != "__init__.py"}
+SOURCES.update({f"{folder}/{path.name}": path for folder in ("tests", "demos")
+                for path in (ROOT / folder).glob("*.py")})
 # Removed public names: value wrappers whose fields callers now receive as
 # plain arrays, and helpers that no caller needs any more.
 REMOVED = ("LargeScaleProfile", "ChannelRealization", "SymbolFrame", "unit_profile",
@@ -44,11 +49,11 @@ def test_removed_names_gone(name):
         assert not hasattr(importlib.import_module(f"mwrelay.{module}"), name)
 
 
-@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("source", sorted(SOURCES))
 def test_no_unused_imports(source):
     # No linter is a dependency, so this is the check that an import left
     # behind by a change is found. A name is used when the module reads it.
-    tree = ast.parse((Path(mwrelay.__file__).parent / source).read_text(), filename=source)
+    tree = ast.parse(SOURCES[source].read_text(), filename=source)
     imported = {alias.asname or alias.name.split(".")[0]
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}

@@ -340,6 +340,14 @@ def test_zf_singular_gram_detected():
     assert info.value.condition > 1e10 or math.isinf(info.value.condition)
 
 
+def test_subnormal_pivot_singular():
+    # A subnormal pivot passes the relative rule but its solve can return
+    # NaN, so it fails as a zero pivot does.
+    with pytest.raises(SingularSystemError):
+        rates.check_pivots(np.array(5e-324), np.array(1e-320))
+    rates.check_pivots(np.array(np.finfo(float).tiny), np.array(1e-300))
+
+
 def _never_regular(least, largest):
     raise SingularSystemError("forced")
 

@@ -235,6 +235,16 @@ def test_singular_policy_both_rounds_propagate(monkeypatch):
     assert draws == [(16, 5, B)] * 2
 
 
+def test_subnormal_residual_grams_raise():
+    # At a subnormal relay power the residual Grams' pivots are subnormal:
+    # their solve returns NaN, which would read as a correct decision.
+    config = SystemConfig(M=100, K=10, p_u=1.0, p_r=1e-320)
+    with pytest.raises(SingularSystemError):
+        run_round_noisy(config, np.ones(10), 200, 3)
+    with pytest.raises(SingularSystemError):
+        run_round_noiseless(config, np.ones(10), 3)
+
+
 @pytest.mark.parametrize("seed", [1, 3, 11])
 @pytest.mark.parametrize("K", [2, 5, 8])
 def test_noiseless_frame_follows_round_zero_channel(K, seed):
@@ -424,6 +434,21 @@ def test_round_draws_do_not_depend_on_trials(K, M):
         np.testing.assert_allclose(cross, scale * (G.conj().T @ G), rtol=1e-12,
                                    atol=1e-12 * scale * beta.max())
         assert np.array_equal(x, frame) and np.array_equal(noise, expected_noise)
+
+
+@pytest.mark.parametrize("K, M", [(5, 16), (10, 100)])
+def test_round_blocks_do_not_alias(K, M):
+    # A caller may keep a block while the next one is drawn: each block's
+    # Grams, noise and frames are arrays of its own.
+    config = SystemConfig(M=M, K=K, p_u=1.0, p_r=2.0)
+    B = validation._block_rounds(M, K)
+    held, copies = [], []
+    for block in validation._round_blocks(config, np.ones(K), 2 * B + 1, 7):
+        held.append(block)
+        copies.append(tuple(a.copy() for a in block))
+    assert len(held) == 3
+    for block, copy in zip(held, copies):
+        assert all(np.array_equal(a, b) for a, b in zip(block, copy))
 
 
 def test_noisy_peak_memory_flat_in_trials():
