@@ -31,10 +31,8 @@ for t, snapshot in enumerate(outcome.knowledge_history):
 print()
 
 idx = SlotIndexer(config.K)
-targets = np.array([
-    [outcome.true_symbols[idx.partner(k, t) - 1] for t in range(1, idx.sic_slots + 1)]
-    for k in range(1, config.K + 1)
-])
+# Column t of order holds the 0-based symbol each user targets in slot t.
+targets = outcome.true_symbols[idx.order[:, 1:idx.sic_slots + 1]]
 offset = np.max(np.abs(outcome.slot_estimates - targets))
 print("pre-decision cancelation-slot estimates still carry interference")
 print(f"(worst offset {offset:.2f} from the target symbol), which is why the rate analysis")

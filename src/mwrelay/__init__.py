@@ -4,19 +4,17 @@ The package models K single-antenna users exchanging symbols through an
 M-antenna relay and compares two broadcast protocols: the conventional one
 (K total slots) and a successive-cancelation scheme that finishes in
 ceil((K-1)/2) + 1 slots by letting each user strip known symbols and
-zero-force the rest from its residual equations. It provides exact
-per-realization SINRs, Jensen closed-form bounds, large-array asymptotics,
-seeded Monte Carlo estimators, and a symbol-level protocol validator.
+zero-force the rest from its residual equations. It provides seeded
+Monte Carlo estimators over one batched rate kernel, Jensen closed-form
+bounds, large-array asymptotics, the dense zero-forcing stage, and a
+symbol-level protocol validator.
 """
 
 from .bounds import (
     BoundReport,
     analytic_sum_se,
     bound_report,
-    conventional_dl_bound,
     inverse_norm_moments,
-    proposed_dl_bound,
-    uplink_bound,
     zf_asymptotic_rate,
 )
 from .channel import (
@@ -31,7 +29,7 @@ from .channel import (
     substream,
     write_beta_file,
 )
-from .exceptions import DegenerateChannelError, InvalidConfigError, SingularSystemError
+from .exceptions import InvalidConfigError, SingularSystemError
 from .montecarlo import (
     CdfResult,
     LinkEstimate,
@@ -42,16 +40,7 @@ from .montecarlo import (
     sum_se,
     sum_se_once,
 )
-from .rates import (
-    ZfStage,
-    build_zf_stage,
-    conventional_dl_sinr,
-    instantaneous_se,
-    proposed_dl_sinr,
-    relay_precode,
-    uplink_sinr,
-    zf_sinr,
-)
+from .rates import ZfStage, build_zf_stage, relay_precode
 from .schedule import (
     SlotIndexer,
     known_set,

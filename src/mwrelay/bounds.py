@@ -2,14 +2,18 @@
 
 The uplink and broadcast-slot bounds are Jensen lower bounds on the ergodic
 spectral efficiencies, expressed through the exact inverse-norm moments of
-a scaled complex-Gaussian column. The zero-forcing stage has no closed
-form; ``zf_asymptotic_rate`` is the large-array limit obtained by replacing
-the residual Gram with its mean.  That replacement is optimistic at small
-user counts — the Gram entries keep order-one relative spread however large
-the array gets — so unlike the Jensen bounds it is not a guaranteed lower
-bound (see the validation suite, which quantifies the gap).
+a scaled complex-Gaussian column (``inverse_norm_moments``).
+``bound_report`` evaluates them for every (user, slot) cell of a
+configuration in one array pass; their per-cell forms are kept with the
+tests, as its oracle. The zero-forcing stage has no closed form;
+``zf_asymptotic_rate`` is the large-array limit obtained by replacing the
+residual Gram with its mean.  That replacement is optimistic at small user
+counts — the Gram entries keep order-one relative spread however large the
+array gets — so unlike the Jensen bounds it is not a guaranteed lower bound
+(see the validation suite, which quantifies the gap).
 ``BoundReport.downlink`` lays out a scheme's slots as ``LinkEstimate``
-does, and ``schedule.compose_sum_se`` turns them into its sum SE.
+does, and ``schedule.compose_sum_se`` turns them into its sum SE
+(``analytic_sum_se``).
 """
 
 from dataclasses import dataclass
@@ -19,66 +23,13 @@ import numpy as np
 from .channel import checked_gains
 from .schedule import SlotIndexer, checked_user_index, compose_sum_se
 
-__all__ = [
-    "uplink_bound",
-    "conventional_dl_bound",
-    "proposed_dl_bound",
-    "zf_asymptotic_rate",
-    "inverse_norm_moments",
-    "BoundReport",
-    "bound_report",
-    "analytic_sum_se",
-]
-
-
-def _check_antennas(M, least):
-    """Raise a bound's ValueError for M below ``least``: 2 for the uplink, 3 for the downlink."""
-    if M < 2:
-        raise ValueError("uplink bound needs M >= 2")
-    if M < least:
-        raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
+__all__ = ["zf_asymptotic_rate", "inverse_norm_moments", "BoundReport", "bound_report",
+           "analytic_sum_se"]
 
 
 def _ordered_sum(terms):
     """Sum over the last axis, added left to right as Python's ``sum`` adds them."""
     return np.add.accumulate(terms, axis=-1)[..., -1]
-
-
-def uplink_bound(beta, p_u, M, k):
-    """Jensen lower bound on the uplink ergodic SE of user k, bit/s/Hz."""
-    _check_antennas(M, 2)
-    beta = checked_gains(beta)
-    checked_user_index(k, beta.size)
-    others = beta.sum() - beta[k - 1]
-    return float(np.log2(1.0 + p_u * (M - 1) * beta[k - 1] / (p_u * others + 1.0)))
-
-
-def conventional_dl_bound(beta, p_r, M, K, k, t):
-    """Jensen lower bound for conventional slot t (K - 2 interference terms)."""
-    _check_antennas(M, 3)
-    beta = checked_gains(beta, K)
-    checked_user_index(k, K)
-    if not 1 <= t <= K - 1:
-        raise ValueError(f"slot {t} outside 1..{K - 1}")
-    interfering = beta.sum() - beta[k - 1] - beta[SlotIndexer(K).beams[k - 1, t - 1, 0]]
-    num = p_r * (M - 1) * (M - 2) * beta[k - 1] ** 2
-    den = p_r * (M - 2) * beta[k - 1] * interfering + M * beta.sum()
-    return float(np.log2(1.0 + num / den))
-
-
-def proposed_dl_bound(beta, p_r, M, K, k, t):
-    """Jensen lower bound for cancelation slot t (K - t - 1 interference terms)."""
-    _check_antennas(M, 3)
-    beta = checked_gains(beta, K)
-    checked_user_index(k, K)
-    idx = SlotIndexer(K)
-    if not 1 <= t <= idx.sic_slots:
-        raise ValueError(f"slot {t} outside 1..{idx.sic_slots}")
-    # Gains of the beams outside the held window, summed in ascending beam order.
-    interfering = sum(np.delete(beta, idx.beams[k - 1, t - 1, :t + 1]))
-    num = p_r * (M - 1) * (M - 2) * beta[k - 1] ** 2
-    den = p_r * (M - 2) * beta[k - 1] * interfering + M * beta.sum()
-    return float(np.log2(1.0 + num / den))
 
 
 def zf_asymptotic_rate(beta, p_r, K, k, n):
@@ -139,13 +90,16 @@ class BoundReport:
 def bound_report(config, beta):
     """Evaluate every closed-form expression for one configuration.
 
-    Each table is one array pass that takes the per-cell functions'
-    operations in their order, so it matches them cell by cell: interfering
-    and partner gains are added one beam at a time, left to right.
+    Each table is one array pass that takes the per-cell bounds' operations
+    in their order, so it matches them cell by cell: interfering and partner
+    gains are added one beam at a time, left to right.
     """
     M, K, p_u, p_r = config.M, config.K, config.p_u, config.p_r
     beta = checked_gains(beta, K)
-    _check_antennas(M, 3)
+    if M < 2:
+        raise ValueError("uplink bound needs M >= 2")
+    if M < 3:
+        raise ValueError("downlink bounds need M >= 3 (fourth-moment identity)")
     idx = SlotIndexer(K)
     S, total, gain = idx.sic_slots, beta.sum(), beta[:, None]
     uplink = np.log2(1.0 + p_u * (M - 1) * beta / (p_u * (total - beta) + 1.0))

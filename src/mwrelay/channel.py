@@ -132,15 +132,20 @@ def checked_count(count, name):
     return int(count)
 
 
-def checked_user_count(K):
-    """User count ``K`` as an int; raises InvalidConfigError unless it is a finite integer >= 2.
+def _checked_users(K, least):
+    """User count ``K`` as an int; InvalidConfigError unless a finite integer >= ``least``.
 
-    Bools are excluded and integral floats pass.
+    Bools are excluded and integral floats pass, so no count truncates into another.
     """
     if isinstance(K, bool) or not isinstance(K, numbers.Real) or not (
-            2 <= K < math.inf and int(K) == K):
-        raise InvalidConfigError(f"user count must be an integer >= 2, got {K!r}")
+            least <= K < math.inf and int(K) == K):
+        raise InvalidConfigError(f"user count must be an integer >= {least}, got {K!r}")
     return int(K)
+
+
+def checked_user_count(K):
+    """User count ``K`` of an exchange as an int: ``_checked_users`` with at least 2 users."""
+    return _checked_users(K, 2)
 
 
 def draw_small_scale(M, K, rng):
@@ -212,7 +217,7 @@ def draw_large_scale(geometry, K, rng):
     """
     if not isinstance(geometry, GeometryModel):
         raise InvalidConfigError("geometry must be a GeometryModel")
-    K = int(K)
+    K = _checked_users(K, 0)
     r0sq = geometry.exclusion_radius**2
     rsq = geometry.cell_radius**2
     d = np.sqrt(r0sq + rng.uniform(size=K) * (rsq - r0sq))

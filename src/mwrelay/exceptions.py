@@ -5,10 +5,6 @@ class InvalidConfigError(ValueError):
     """A system, geometry, or experiment parameter is out of its valid range."""
 
 
-class DegenerateChannelError(ValueError):
-    """A channel realization violates an operation's preconditions (e.g. a zero column)."""
-
-
 class SingularSystemError(RuntimeError):
     """The zero-forcing Gram matrix is numerically singular.
 

@@ -1,38 +1,28 @@
-"""Instantaneous SINRs and spectral efficiencies for one channel realization.
+"""The zero-forcing stage of the link and the relay precoder, for one channel realization.
 
-Covers the four stages of the link: maximum-ratio combining at the relay
-(access phase), the conventional broadcast slots, the successive-cancelation
-broadcast slots, and the zero-forcing stage that extracts the remaining
-symbols from the residual linear system. All functions are pure; user and
-slot indices are 1-based, and a channel with a non-finite entry is rejected.
-The dense zero-forcing stage is built for one user or for a stack of users
-at once (one Cholesky and one triangular inverse over the stack) and is the
-oracle; ``_zf_solve`` takes cross products with leading batch axes and
-solves a whole stack of residual systems with one checked call, without
-forming any inverse. ``check_pivots`` is the one singular rule for both and
-for the batched kernel in ``montecarlo``: every zero-forcing path raises
-SingularSystemError on the first Gram that breaks it, and none redraws the
-channel. ``relay_precode`` likewise takes one symbol frame or a matrix of
-frames, one per column.
+After the cancelation slots each user extracts its remaining symbols from
+a residual linear system. The dense zero-forcing stage is built for one
+user or for a stack of users at once (one Cholesky and one triangular
+inverse over the stack) and is the oracle; ``_zf_solve`` takes cross
+products with leading batch axes and solves a whole stack of residual
+systems with one checked call, without forming any inverse: the round solve
+of the symbol rounds. ``check_pivots`` is the one singular rule for both
+and for the batched kernel in ``montecarlo``: every zero-forcing path
+raises SingularSystemError on the first Gram that breaks it, and none
+redraws the channel. ``relay_precode`` takes one symbol frame or a matrix
+of frames, one per column. User indices are 1-based, and a channel with a
+non-finite entry is rejected. The rate formulas of the other stages ship
+once, batched, in ``montecarlo``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateChannelError, SingularSystemError
+from .exceptions import SingularSystemError
 from .schedule import SlotIndexer, checked_user_index
 
-__all__ = [
-    "ZfStage",
-    "uplink_sinr",
-    "conventional_dl_sinr",
-    "proposed_dl_sinr",
-    "build_zf_stage",
-    "zf_sinr",
-    "instantaneous_se",
-    "relay_precode",
-]
+__all__ = ["ZfStage", "build_zf_stage", "relay_precode"]
 
 # Gram pivots below this fraction of the largest pivot count as singular.
 PIVOT_RTOL = 1e-12
@@ -48,62 +38,6 @@ def _column_products(G, k):
 
 def _broadcast_scale(beta, p_r, M):
     return p_r / (M * float(np.sum(beta)))
-
-
-def uplink_sinr(G, p_u, k):
-    """Post-MRC SINR of user k's symbol at the relay.
-
-    p_u * ||g_k||^4 over (p_u * sum_{i != k} |g_k^H g_i|^2 + ||g_k||^2).
-    """
-    cross = _column_products(G, k)
-    n2 = float(cross[k - 1].real)
-    if n2 == 0.0:
-        raise DegenerateChannelError(f"column {k} of the channel matrix is zero")
-    return p_u * n2**2 / (p_u * _outside_power(cross, [k - 1]) + n2)
-
-
-def _outside_power(cross, window):
-    """Sum of |cross[i]|^2 over the beams i outside ``window``, in ascending beam order."""
-    return sum(float(abs(c) ** 2) for c in np.delete(cross, window))
-
-
-def _broadcast_sinr(G, beta, p_r, k, held):
-    """Downlink SINR of user k with the beams of the symbols it holds out of the interference.
-
-    ``held`` indexes user k's (K-1, K) beam table, ``SlotIndexer.beams[k-1]``,
-    at the slot and the held symbols whose beams drop out.
-    """
-    cross = _column_products(G, k)
-    n2 = float(cross[k - 1].real)
-    c = _broadcast_scale(beta, p_r, G.shape[0])
-    interference = _outside_power(cross, SlotIndexer(G.shape[1]).beams[k - 1][held])
-    return c * n2**2 / (c * interference + 1.0)
-
-
-def conventional_dl_sinr(G, beta, p_r, k, t):
-    """Downlink SINR of user k in conventional broadcast slot t.
-
-    After self-interference removal only the beams of users k and k-t
-    (cyclically) drop out, leaving K-2 interference terms.
-    """
-    K = G.shape[1]
-    if not 1 <= t <= K - 1:
-        raise ValueError(f"slot {t} outside 1..{K - 1}")
-    return _broadcast_sinr(G, beta, p_r, k, (t - 1, [0, t]))
-
-
-def proposed_dl_sinr(G, beta, p_r, k, t):
-    """Downlink SINR of user k in cancelation slot t.
-
-    Every symbol user k already holds (its own plus those decoded in slots
-    1..t-1, plus the current desired one) leaves the interference sum, so
-    only K - (t + 1) terms remain. Coincides with the conventional SINR at
-    t = 1 and is nondecreasing in t on any fixed realization.
-    """
-    T = SlotIndexer(G.shape[1]).sic_slots
-    if not 1 <= t <= T:
-        raise ValueError(f"slot {t} outside 1..{T}")
-    return _broadcast_sinr(G, beta, p_r, k, (t - 1, slice(t + 1)))
 
 
 @dataclass(frozen=True)
@@ -151,13 +85,14 @@ def check_pivots(least, largest):
     PIVOT_RTOL * largest, so a nonpositive, NaN or subnormal pivot fails (a
     solve on a subnormal one can return NaN); ``condition`` is the worst
     largest / least ratio among the failures, or inf where a pivot is not
-    positive.
+    positive or the ratio overflows.
     """
     least, largest = np.asarray(least), np.asarray(largest)
     bad = ~((least >= np.finfo(float).tiny) & (least >= PIVOT_RTOL * largest))
     if bad.any():
         least, largest = least[bad], largest[bad]
-        condition = float((largest / least).max()) if np.all(least > 0) else float("inf")
+        with np.errstate(over="ignore"):
+            condition = float((largest / least).max()) if np.all(least > 0) else float("inf")
         raise SingularSystemError("Gram matrix numerically singular", condition=condition)
 
 
@@ -231,27 +166,6 @@ def _normal_equations(mixing, residual):
     """
     mixing_h = mixing.conj().swapaxes(-1, -2)
     return mixing_h @ mixing, mixing_h @ residual[..., None]
-
-
-def zf_sinr(stage, beta, p_r, M, n):
-    """Post-combining SINR of the n-th recovered unknown.
-
-    The combiner leaves a clean symbol at scale sqrt(p_r / (M sum(beta)))
-    plus noise with power noise_gain[n], so the SINR is their ratio. A
-    stacked stage gives one SINR per user.
-    """
-    if not 1 <= n <= stage.n_unknowns:
-        raise ValueError(f"unknown index {n} outside 1..{stage.n_unknowns}")
-    return _broadcast_scale(beta, p_r, M) / stage.noise_gain[..., n - 1]
-
-
-def instantaneous_se(sinr):
-    """Spectral efficiency log2(1 + sinr) in bit/s/Hz; accepts arrays."""
-    sinr = np.asarray(sinr)
-    if not np.all(sinr >= 0):
-        raise ValueError("SINR must be nonnegative, not NaN")
-    out = np.log2(1.0 + sinr)
-    return float(out) if out.ndim == 0 else out
 
 
 def relay_precode(G, beta, p_r, symbols):

@@ -10,16 +10,14 @@ from mwrelay import (
     SystemConfig,
     analytic_sum_se,
     bound_report,
-    conventional_dl_bound,
     estimate_link_se,
     inverse_norm_moments,
-    proposed_dl_bound,
-    uplink_bound,
     zf_asymptotic_rate,
 )
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
 from mwrelay.exceptions import InvalidConfigError
 from mwrelay.schedule import SlotIndexer
+from oracles import conventional_dl_bound, proposed_dl_bound, uplink_bound
 
 
 def test_uplink_bound_values():

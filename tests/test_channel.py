@@ -16,6 +16,7 @@ from mwrelay import (
     draw_large_scale,
     draw_small_scale,
     estimate_link_se,
+    qpsk_frame,
     read_beta_file,
     run_round_noiseless,
     run_round_noisy,
@@ -132,6 +133,18 @@ def test_large_scale_golden_vector():
 def test_large_scale_rejects_zero_users():
     with pytest.raises(InvalidConfigError, match="nonempty 1-D"):
         draw_large_scale(GeometryModel(), 0, substream(42, STREAM_PROFILE, 0))
+
+
+@pytest.mark.parametrize("K", [2.7, True, np.float64(3.5)])
+@pytest.mark.parametrize("draw", [lambda K, rng: draw_large_scale(GeometryModel(), K, rng),
+                                  qpsk_frame], ids=["large_scale", "qpsk_frame"])
+def test_user_count_not_truncated(draw, K):
+    # int(K) used to draw 2 values for K = 2.7 and 1 for K = True.
+    rng = substream(42, STREAM_PROFILE, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidConfigError, match="user count must be an integer"):
+        draw(K, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_large_scale_collapses_at_reference_distance():

@@ -18,9 +18,12 @@ SOURCES = {path.name: path for path in Path(mwrelay.__file__).parent.glob("*.py"
 SOURCES.update({f"{folder}/{path.name}": path for folder in ("tests", "demos")
                 for path in (ROOT / folder).glob("*.py")})
 # Removed public names: value wrappers whose fields callers now receive as
-# plain arrays, and helpers that no caller needs any more.
+# plain arrays, helpers that no caller needs any more, and the scalar rate
+# oracles, which live in tests/oracles.py.
 REMOVED = ("LargeScaleProfile", "ChannelRealization", "SymbolFrame", "unit_profile",
-           "trace_lemma_statistic", "fixed_frame")
+           "trace_lemma_statistic", "fixed_frame", "uplink_sinr", "conventional_dl_sinr",
+           "proposed_dl_sinr", "zf_sinr", "instantaneous_se", "uplink_bound",
+           "conventional_dl_bound", "proposed_dl_bound", "DegenerateChannelError")
 
 
 def test_modules_found():

@@ -4,31 +4,34 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mwrelay import (
-    DegenerateChannelError,
     SingularSystemError,
     SlotIndexer,
     SystemConfig,
     build_zf_stage,
     cdf_experiment,
-    conventional_dl_sinr,
     estimate_link_se,
-    instantaneous_se,
-    proposed_dl_sinr,
     relay_precode,
     run_round_noiseless,
     run_round_noisy,
-    uplink_sinr,
-    zf_sinr,
 )
 import mwrelay.montecarlo as montecarlo
 import mwrelay.rates as rates
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
+from oracles import (
+    DegenerateChannelError,
+    conventional_dl_sinr,
+    instantaneous_se,
+    proposed_dl_sinr,
+    uplink_sinr,
+    zf_sinr,
+)
 
 
 def two_branch_partner(k, t, K):
@@ -346,6 +349,17 @@ def test_subnormal_pivot_singular():
     with pytest.raises(SingularSystemError):
         rates.check_pivots(np.array(5e-324), np.array(1e-320))
     rates.check_pivots(np.array(np.finfo(float).tiny), np.array(1e-300))
+
+
+def test_overflowing_condition_is_inf():
+    # largest / least overflows a float: the failure raises SingularSystemError
+    # with an infinite condition, with no overflow warning first.
+    for least, largest in ((1e-300, 1e20), (1e-310, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError) as info:
+                rates.check_pivots(np.array(least), np.array(largest))
+        assert info.value.condition == math.inf
 
 
 def _never_regular(least, largest):
