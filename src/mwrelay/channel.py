@@ -9,7 +9,9 @@ and its index, never on how work is spread over threads.
 Both simulators need only the Gram H^H H, which ``draw_gram_factor``
 samples through its Bartlett factor without drawing H: the Monte Carlo
 path a fixed block of trials per (STREAM_GRAM, block) substream, the
-symbol rounds a block of rounds per (STREAM_ROUND, block) substream.
+symbol rounds a block of rounds per (STREAM_ROUND, block) substream. It
+draws a block's diagonal into one array, one generator call per row, and
+writes it into the factors at once.
 ``draw_small_scale`` draws H itself; neither simulator calls it, it is
 the oracle of both (the selftest's dense zero-forcing check and the
 reference chains draw through it).
@@ -125,9 +127,14 @@ def checked_gains(beta, K=None):
     return beta
 
 
+def _is_count(count):
+    """Whether ``count`` is an integer >= 1; bools and integral floats are not."""
+    return not isinstance(count, bool) and isinstance(count, numbers.Integral) and count >= 1
+
+
 def checked_count(count, name):
     """``count`` as an int; raises ValueError unless it is an integer >= 1, bools excluded."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+    if not _is_count(count):
         raise ValueError(f"{name} must be >= 1 and an integer, got {count!r}")
     return int(count)
 
@@ -173,23 +180,29 @@ def draw_gram_factor(M, K, rng, n):
     i = 1..min(M, K), and every entry above it is i.i.d. CN(0, 1) (Goodman
     1963; Tulino & Verdu 2004). That is the R of a QR factorization H = QR;
     when M < K the last K - M columns are Q^H times independent CN(0, I_M)
-    columns. The diagonal is drawn first, one generator call per row, then
-    the entries above it in one call, so the layout is reproducible. Cost
-    is O(n K^2), whatever M.
+    columns. The diagonal is drawn first, one generator call per row into
+    one (min(M, K), n) array, then the entries above it in one call, scaled
+    in place, so the layout is reproducible. Cost is O(n K^2), whatever M.
+    M, K and n are integers >= 1 (bools and floats raise InvalidConfigError).
     """
-    if M < 1 or K < 1 or n < 1:
-        raise InvalidConfigError("factor dimensions and count must be >= 1")
+    if not (_is_count(M) and _is_count(K) and _is_count(n)):
+        raise InvalidConfigError(
+            f"factor dimensions and count must be integers >= 1, got {(M, K, n)!r}")
     rows = min(M, K)
     R = np.zeros((n, rows, K), dtype=complex)
     # One scalar-shape call per row: each array-shape gamma call leaves one
     # more tuple on the interpreter's free list, so memory would grow with
     # the call count.
-    for i in range(rows):
-        R[:, i, i] = np.sqrt(rng.gamma(M - i, size=n))
+    diagonal = np.empty((rows, n))
+    for i, row in enumerate(diagonal):
+        rng.standard_gamma(M - i, out=row)
+    # R_ii sits at i * (K + 1) of a factor's flattened entries.
+    R.reshape(n, rows * K)[:, ::K + 1] = np.sqrt(diagonal, out=diagonal).T
     i, j = _upper(rows, 1, K)
     z = rng.standard_normal((2, n, i.size))
-    R.real[:, i, j] = z[0] * _INV_SQRT2
-    R.imag[:, i, j] = z[1] * _INV_SQRT2
+    z *= _INV_SQRT2
+    R.real[:, i, j] = z[0]
+    R.imag[:, i, j] = z[1]
     return R
 
 

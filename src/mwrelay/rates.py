@@ -3,10 +3,14 @@
 After the cancelation slots each user extracts its remaining symbols from
 a residual linear system. The dense zero-forcing stage is built for one
 user or for a stack of users at once (one Cholesky and one triangular
-inverse over the stack) and is the oracle; ``_zf_solve`` takes cross
-products with leading batch axes and solves a whole stack of residual
-systems with one checked call, without forming any inverse: the round solve
-of the symbol rounds. ``check_pivots`` is the one singular rule for both
+inverse over the stack) and is the oracle; it gathers each mixing matrix
+from the ``SlotIndexer`` beam table (``_zf_mixing``), and nothing else
+does. ``_zf_solve`` takes a stack of mixing matrices its caller gathered,
+with leading batch axes, and solves the whole stack of residual systems
+with one checked call, without forming any inverse: the round solve of
+the symbol rounds, whose decoder gathers its mixing stacks by the offset
+rule instead, so the oracle and the round solve reach the Gram by two
+independent derivations. ``check_pivots`` is the one singular rule for both
 and for the batched kernel in ``montecarlo``: every zero-forcing path
 raises SingularSystemError on the first Gram that breaks it, and none
 redraws the channel. ``relay_precode`` takes one symbol frame or a matrix
@@ -106,7 +110,7 @@ def _factor_gram(gram):
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"Gram factorization failed: {exc}") from exc
-    pivots = np.diagonal(low, axis1=-2, axis2=-1).real ** 2
+    pivots = low.diagonal(axis1=-2, axis2=-1).real ** 2
     check_pivots(pivots.min(axis=-1, initial=np.inf), pivots.max(axis=-1, initial=0.0))
     return low
 
@@ -131,7 +135,8 @@ def _zf_mixing(cross, k):
     ``cross`` holds one row per user of ``k``, after any leading batch axes,
     which the result keeps. Entry (m, n) is g_k^H g_j with j the beam that
     carries the n-th unknown in broadcast slot m, read from the
-    ``SlotIndexer`` beam table.
+    ``SlotIndexer`` beam table. Only the dense oracle ``build_zf_stage``
+    gathers through it.
     """
     if not np.isfinite(cross).all():
         raise ValueError("cross products hold non-finite entries")
@@ -144,28 +149,23 @@ def _zf_mixing(cross, k):
     return np.take(rows, indexer.beams[users, :T, T + 1:] + offsets, axis=-1)
 
 
-def _zf_solve(cross, k, residual):
-    """Zero-forcing estimates of user k's unknowns from its (sic_slots,) residual observations.
+def _zf_solve(mixing, residual):
+    """Zero-forcing estimates of the unknowns from (..., sic_slots) residual observations.
 
-    ``cross`` and ``k`` are as for ``_zf_mixing`` and ``residual`` carries the
-    same leading axes. Each residual Gram mixing^H mixing is checked by
-    ``_factor_gram`` (SingularSystemError on the first that fails) and then
-    solved against mixing^H residual, one call over the whole stack; up to
-    rounding, the estimates of ``build_zf_stage(...).combiner() @ residual``.
-    """
-    gram, rhs = _normal_equations(_zf_mixing(cross, k), residual)
-    _factor_gram(gram)
-    return np.linalg.solve(gram, rhs)[..., 0]
-
-
-def _normal_equations(mixing, residual):
-    """(mixing^H mixing, mixing^H residual), the latter with a trailing column axis.
-
-    The mixing stack and its conjugate are freed on return, before the
-    factor and the solve allocate theirs.
+    ``mixing`` is a (..., sic_slots, n_unknowns) stack of mixing matrices,
+    gathered by the caller, and ``residual`` carries the same leading axes.
+    Each residual Gram mixing^H mixing is checked by ``_factor_gram``
+    (SingularSystemError on the first that fails) and then solved against
+    mixing^H residual, one call over the whole stack; up to rounding, the
+    estimates of ``build_zf_stage(...).combiner() @ residual``. The mixing
+    stack and its conjugate are freed before the factor and the solve
+    allocate theirs.
     """
     mixing_h = mixing.conj().swapaxes(-1, -2)
-    return mixing_h @ mixing, mixing_h @ residual[..., None]
+    gram, rhs = mixing_h @ mixing, mixing_h @ residual[..., None]
+    del mixing, mixing_h
+    _factor_gram(gram)
+    return np.linalg.solve(gram, rhs)[..., 0]
 
 
 def relay_precode(G, beta, p_r, symbols):

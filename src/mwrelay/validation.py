@@ -20,13 +20,18 @@ is sqrt(c) G^H G, so every estimate decoded from it is in symbol units.
 Both variants draw rounds through it at the relay power ``config.p_r`` and
 decode them with one block decoder: one cumulative cancelation and one
 checked solve over the (B, K, n_unknowns, n_unknowns) stack of residual
-Grams (``rates._zf_solve``; no inverse is formed). QPSK decisions are by
-quadrant, the constellation's decision regions. Rounds come in blocks of
-B = M // (sic_slots * (K - sic_slots)), which bounds a block's decode
-memory; the noiseless round is round 0 without its noise. A singular
-residual Gram raises SingularSystemError; no round redraws.
+Grams (``rates._zf_solve``; no inverse is formed). The decoder reads a
+block through the read plan of its K (``_read_plan``), built once per K
+from ``SlotIndexer.order`` and two offset rules, so a block does only
+work that depends on its data; the cancelation table is freed before
+the solve allocates its arrays. QPSK decisions are by quadrant, the
+constellation's decision regions. Rounds come in blocks of B = M //
+(sic_slots * (K - sic_slots)), which bounds a block's decode memory; the
+noiseless round is round 0 without its noise. A singular residual Gram
+raises SingularSystemError; no round redraws.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,7 +111,9 @@ def _round_blocks(config, beta, trials, seed):
     sqrt(c) D^(1/2) R^H R D^(1/2): the law of sqrt(c) G^H G for
     G = H diag(beta)^(1/2), with c = p_r / (M sum(beta)) the broadcast
     scale. A block is drawn whole and then sliced, so round r depends only
-    on (seed, M, K, r); each block is drawn into arrays of its own.
+    on (seed, M, K, r); each block is drawn into arrays of its own. A Gram
+    with a non-finite entry (an overflowing broadcast scale) raises
+    ValueError.
     """
     M, K = config.M, config.K
     T = slot_count(K)
@@ -117,6 +124,8 @@ def _round_blocks(config, beta, trials, seed):
         rng = substream(seed, STREAM_ROUND, b)
         cross = _block_grams(draw_gram_factor(M, K, rng, B))
         cross *= scaling
+        if not np.isfinite(cross).all():
+            raise ValueError("cross products hold non-finite entries")
         x = qpsk_frame(B * K, rng).reshape(B, K)
         noise = rng.standard_normal((B, K, 2 * T)).view(complex)
         noise *= _INV_SQRT2
@@ -124,55 +133,85 @@ def _round_blocks(config, beta, trials, seed):
         yield cross[:rounds], noise[:rounds], x[:rounds]
 
 
-def _decode_block(cross, noise, x, idx):
+@dataclass(frozen=True)
+class _ReadPlan:
+    """Where the block decoder of a K-user exchange reads; built once per K by ``_read_plan``.
+
+    ``cancel[k, t-1, d]`` is the flat index, into a round's K * K Gram
+    entries, of user k's slot-t coefficient of the d-th symbol it holds,
+    and ``mixing[k, r, n]`` that of entry (r, n) of its residual system
+    (0-based). ``targets`` (K, sic_slots), ``held`` (K, 1, sic_slots + 1)
+    and ``sent`` (K, K-1) index a frame by the slot targets, the symbols
+    held before the residual solve and every symbol a user decodes. Every
+    array is read-only.
+    """
+
+    cancel: np.ndarray
+    mixing: np.ndarray
+    targets: np.ndarray
+    held: np.ndarray
+    sent: np.ndarray
+
+
+@functools.cache
+def _read_plan(K):
+    """The ``_ReadPlan`` of K users, from ``SlotIndexer.order`` and two offset rules.
+
+    In slot t the d-th held symbol of user k rides on beam order[k, (d - t)
+    mod K], and residual entry (r, n) on beam order[k, S + n - r], S =
+    sic_slots: the offset rule of ``montecarlo._zf_noise_gains``.
+    """
+    idx = SlotIndexer(K)
+    order, S = idx.order, idx.sic_slots
+    users = np.arange(K)[:, None, None]
+    cancel = K * users + order[users, (np.arange(S + 1) - np.arange(1, S + 1)[:, None]) % K]
+    mixing = K * users + order[users, S + np.arange(idx.n_unknowns) - np.arange(S)[:, None]]
+    plan = _ReadPlan(cancel=cancel, mixing=mixing, targets=order[:, 1:S + 1],
+                     held=order[:, None, :S + 1], sent=order[:, 1:])
+    for table in vars(plan).values():
+        table.flags.writeable = False
+    return plan
+
+
+def _decode_block(cross, noise, x, plan):
     """Decode B rounds at every user; returns (slot, zf) in symbol units.
 
     The inputs are the rounds' (B, K, K) Grams sqrt(c) G^H G, their
-    (B, K, sic_slots) receiver noise (0 for noise-free rounds) and (B, K)
-    frames. Slot t broadcasts x[order[:, t]], so user k receives row k of
-    sqrt(c) G^H G x[order[:, t]] plus noise, and one product forms every
-    received table from the Grams. A clean copy of the wanted symbol reads
-    as the symbol. ``slot[b, k-1, t-1]`` is user k's matched-filter
-    estimate of its slot-t target in round b after it cancels the t symbols
-    it holds, and ``zf[b, k-1, n-1]`` the zero-forcing estimate of its n-th
-    remaining unknown once all sic_slots + 1 are canceled.
-    """
-    received = cross @ x[:, idx.order[:, 1:idx.sic_slots + 1]]
-    received += noise
-    slot, residual = _cancel_held(cross, received, x, idx)
-    return slot, rates._zf_solve(cross, np.arange(1, x.shape[1] + 1), residual)
-
-
-def _cancel_held(cross, received, x, idx):
-    """Cancel held symbols from a block's received tables; returns (slot, residual).
-
-    ``slot`` is the matched-filter estimate, in symbol units, of each
-    slot's target after the symbols held before it are canceled: the
+    (B, K, sic_slots) receiver noise (0 for noise-free rounds), (B, K)
+    frames and the ``_read_plan`` of K. Slot t broadcasts
+    x[order[:, t]], so user k receives row k of sqrt(c) G^H G x[order[:, t]]
+    plus noise, and one product forms every received table from the
+    Grams. A clean copy of the wanted symbol reads as the symbol.
+    ``slot[b, k-1, t-1]`` is user k's matched-filter estimate of its slot-t
+    target in round b after it cancels the t symbols it holds: the
     remainder divided by the scaled ||g_k||^2 on the Gram's diagonal.
-    ``residual`` is the received table once all sic_slots + 1 held symbols
-    are canceled. Cancelation subtracts the true symbols (genie-aided).
+    ``zf[b, k-1, n-1]`` is the zero-forcing estimate of its n-th remaining
+    unknown once all sic_slots + 1 are canceled. Cancelation subtracts the
+    true symbols (genie-aided); its table is freed before the residual
+    solve allocates its arrays.
     """
-    B, K = x.shape
-    T = idx.sic_slots
-    users = np.arange(K)
+    entries = cross.reshape(len(x), -1)
+    received = cross @ x.take(plan.targets, axis=1)
+    received += noise
     # canceled[b, k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
-    canceled = np.take(cross.reshape(B, K * K), K * users[:, None, None] + idx.beams[:, :T, :T + 1],
-                       axis=1)
-    canceled *= x[:, idx.order[:, None, :T + 1]]
-    np.cumsum(canceled, axis=-1, out=canceled)
-    slots = np.arange(T)
-    diagonal = np.diagonal(cross, axis1=-2, axis2=-1).real[..., None]
-    return (received - canceled[..., slots, slots]) / diagonal, received - canceled[..., T]
+    canceled = entries.take(plan.cancel, axis=1)
+    canceled *= x.take(plan.held, axis=1)
+    canceled.cumsum(axis=-1, out=canceled)
+    slot = received - canceled.diagonal(axis1=-2, axis2=-1)
+    slot /= cross.diagonal(axis1=-2, axis2=-1).real[..., None]
+    received -= canceled[..., -1]
+    del canceled
+    return slot, rates._zf_solve(entries.take(plan.mixing, axis=1), received)
 
 
-def _block_errors(cross, noise, x, idx):
+def _block_errors(cross, noise, x, plan):
     """(K, K-1) count of wrong QPSK decisions per user and slot position over a block of rounds.
 
     A decision is wrong where the estimate's real or imaginary part has
     the opposite sign of the sent symbol's: QPSK decides by quadrant.
     """
-    estimates = np.concatenate(_decode_block(cross, noise, x, idx), axis=-1)
-    sent = x[:, idx.order[:, 1:]]
+    estimates = np.concatenate(_decode_block(cross, noise, x, plan), axis=-1)
+    sent = x.take(plan.sent, axis=1)
     wrong = (estimates.real * sent.real < 0) | (estimates.imag * sent.imag < 0)
     return wrong.sum(axis=0)
 
@@ -187,7 +226,7 @@ def run_round_noiseless(config, beta, seed):
     beta = checked_gains(beta, K)
     idx = SlotIndexer(K)
     cross, _, (x,) = next(_round_blocks(config, beta, 1, seed))
-    slot, zf = (a[0] for a in _decode_block(cross, 0.0, x[None], idx))
+    slot, zf = (a[0] for a in _decode_block(cross, 0.0, x[None], _read_plan(K)))
 
     # Slot decisions are genie-corrected (the raw estimates still carry
     # the not-yet-decoded symbols as interference); the rest is the raw solve.
@@ -216,7 +255,7 @@ def run_round_noisy(config, beta, trials, seed):
     """
     beta = checked_gains(beta, config.K)
     trials = checked_count(trials, "trials")
-    idx = SlotIndexer(config.K)
-    errors = sum(_block_errors(cross, noise, x, idx)
+    plan = _read_plan(config.K)
+    errors = sum(_block_errors(cross, noise, x, plan)
                  for cross, noise, x in _round_blocks(config, beta, trials, seed))
     return errors / trials

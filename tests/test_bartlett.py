@@ -182,11 +182,19 @@ def test_gram_factor_memory_flat_in_calls():
     assert many <= few
 
 
-@pytest.mark.parametrize("bad", [(0, 3, 5), (4, 0, 5), (4, 3, 0)])
+@pytest.mark.parametrize("bad", [(0, 3, 5), (4, 0, 5), (4, 3, 0), (4.5, 3, 2), (True, 3, 2),
+                                 (3, 2.0, 2), (3, 3, 2.5)])
 def test_gram_factor_rejects_empty_sizes(bad):
+    # A fractional M used to give Gamma(4.5), Gamma(3.5), ... on the
+    # diagonal: the Gram of no real array.
     M, K, n = bad
     with pytest.raises(InvalidConfigError):
         draw_gram_factor(M, K, np.random.default_rng(0), n)
+
+
+def test_gram_factor_takes_numpy_integer_sizes():
+    R = draw_gram_factor(np.int64(4), np.int32(3), np.random.default_rng(0), np.uint8(2))
+    assert np.array_equal(R, draw_gram_factor(4, 3, np.random.default_rng(0), 2))
 
 
 @pytest.mark.parametrize("M, K", CASES)

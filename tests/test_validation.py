@@ -275,6 +275,49 @@ def test_noisy_error_counts_at_benchmark_shape():
     assert np.array_equal(counts, expected)
 
 
+@pytest.mark.parametrize("K", range(2, 13))
+def test_read_plan_matches_beam_table(K):
+    # The plan is built from the order table and two offset rules; the
+    # beam table is its oracle, so a drift in either rule fails here.
+    plan = validation._read_plan(K)
+    idx = SlotIndexer(K)
+    T = idx.sic_slots
+    rows = K * np.arange(K)[:, None, None]
+    assert np.array_equal(plan.cancel, rows + idx.beams[:, :T, :T + 1])
+    assert np.array_equal(plan.mixing, rows + idx.beams[:, :T, T + 1:])
+    assert np.array_equal(plan.targets, idx.order[:, 1:T + 1])
+    assert np.array_equal(plan.held, idx.order[:, None, :T + 1])
+    assert np.array_equal(plan.sent, idx.order[:, 1:])
+    assert validation._read_plan(K) is plan
+    for table in vars(plan).values():
+        assert not table.flags.writeable
+
+
+def test_rounds_do_not_read_beam_table(monkeypatch):
+    def no_beams(self):
+        raise AssertionError("the rounds read SlotIndexer.beams")
+
+    config = SystemConfig(M=16, K=5, p_u=1.0, p_r=2.0)
+    expected = run_round_noisy(config, np.ones(5), 9, seed=3)
+    monkeypatch.setattr(SlotIndexer, "beams", property(no_beams))
+    validation._read_plan.cache_clear()
+    assert np.array_equal(run_round_noisy(config, np.ones(5), 9, seed=3), expected)
+    run_round_noiseless(config, np.ones(5), seed=3)
+
+
+@pytest.mark.parametrize("K", [2, 10])
+def test_rounds_reject_overflowing_grams(K):
+    # p_r / (M sum(beta)) overflows, so every scaled Gram entry is inf or NaN;
+    # a NaN estimate would read as a correct decision.
+    config = SystemConfig(M=100, K=K, p_u=1.0, p_r=1e308)
+    beta = np.full(K, 1e-10)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            run_round_noisy(config, beta, 5, seed=1)
+        with pytest.raises(ValueError, match="non-finite"):
+            run_round_noiseless(config, beta, seed=1)
+
+
 @pytest.mark.parametrize("K", [2, 5, 10])
 def test_round_forms_one_gram_and_one_solve(K, monkeypatch):
     # Each block forms the Grams of its B rounds in one product of their
