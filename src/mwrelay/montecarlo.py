@@ -1,37 +1,38 @@
 """Ergodic spectral-efficiency estimation over Rayleigh channel draws.
 
 One kernel scores a stack of P large-scale gain profiles on shared
-small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i) h_k^H h_i.
-It reads the protocol's one cyclic rule from ``SlotIndexer.order``: user
-k's beam at offset s is order[k, s] and in slot t it newly holds offset
-K - t. ``_block_terms`` gathers each Gram block once into a table by offset
-(``_offset_table``), with no profile axis and trials on the last, contiguous
-axis, and computes the uplink SE; ``_slot_rates`` scores one scheme's
-broadcast slots from it. The zero-forcing stage (``_zf_noise_gains``) reads
-the same table: user k's residual entry (r, n) is offset sic_slots + n - r,
-so its residual Gram is Toeplitz in offsets and every diagonal is a window
-sum of offset products formed once, added highest offset first and never
-formed by subtraction. A numpy-only batched Cholesky applies the scalar
-oracle's pivot rule (``rates.check_pivots``) and raises SingularSystemError
-where it fails. Both estimators reduce trials in one scan (``_scan``) over
-spans of one Gram block times a fixed number of profiles, merged per
-profile in block order (Chan, Golub & LeVeque, 1979), so memory does not
-grow with the trial count. Within a span each block of slots is reduced as
-it is made, so its largest arrays are the conventional scheme's K - 2
-stored prefix sums and the proposed scheme's cancelation rows, reused as its
-zero-forcing buffer. ``estimate_link_se`` is the P = 1 case and keeps
-each cell's M2 for its standard error; ``cdf_experiment`` is the P > 1 case
-and keeps means alone, which take the same operations in both, and both
-compose their sum SE through ``schedule.compose_sum_se``, so its sample
-equals ``sum_se_once`` for its gains exactly. Both score every scheme asked
-for on the same Grams, so each Gram is drawn once per span of profiles.
+small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i) h_k^H h_i. It
+reads the protocol's one cyclic rule from ``SlotIndexer.order``: user k's
+beam at offset s is order[k, s] and in slot t it newly holds offset K - t.
+Each Gram block is gathered once into a table by offset (``_offset_table``),
+with no profile axis and trials on the last, contiguous axis;
+``_block_terms`` computes a chunk of profiles' uplink SE from it and
+``_slot_rates`` scores one scheme's broadcast slots. The zero-forcing stage
+(``_zf_noise_gains``) reads the same table: user k's residual entry (r, n)
+is offset sic_slots + n - r, so its residual Gram is Toeplitz in offsets and
+every diagonal is a window sum of offset products formed once, added highest
+offset first and never formed by subtraction. A numpy-only batched Cholesky
+applies the scalar oracle's pivot rule (``rates.check_pivots``) and raises
+SingularSystemError where it fails. Both estimators reduce trials in one
+scan (``_scan``) whose unit of work is one Gram block: it is drawn once and
+its profiles are scored in even chunks whose slot tables fit _SPAN_BYTES,
+each chunk's block means merged per profile in block order (Chan, Golub &
+LeVeque, 1979), so memory grows with neither the trial count nor the profile
+count. Within a chunk each block of slots is reduced as it is made, so its
+largest arrays are the conventional scheme's K - 2 stored prefix sums and
+the proposed scheme's cancelation rows, reused as its zero-forcing buffer.
+``estimate_link_se`` is the P = 1 case and keeps each cell's M2 for its
+standard error; ``cdf_experiment`` is the P > 1 case and keeps means alone,
+which take the same operations in both, and both compose their sum SE
+through ``schedule.compose_sum_se``, so its sample equals ``sum_se_once``
+for its gains exactly. Both score every scheme asked for on the same Grams.
 
 Trials are grouped in fixed blocks of GRAM_BLOCK. Block b's Grams come
 whole from the (seed, STREAM_GRAM, b) substream through their Bartlett
 factors (``channel.draw_gram_factor``), with no M x K draw, and are then
 sliced, so trial i's Gram depends only on (seed, M, K, i). Workers, or
-the calling thread for spans under _POOL_ENTRIES, take whole spans and
-the merge runs in span order, so estimates are bit-reproducible for any
+the calling thread for chunks under _POOL_ENTRIES, take whole units and
+the merge runs in unit order, so estimates are bit-reproducible for any
 worker count, which MWRELAY_THREADS alone caps (``resolve_workers``).
 """
 
@@ -54,13 +55,12 @@ __all__ = ["LinkEstimate", "SumSeReport", "CdfResult", "SCHEMES", "estimate_link
 GRAM_BLOCK = 256
 # Entries per (profile, user, trial) array in one zero-forcing block.
 _ZF_BLOCK_ENTRIES = 16_384
-# Fewest entries in a span's (P, K, T) tables worth the pool's lock handoffs: two threads ran
-# one-profile spans at 0.87x one thread's speed at K = 11, 1.07x at K = 12 (BENCH_pool-floor.json).
+# Fewest entries in a chunk's (P, K, T) tables worth the pool's lock handoffs: two threads ran
+# one-profile chunks at 0.87x one thread's speed at K = 11, 1.07x at K = 12 (BENCH_pool-floor.json).
 _POOL_ENTRIES = 3_072
-# Bytes of a (P, K, K, GRAM_BLOCK) float64 array, which sets a span's profile count P: 61 at K = 10.
-# Slots are reduced as they are made, so a span keeps at most the conventional scheme's K - 2 prefix
-# sums or the proposed scheme's cancelation rows, reused as its zero-forcing buffer.
-_SPAN_BYTES = 12_500_000
+# Budget for a chunk's largest slot table, (K - 1, P, K, GRAM_BLOCK) float64, which caps its profile
+# count P: 21 at K = 10. Smaller chunks cost time: at 2 MB `placement-cdf` read 11% fewer trials/s.
+_SPAN_BYTES = 4_000_000
 
 
 def resolve_workers():
@@ -128,21 +128,31 @@ def _check_schemes(schemes):
     return tuple(schemes)
 
 
-def _run_spans(fn, spans, entries):
-    """Yield fn(span) for each span in order, on a thread pool if ``entries`` >= _POOL_ENTRIES."""
-    n_workers = min(resolve_workers(), len(spans) if entries >= _POOL_ENTRIES else 1)
+def _run_units(fn, units, workers):
+    """Yield the items of fn(unit) for each unit in order: each as it is made on the calling
+    thread, or a unit's whole list at a time from a pool of up to ``workers`` threads."""
+    n_workers = min(workers, len(units))
     if n_workers <= 1:
-        yield from map(fn, spans)
+        for unit in units:
+            yield from fn(unit)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            yield from pool.map(fn, spans)
+            for items in pool.map(lambda unit: list(fn(unit)), units):
+                yield from items
+
+
+def _pieces(lo, hi, most):
+    """(start, stop) of lo..hi-1 cut into the fewest pieces of at most ``most``, sizes within one."""
+    parts = -(-(hi - lo) // most)
+    edges = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _gram_block(M, K, seed, lo, hi):
     """Small-scale Grams H^H H of trials lo..hi-1, which lie in one block.
 
     The block's Bartlett factors are drawn whole from its own substream and
-    sliced before the product, so each trial's Gram is the same whichever span asks.
+    sliced before the product, so each trial's Gram is the same whichever unit asks.
     """
     block, start = divmod(lo, GRAM_BLOCK)
     R = draw_gram_factor(M, K, substream(seed, STREAM_GRAM, block), GRAM_BLOCK)[start:start + hi - lo]
@@ -179,11 +189,11 @@ def _offset_table(gram_h):
     return np.ascontiguousarray(cross.real), np.ascontiguousarray(cross.imag)
 
 
-def _block_terms(config, gram_h, betas):
-    """The work every scheme shares on one block, uplink SE included."""
-    K = gram_h.shape[-1]
+def _block_terms(config, cross, betas):
+    """The work every scheme shares on one block, uplink SE included, from its ``_offset_table``."""
+    cross_re, cross_im = cross
+    K = cross_re.shape[0]
     order = SlotIndexer(K).order
-    cross_re, cross_im = _offset_table(gram_h)
     pair = (betas[:, :, None] * betas[:, order]).transpose(2, 0, 1)[..., None]
     cross_power = cross_re**2 + cross_im**2
     norms = cross_re[0] * betas[:, :, None]
@@ -222,13 +232,12 @@ def _slot_rates(terms, scheme):
     yield rates.transpose(1, 2, 0, 3)
     if scheme == "proposed":
         zf = rates[:idx.n_unknowns]
-        # Trial blocks small enough that the factor's (P, K, trials) temporaries stay in cache.
-        step = max(1, _ZF_BLOCK_ENTRIES // (P * K))
-        for lo in range(0, T, step):
-            cross = (terms.cross_re[..., lo:lo + step], terms.cross_im[..., lo:lo + step])
+        # Equal trial steps small enough that the factor's (P, K, trials) temporaries stay in cache.
+        for lo, hi in _pieces(0, T, max(1, _ZF_BLOCK_ENTRIES // (P * K))):
+            cross = (terms.cross_re[..., lo:hi], terms.cross_im[..., lo:hi])
             noise_gain = _zf_noise_gains(*cross, terms.betas).transpose(3, 0, 2, 1)
             np.add(np.divide(c, noise_gain, out=noise_gain), 1.0, out=noise_gain)
-            np.log2(noise_gain, out=zf[..., lo:lo + step])
+            np.log2(noise_gain, out=zf[..., lo:hi])
         yield zf.transpose(1, 2, 0, 3)
 
 
@@ -326,28 +335,41 @@ def estimate_link_se(config, beta, schemes, trials, seed):
 
 def _scan(config, betas, schemes, trials, seed, spread):
     """Per-cell trial (mean, M2) of the (P, K) profiles ``betas``: (P, K) arrays under
-    "uplink", (P, K, K-1) under each scheme, with M2 None unless ``spread``. Spans (one
-    Gram block x the profiles _SPAN_BYTES allows) are reduced by _run_spans; a profile's
-    block [lo, hi) joins the lo trials before it.
+    "uplink", (P, K, K-1) under each scheme, with M2 None unless ``spread``. A unit draws one
+    Gram block and scores its profiles in even chunks that fit _SPAN_BYTES. With fewer blocks
+    than workers the profiles are split into one group per worker, each drawing the block,
+    unless that leaves chunks under _POOL_ENTRIES. Units are reduced by _run_units; a
+    profile's block [lo, hi) joins the lo trials before it.
     """
     M, K, P = config.M, config.K, len(betas)
-    step = max(1, _SPAN_BYTES // (8 * K * K * GRAM_BLOCK))
-    spans = [(a, min(a + step, P), lo, min(lo + GRAM_BLOCK, trials))
-             for a in range(0, P, step) for lo in range(0, trials, GRAM_BLOCK)]
+    blocks = [(lo, min(lo + GRAM_BLOCK, trials)) for lo in range(0, trials, GRAM_BLOCK)]
+    most = max(1, _SPAN_BYTES // (8 * (K - 1) * K * GRAM_BLOCK))
 
-    def reduce(span):
-        a, b, lo, hi = span
-        terms = _block_terms(config, _gram_block(M, K, seed, lo, hi), betas[a:b])
-        moments = {"uplink": _moments(terms.uplink, spread)}
-        for scheme in schemes:  # each block of slots is reduced as it is made
-            mean, m2 = zip(*(_moments(rates, spread) for rates in _slot_rates(terms, scheme)))
-            moments[scheme] = np.concatenate(mean, -1), np.concatenate(m2, -1) if spread else None
-        return moments
+    def pooled(groups):  # whether the smallest chunk, the first of the first group, is worth the pool
+        a, b = _pieces(*groups[0], most)[0]
+        return (b - a) * K * min(trials, GRAM_BLOCK) >= _POOL_ENTRIES
+
+    workers = resolve_workers()
+    groups = _pieces(0, P, -(-P // workers)) if len(blocks) < workers else [(0, P)]
+    if not pooled(groups):
+        groups = [(0, P)]
+        workers = workers if pooled(groups) else 1
+    units = [(a, b, lo, hi) for a, b in groups for lo, hi in blocks]
+
+    def reduce(unit):
+        a, b, lo, hi = unit
+        cross = _offset_table(_gram_block(M, K, seed, lo, hi))  # shared by the chunks
+        for c, d in _pieces(a, b, most):
+            terms = _block_terms(config, cross, betas[c:d])
+            moments = {"uplink": _moments(terms.uplink, spread)}
+            for scheme in schemes:  # each block of slots is reduced as it is made
+                mean, m2 = zip(*(_moments(rates, spread) for rates in _slot_rates(terms, scheme)))
+                moments[scheme] = np.concatenate(mean, -1), np.concatenate(m2, -1) if spread else None
+            yield c, d, lo, hi, moments
 
     shapes = {"uplink": (P, K), **{scheme: (P, K, K - 1) for scheme in schemes}}
     stats = {key: (np.zeros(s), np.zeros(s) if spread else None) for key, s in shapes.items()}
-    entries = min(step, P) * K * min(trials, GRAM_BLOCK)
-    for (a, b, lo, hi), moments in zip(spans, _run_spans(reduce, spans, entries)):
+    for a, b, lo, hi, moments in _run_units(reduce, units, workers):
         for key, (block_mean, block_m2) in moments.items():
             mean, m2 = stats[key]
             delta = block_mean - mean[a:b]

@@ -20,7 +20,7 @@ from mwrelay import montecarlo
 from mwrelay.channel import (_INV_SQRT2, STREAM_ROUND, draw_gram_factor, draw_small_scale,
                              substream)
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
-from mwrelay.montecarlo import _block_terms, _slot_rates
+from mwrelay.montecarlo import _block_terms, _offset_table, _slot_rates
 from mwrelay.schedule import SlotIndexer
 
 K = 10
@@ -53,7 +53,7 @@ def kernel_rates(M, gram_h):
     """Per-trial uplink (T, K) and both schemes' downlink (T, K, K-1) rates of unit-gain Grams."""
     K = gram_h.shape[-1]
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
-    terms = _block_terms(config, gram_h, np.ones((1, K)))
+    terms = _block_terms(config, _offset_table(gram_h), np.ones((1, K)))
     return {"uplink": terms.uplink[0].T,
             **{scheme: downlink_rates(_slot_rates(terms, scheme))
                for scheme in ("conventional", "proposed")}}
@@ -243,7 +243,7 @@ def test_edge_sizes_match_direct_draw_verdicts(K, offset):
     M = K + offset
     trials = 300
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
-    direct = _block_terms(config, direct_grams(M, K, trials, seed=4), np.ones((1, K)))
+    direct = _block_terms(config, _offset_table(direct_grams(M, K, trials, seed=4)), np.ones((1, K)))
     try:
         downlink_rates(_slot_rates(direct, "proposed"))
         direct_singular = False

@@ -121,7 +121,7 @@ def test_interference_slots_match_oracle_under_wide_spreads(K, extra, log_beta, 
     M, beta, idx = K + extra, 10.0 ** np.array(log_beta[:K]), SlotIndexer(K)
     config = SystemConfig(M=M, K=K, p_u=power, p_r=power)
     H = draw_small_scale(M, K, np.random.default_rng(seed))
-    terms = _block_terms(config, (H.conj().T @ H)[None], beta[None])
+    terms = _block_terms(config, _offset_table((H.conj().T @ H)[None]), beta[None])
     conv = slot_table(terms, "conventional")[0, ..., 0]
     with mock.patch.object(montecarlo, "_zf_noise_gains", lambda cross_re, cross_im, betas:
                            np.ones((len(betas), cross_re.shape[-1], K, idx.n_unknowns))):
@@ -148,10 +148,11 @@ def test_worker_count_invariance(monkeypatch):
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     one = estimate_link_se(CONFIG, BETA, ("proposed",), 300, seed=6)["proposed"]
     monkeypatch.setenv("MWRELAY_THREADS", "8")
-    eight = estimate_link_se(CONFIG, BETA, ("proposed",), 300, seed=6)["proposed"]
-    assert np.array_equal(one.uplink, eight.uplink)
-    assert np.array_equal(one.downlink, eight.downlink)
-    assert np.array_equal(one.downlink_stderr, eight.downlink_stderr)
+    for span_bytes in (1, montecarlo._SPAN_BYTES):  # 1: under one profile's slot table
+        monkeypatch.setattr(montecarlo, "_SPAN_BYTES", span_bytes)
+        eight = estimate_link_se(CONFIG, BETA, ("proposed",), 300, seed=6)["proposed"]
+        for field in ("uplink", "uplink_stderr", "downlink", "downlink_stderr"):
+            assert np.array_equal(getattr(one, field), getattr(eight, field))
 
 
 def test_resolve_workers_reads_the_variable(monkeypatch):
@@ -531,7 +532,7 @@ def test_slot_rates_equal_table_form(K, monkeypatch):
             rng = np.random.default_rng([K, M, decades, 1])
             betas = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=(3, K))
             H = draw_small_scale(M, K * trials, rng).reshape(M, trials, K).transpose(1, 0, 2)
-            terms = _block_terms(config, H.conj().transpose(0, 2, 1) @ H, betas)
+            terms = _block_terms(config, _offset_table(H.conj().transpose(0, 2, 1) @ H), betas)
             for scheme in SCHEMES:
                 table = rates_or_verdict(table_downlink_rates, terms, scheme)
                 rows = rates_or_verdict(slot_table, terms, scheme)
@@ -571,7 +572,7 @@ def test_offset_zf_kernel_equals_gather_form(K):
             H = draw_small_scale(M, K * trials, rng).reshape(M, trials, K).transpose(1, 0, 2)
             for channels in (H, H[..., :1] + 1e-9 * H):
                 gram_h = channels.conj().transpose(0, 2, 1) @ channels
-                terms = _block_terms(config, gram_h, betas)
+                terms = _block_terms(config, _offset_table(gram_h), betas)
                 offset = rates_or_verdict(slot_table, terms, "proposed")
                 with mock.patch.object(montecarlo, "_zf_noise_gains",
                                        lambda *_: gather_zf_noise_gains(gram_h, betas)):
@@ -597,7 +598,7 @@ def test_singular_verdict_matches_oracle(K):
     cases = ((equal, True), (equal + 1e-6 * draw_small_scale(16, K, rng), True),
              (draw_small_scale(16, K, rng), False))
     for H, singular in cases:
-        terms = _block_terms(config, (H.conj().T @ H)[None], betas)
+        terms = _block_terms(config, _offset_table((H.conj().T @ H)[None]), betas)
         if singular:
             with pytest.raises(SingularSystemError) as info:
                 slot_table(terms, "proposed")
@@ -631,7 +632,7 @@ def test_zf_cells_match_oracle_near_square(K):
             for _ in range(100):
                 beta = 10.0 ** rng.uniform(-4, 4, K)
                 H = draw_small_scale(M, K, rng)
-                terms = _block_terms(config, (H.conj().T @ H)[None], beta[None])
+                terms = _block_terms(config, _offset_table((H.conj().T @ H)[None]), beta[None])
                 kernel = rates_or_verdict(slot_table, terms, "proposed")
                 G = H * np.sqrt(beta)
                 cells, kappa = [], []
@@ -686,28 +687,29 @@ def test_two_user_downlink_single_slot():
 SCHEMES = ("conventional", "proposed")
 
 
-# One-profile K = 20 spans and two-profile K = 10 spans hold enough entries
-# for the pool; one-profile K = 10 spans run on the calling thread.
+# One-profile K = 20 chunks and two-profile K = 10 chunks hold enough entries
+# for the pool; one-profile K = 10 chunks run on the calling thread.
 def pool_estimate(K):
     config = SystemConfig(M=100, K=K, p_u=1.0, p_r=10.0)
     return estimate_link_se(config, np.linspace(0.5, 1.5, K), SCHEMES, 300, seed=9)
 
 
-def pool_cdf():
+def pool_cdf(profiles, trials):
     config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
-    return cdf_experiment(config, GeometryModel(), 2, 300, seed=9, schemes=SCHEMES)
+    return cdf_experiment(config, GeometryModel(), profiles, trials, seed=9, schemes=SCHEMES)
 
 
-POOL_SHAPES = {  # name -> (run, whether it reaches the pool)
-    "estimate-k20": (lambda: pool_estimate(20), True),
-    "cdf-2-profiles-k10": (pool_cdf, True),
-    "estimate-k10": (lambda: pool_estimate(10), False),
+POOL_SHAPES = {  # name -> (run, pool sizes opened at 2 and 8 threads)
+    "estimate-k20": (lambda: pool_estimate(20), [2, 2]),
+    "cdf-2-profiles-k10": (lambda: pool_cdf(2, 300), [2, 2]),
+    "cdf-40-profiles-one-block-k10": (lambda: pool_cdf(40, 200), [2, 8]),
+    "estimate-k10": (lambda: pool_estimate(10), []),
 }
 
 
 @pytest.mark.parametrize("shape", POOL_SHAPES)
 def test_results_equal_on_and_off_the_pool(shape, monkeypatch):
-    run, pooled = POOL_SHAPES[shape]
+    run, pools = POOL_SHAPES[shape]
     opened = []
     real = montecarlo.ThreadPoolExecutor
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
@@ -716,8 +718,10 @@ def test_results_equal_on_and_off_the_pool(shape, monkeypatch):
     for threads in (1, 2, 8):
         monkeypatch.setenv("MWRELAY_THREADS", str(threads))
         results[threads] = run()
-    # Two Gram blocks make two spans, so two workers whenever the pool runs.
-    assert opened == ([2, 2] if pooled else [])
+    # Two Gram blocks make two units. One block splits its 40 profiles into one
+    # group per worker; two profiles stay whole, as one-profile chunks would
+    # fall under the pool's floor.
+    assert opened == pools
     for threads in (2, 8):
         for scheme, result in results[threads].items():
             for field, value in vars(result).items():
@@ -753,28 +757,39 @@ def test_cdf_shared_draw_matches_single_scheme_runs(K, workers, monkeypatch):
         assert np.array_equal(both[scheme].samples, alone.samples)
 
 
+# One profile per chunk at K = 10, the default budget (chunks of 19 and 18), and all in one chunk.
+SLOT_TABLE_BYTES = 8 * 9 * 10 * GRAM_BLOCK
+
+
 def test_cdf_samples_independent_of_chunk_split(monkeypatch):
-    # Raw samples, not the rounded CSV, at several worker counts.
-    config = SystemConfig(M=24, K=5, p_u=1.0, p_r=10.0)
-    results = {}
-    for workers in (1, 2, 3, 8):
-        monkeypatch.setenv("MWRELAY_THREADS", str(workers))
-        results[workers] = cdf_experiment(config, GeometryModel(), 37, 80, seed=6, schemes=SCHEMES)
-    for scheme in SCHEMES:
-        for workers in (2, 3, 8):
-            assert np.array_equal(results[workers][scheme].samples, results[1][scheme].samples)
+    # Raw samples, not the rounded CSV, at several worker counts and chunk
+    # budgets; 80 trials make fewer Gram blocks than workers, 700 more.
+    config = SystemConfig(M=24, K=10, p_u=1.0, p_r=10.0)
+    default = montecarlo._SPAN_BYTES
+    for trials in (80, 700):
+        run = lambda: cdf_experiment(config, GeometryModel(), 37, trials, seed=6, schemes=SCHEMES)
+        monkeypatch.setenv("MWRELAY_THREADS", "1")
+        reference = run()
+        for span_bytes in (SLOT_TABLE_BYTES, default, 37 * SLOT_TABLE_BYTES):
+            monkeypatch.setattr(montecarlo, "_SPAN_BYTES", span_bytes)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setenv("MWRELAY_THREADS", str(workers))
+                result = run()
+                for scheme in SCHEMES:
+                    assert np.array_equal(result[scheme].samples, reference[scheme].samples)
+        monkeypatch.setattr(montecarlo, "_SPAN_BYTES", default)
 
 
 @pytest.mark.parametrize("trials", [1, 2, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 1000])
 def test_merged_moments_match_two_pass_reduction(trials, monkeypatch):
-    # The per-trial tables each span scores, captured as they are made, reduced
+    # The per-trial tables each chunk scores, captured as they are made, reduced
     # in one two-pass numpy step over all trials.
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     tables = {"uplink": [], **{scheme: [] for scheme in SCHEMES}}
     real_terms, real_rates = montecarlo._block_terms, montecarlo._slot_rates
 
-    def block_terms(config, gram_h, betas):
-        terms = real_terms(config, gram_h, betas)
+    def block_terms(config, cross, betas):
+        terms = real_terms(config, cross, betas)
         tables["uplink"].append(terms.uplink[0].copy())
         return terms
 
@@ -803,8 +818,8 @@ def test_merged_moments_match_two_pass_reduction(trials, monkeypatch):
 
 
 def test_cdf_over_several_profile_spans_matches_direct_scoring(monkeypatch):
-    # 70 profiles at K = 10 fill more than one span of profiles; 300 trials
-    # make two Gram blocks, so every sample merges two blocks.
+    # 70 profiles at K = 10 fill more than one chunk of profiles; 300 trials
+    # make two Gram blocks, each drawn once, so every sample merges two blocks.
     from mwrelay.channel import STREAM_PROFILE, draw_large_scale
 
     monkeypatch.setenv("MWRELAY_THREADS", "2")
@@ -815,15 +830,34 @@ def test_cdf_over_several_profile_spans_matches_direct_scoring(monkeypatch):
     monkeypatch.setattr(montecarlo, "_gram_block",
                         lambda M, K, seed, lo, hi: blocks.append(lo) or real(M, K, seed, lo, hi))
     result = cdf_experiment(config, geometry, 70, 300, seed=15, schemes=SCHEMES)
-    assert sorted(blocks) == [0, 0, GRAM_BLOCK, GRAM_BLOCK]
+    assert sorted(blocks) == [0, GRAM_BLOCK]
     for p in range(70):
         beta = draw_large_scale(geometry, 10, substream(15, STREAM_PROFILE, p))
         for scheme in SCHEMES:
             assert result[scheme].samples[p] == sum_se_once(config, beta, scheme, 300, seed=15).sum_se
 
 
+def test_cdf_draws_each_gram_block_once(monkeypatch):
+    # 70 profiles at K = 10 make four chunks per block; 600 trials make three
+    # blocks, more than the two workers, so no block is drawn twice.
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    real = montecarlo.draw_gram_factor
+    calls = []
+
+    def counted(M, K, rng, n):
+        # A draw is identified by its shape and the generator state it starts from.
+        calls.append((M, K, n, repr(rng.bit_generator.state)))
+        return real(M, K, rng, n)
+
+    monkeypatch.setattr(montecarlo, "draw_gram_factor", counted)
+    cdf_experiment(SystemConfig(M=40, K=10, p_u=1.0, p_r=10.0), GeometryModel(), 70, 600, seed=2,
+                   schemes=SCHEMES)
+    assert len(calls) == len(set(calls)) == -(-600 // GRAM_BLOCK)
+    assert all(n == GRAM_BLOCK for _, _, n, _ in calls)
+
+
 def test_only_link_estimates_form_m2(monkeypatch):
-    # A placement sample needs cell means alone, so cdf spans skip M2; link
+    # A placement sample needs cell means alone, so cdf chunks skip M2; link
     # estimates keep it for their standard errors.
     spreads = []
     real = montecarlo._moments
@@ -853,11 +887,8 @@ def test_estimate_peak_memory_flat_in_trials(monkeypatch):
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
-def test_placement_span_peak_memory(monkeypatch):
-    # One K = 10 span of 40 profiles x one Gram block, proposed scheme. With
-    # slots reduced as they are made and the factor run in place, the peak
-    # read 11.1 MB on numpy 2.4; a (P, K, K-1, T) slot table (7.4 MB) plus a
-    # factor holding a new array per factor entry read 18.3 MB.
+def placement_peak(monkeypatch, profiles):
+    """tracemalloc peak of a one-worker K = 10 cdf over one Gram block, proposed scheme."""
     import tracemalloc
 
     monkeypatch.setenv("MWRELAY_THREADS", "1")
@@ -865,11 +896,25 @@ def test_placement_span_peak_memory(monkeypatch):
     cdf_experiment(config, GeometryModel(), 2, 10, seed=3)  # warm the caches
     tracemalloc.start()
     try:
-        cdf_experiment(config, GeometryModel(), 40, GRAM_BLOCK, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
+        cdf_experiment(config, GeometryModel(), profiles, GRAM_BLOCK, seed=3)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15e6
+
+
+def test_placement_span_peak_memory(monkeypatch):
+    # 40 profiles x one Gram block, scored in two chunks of 20. The peak read
+    # 7.3 MB on numpy 2.4; one chunk of 40, whose (K-1, P, K, T) slot table
+    # alone is 7.4 MB, read 11.1 MB.
+    assert placement_peak(monkeypatch, 40) < 10e6
+
+
+def test_placement_peak_memory_flat_in_profiles(monkeypatch):
+    # Chunks cap the slot tables, so ten times the profiles add only their
+    # (P, K, K-1) means: 7.3 MB against 7.6 MB on numpy 2.4, where one chunk
+    # per 61 profiles read 11.1 MB against 14.5 MB.
+    few, many = placement_peak(monkeypatch, 40), placement_peak(monkeypatch, 400)
+    assert abs(many - few) < 0.05 * few
 
 
 @pytest.mark.parametrize("schemes", ["proposed", (), ("proposed", "hybrid")])
