@@ -22,6 +22,7 @@ from .channel import (
     SystemConfig,
     checked_gains,
     compose_channel,
+    draw_gram_block,
     draw_gram_factor,
     draw_large_scale,
     draw_small_scale,

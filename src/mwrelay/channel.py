@@ -6,12 +6,10 @@ holding i.i.d. circularly-symmetric unit-variance complex Gaussian entries.
 Randomness is counter-based: every unit of work owns a substream derived
 from (seed, stream tag, index), so a realization depends only on the seed
 and its index, never on how work is spread over threads.
-Both simulators need only the Gram H^H H, which ``draw_gram_factor``
-samples through its Bartlett factor without drawing H: the Monte Carlo
-path a fixed block of trials per (STREAM_GRAM, block) substream, the
-symbol rounds a block of rounds per (STREAM_ROUND, block) substream. It
-draws a block's diagonal into one array, one generator call per row, and
-writes it into the factors at once.
+Both simulators need only the Gram H^H H, and both draw it in blocks
+through ``draw_gram_block``: the Monte Carlo path per (STREAM_GRAM,
+block), the symbol rounds per (STREAM_ROUND, block). It samples the Gram
+through its Bartlett factor (``draw_gram_factor``) without drawing H.
 ``draw_small_scale`` draws H itself; neither simulator calls it, it is
 the oracle of both (the selftest's dense zero-forcing check and the
 reference chains draw through it).
@@ -37,6 +35,7 @@ __all__ = [
     "STREAM_ROUND",
     "draw_small_scale",
     "draw_gram_factor",
+    "draw_gram_block",
     "compose_channel",
     "draw_large_scale",
     "write_beta_file",
@@ -160,10 +159,11 @@ def draw_small_scale(M, K, rng):
 
     Real and imaginary parts are independent normals with variance 1/2,
     drawn in a single generator call so the layout is reproducible: the
-    first M x K fill the real parts, the rest the imaginary parts.
+    first M x K fill the real parts, the rest the imaginary parts. M and K
+    are integers >= 1 (bools and floats raise InvalidConfigError).
     """
-    if M < 1 or K < 1:
-        raise InvalidConfigError("matrix dimensions must be >= 1")
+    if not (_is_count(M) and _is_count(K)):
+        raise InvalidConfigError(f"matrix dimensions must be integers >= 1, got {(M, K)!r}")
     z = rng.standard_normal((2, M, K))
     H = np.empty((M, K), dtype=complex)
     H.real = z[0]
@@ -207,6 +207,20 @@ def draw_gram_factor(M, K, rng, n):
 
 
 _upper = functools.cache(np.triu_indices)  # (i, j) above the diagonal, once per factor shape
+
+
+def draw_gram_block(M, K, seed, stream, block, n):
+    """The n Grams H^H H of one block, (n, K, K), and the generator they were drawn from.
+
+    The block's Bartlett factors are the first draw from the (seed, stream,
+    block) substream, and the returned generator continues from there, so a
+    caller can draw more of the block's randomness from it. A block is drawn
+    whole and then sliced: unit i of block b depends only on (seed, stream,
+    M, K, n, b, i), never on how many units a caller keeps.
+    """
+    rng = substream(seed, stream, block)
+    R = draw_gram_factor(M, K, rng, n)
+    return R.conj().transpose(0, 2, 1) @ R, rng
 
 
 def compose_channel(H, beta):

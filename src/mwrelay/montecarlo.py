@@ -28,9 +28,8 @@ through ``schedule.compose_sum_se``, so its sample equals ``sum_se_once``
 for its gains exactly. Both score every scheme asked for on the same Grams.
 
 Trials are grouped in fixed blocks of GRAM_BLOCK. Block b's Grams come
-whole from the (seed, STREAM_GRAM, b) substream through their Bartlett
-factors (``channel.draw_gram_factor``), with no M x K draw, and are then
-sliced, so trial i's Gram depends only on (seed, M, K, i). Workers, or
+from ``channel.draw_gram_block`` on (seed, STREAM_GRAM, b), drawn whole and
+then sliced, so trial i's Gram depends only on (seed, M, K, i). Workers, or
 the calling thread for chunks under _POOL_ENTRIES, take whole units and
 the merge runs in unit order, so estimates are bit-reproducible for any
 worker count, which MWRELAY_THREADS alone caps (``resolve_workers``).
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (STREAM_GRAM, STREAM_PROFILE, checked_count, checked_gains,
-                      draw_gram_factor, draw_large_scale, substream)
+                      draw_gram_block, draw_large_scale, substream)
 from .exceptions import InvalidConfigError
 from .rates import check_pivots
 from .schedule import SCHEMES, SlotIndexer, compose_sum_se
@@ -146,17 +145,6 @@ def _pieces(lo, hi, most):
     parts = -(-(hi - lo) // most)
     edges = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
     return list(zip(edges, edges[1:]))
-
-
-def _gram_block(M, K, seed, lo, hi):
-    """Small-scale Grams H^H H of trials lo..hi-1, which lie in one block.
-
-    The block's Bartlett factors are drawn whole from its own substream and
-    sliced before the product, so each trial's Gram is the same whichever unit asks.
-    """
-    block, start = divmod(lo, GRAM_BLOCK)
-    R = draw_gram_factor(M, K, substream(seed, STREAM_GRAM, block), GRAM_BLOCK)[start:start + hi - lo]
-    return R.conj().transpose(0, 2, 1) @ R
 
 
 @dataclass(frozen=True)
@@ -358,7 +346,9 @@ def _scan(config, betas, schemes, trials, seed, spread):
 
     def reduce(unit):
         a, b, lo, hi = unit
-        cross = _offset_table(_gram_block(M, K, seed, lo, hi))  # shared by the chunks
+        # Shared by the chunks; the block's Grams are freed before any chunk is scored.
+        cross = _offset_table(
+            draw_gram_block(M, K, seed, STREAM_GRAM, lo // GRAM_BLOCK, GRAM_BLOCK)[0][:hi - lo])
         for c, d in _pieces(a, b, most):
             terms = _block_terms(config, cross, betas[c:d])
             moments = {"uplink": _moments(terms.uplink, spread)}

@@ -1,22 +1,17 @@
 """The zero-forcing stage of the link and the relay precoder, for one channel realization.
 
 After the cancelation slots each user extracts its remaining symbols from
-a residual linear system. The dense zero-forcing stage is built for one
-user or for a stack of users at once (one Cholesky and one triangular
-inverse over the stack) and is the oracle; it gathers each mixing matrix
-from the ``SlotIndexer`` beam table (``_zf_mixing``), and nothing else
-does. ``_zf_solve`` takes a stack of mixing matrices its caller gathered,
-with leading batch axes, and solves the whole stack of residual systems
-with one checked call, without forming any inverse: the round solve of
-the symbol rounds, whose decoder gathers its mixing stacks by the offset
-rule instead, so the oracle and the round solve reach the Gram by two
-independent derivations. ``check_pivots`` is the one singular rule for both
-and for the batched kernel in ``montecarlo``: every zero-forcing path
-raises SingularSystemError on the first Gram that breaks it, and none
-redraws the channel. ``relay_precode`` takes one symbol frame or a matrix
-of frames, one per column. User indices are 1-based, and a channel with a
-non-finite entry is rejected. The rate formulas of the other stages ship
-once, batched, in ``montecarlo``.
+a residual linear system. The dense zero-forcing stage (``build_zf_stage``),
+built for one user or for a stack of users at once, is the oracle of the
+batched kernel in ``montecarlo`` and of the round solve in ``validation``;
+it gathers each mixing matrix from the ``SlotIndexer`` beam table, which
+neither of them reads. ``check_pivots`` is the one singular rule of all
+three, and ``_factor_gram`` applies it to a Gram or a stack of them: every
+zero-forcing path raises SingularSystemError on the first Gram that breaks
+it, and none redraws the channel. ``relay_precode`` takes one symbol frame
+or a matrix of frames, one per column. User indices are 1-based, and a
+channel with a non-finite entry is rejected. The rate formulas of the
+other stages ship once, batched, in ``montecarlo``.
 """
 
 from dataclasses import dataclass
@@ -54,8 +49,7 @@ class ZfStage:
     exact zeros above the diagonal, and ``noise_gain`` the diagonal of the
     Gram inverse — the per-unknown noise amplification of the zero-forcing
     combiner. A stage built for an array of users carries a leading user
-    axis on every array field, in the order of those users, after any batch
-    axes of its cross products.
+    axis on every array field, in the order of those users.
     """
 
     mixing: np.ndarray
@@ -132,40 +126,16 @@ def build_zf_stage(G, k):
 def _zf_mixing(cross, k):
     """User k's sic_slots x n_unknowns mixing matrix from its cross-product row g_k^H g_i.
 
-    ``cross`` holds one row per user of ``k``, after any leading batch axes,
-    which the result keeps. Entry (m, n) is g_k^H g_j with j the beam that
-    carries the n-th unknown in broadcast slot m, read from the
-    ``SlotIndexer`` beam table. Only the dense oracle ``build_zf_stage``
-    gathers through it.
+    ``cross`` holds one row per user of ``k``. Entry (m, n) is g_k^H g_j with
+    j the beam that carries the n-th unknown in broadcast slot m, read from
+    the ``SlotIndexer`` beam table.
     """
     if not np.isfinite(cross).all():
         raise ValueError("cross products hold non-finite entries")
-    users = np.asarray(k) - 1
     indexer = SlotIndexer(cross.shape[-1])
     T = indexer.sic_slots
-    # Entry j of the r-th row sits at r * K + j once the rows are flattened.
-    rows = cross.reshape(cross.shape[:cross.ndim - users.ndim - 1] + (-1,))
-    offsets = indexer.K * np.arange(users.size).reshape(users.shape + (1, 1))
-    return np.take(rows, indexer.beams[users, :T, T + 1:] + offsets, axis=-1)
-
-
-def _zf_solve(mixing, residual):
-    """Zero-forcing estimates of the unknowns from (..., sic_slots) residual observations.
-
-    ``mixing`` is a (..., sic_slots, n_unknowns) stack of mixing matrices,
-    gathered by the caller, and ``residual`` carries the same leading axes.
-    Each residual Gram mixing^H mixing is checked by ``_factor_gram``
-    (SingularSystemError on the first that fails) and then solved against
-    mixing^H residual, one call over the whole stack; up to rounding, the
-    estimates of ``build_zf_stage(...).combiner() @ residual``. The mixing
-    stack and its conjugate are freed before the factor and the solve
-    allocate theirs.
-    """
-    mixing_h = mixing.conj().swapaxes(-1, -2)
-    gram, rhs = mixing_h @ mixing, mixing_h @ residual[..., None]
-    del mixing, mixing_h
-    _factor_gram(gram)
-    return np.linalg.solve(gram, rhs)[..., 0]
+    beams = indexer.beams[np.asarray(k) - 1, :T, T + 1:]
+    return np.take_along_axis(cross[..., None, :], beams, axis=-1)
 
 
 def relay_precode(G, beta, p_r, symbols):

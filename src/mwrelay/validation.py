@@ -1,34 +1,26 @@
-"""Symbol-level simulation of one full exchange round.
+"""Symbol-level simulation of full exchange rounds.
 
-Walks the actual decoding chain — access phase, relay decode-and-forward,
+Walks the decoding chain — access phase, relay decode-and-forward,
 cancelation broadcast slots, zero-forcing extraction — and checks that every
 user ends up holding all K-1 foreign symbols. Relay decoding and
 cancelation are genie-aided (prior decisions assumed correct), matching the
 assumptions of the rate expressions; the noisy variant measures per-slot
-symbol error rates under that assumption. A symbol frame is a plain (K,)
-complex array of QPSK points, one per user.
+QPSK symbol error rates under that assumption. A symbol frame is a plain
+(K,) complex array of QPSK points, one per user.
 
-A round needs only its K x K Gram and its (K, sic_slots) receiver noise,
-not the channel G: since G^H (sqrt(c) G X) = sqrt(c) (G^H G) X, the
-received tables of B rounds are formed from their Grams in one batched
-product. So no round draws its M x K channel: ``_round_blocks`` samples a
-block's Grams through their Bartlett factors (``channel.draw_gram_factor``,
-O(K^2) draws per round whatever M), then its frames and noise, all from one
-(STREAM_ROUND, block) substream. It is the one place that knows the
-broadcast scale sqrt(c) = sqrt(p_r / (M sum(beta))): each Gram it yields
-is sqrt(c) G^H G, so every estimate decoded from it is in symbol units.
-Both variants draw rounds through it at the relay power ``config.p_r`` and
-decode them with one block decoder: one cumulative cancelation and one
-checked solve over the (B, K, n_unknowns, n_unknowns) stack of residual
-Grams (``rates._zf_solve``; no inverse is formed). The decoder reads a
-block through the read plan of its K (``_read_plan``), built once per K
-from ``SlotIndexer.order`` and two offset rules, so a block does only
-work that depends on its data; the cancelation table is freed before
-the solve allocates its arrays. QPSK decisions are by quadrant, the
-constellation's decision regions. Rounds come in blocks of B = M //
-(sic_slots * (K - sic_slots)), which bounds a block's decode memory; the
-noiseless round is round 0 without its noise. A singular residual Gram
-raises SingularSystemError; no round redraws.
+A round is decoded from its Gram sqrt(c) G^H G alone, c = p_r / (M
+sum(beta)) the broadcast scale, since G^H (sqrt(c) G X) = sqrt(c) (G^H G)
+X: no M x K channel is drawn, estimates come out in symbol units and QPSK
+is decided by quadrant. Rounds are drawn and decoded in blocks of B = M //
+(sic_slots * (K - sic_slots)), which caps a block's residual systems at
+M x K entries, so memory does not grow with the round count. Block b is
+drawn whole from (seed, STREAM_ROUND, b) and then sliced, so round r
+depends only on (seed, M, K, r); the noiseless round is round 0 without
+its noise. The decoder reads a Gram by the offset rule of ``montecarlo``,
+never through the beam table, so the dense stage of ``rates`` is an
+independent oracle for it. A singular residual Gram raises
+SingularSystemError and no round redraws; a non-finite Gram raises
+ValueError.
 """
 
 import functools
@@ -44,8 +36,7 @@ from .channel import (
     _checked_users,
     checked_count,
     checked_gains,
-    draw_gram_factor,
-    substream,
+    draw_gram_block,
 )
 from .rates import _broadcast_scale
 from .schedule import SlotIndexer, slot_count
@@ -97,23 +88,17 @@ def _block_rounds(M, K):
     return max(1, M // (T * (K - T)))
 
 
-def _block_grams(R):
-    """The (B, K, K) Grams R^H R of a block's Bartlett factors."""
-    return R.conj().transpose(0, 2, 1) @ R
-
-
 def _round_blocks(config, beta, trials, seed):
     """Yield (Grams, noise, frames) of rounds 0..trials-1 in blocks of ``_block_rounds``.
 
-    Block b draws from the (seed, STREAM_ROUND, b) substream the Bartlett
-    factors of its B rounds, then their (B, K) frames, then their
-    (B, K, sic_slots) unit-variance noise. Round r's Gram is
-    sqrt(c) D^(1/2) R^H R D^(1/2): the law of sqrt(c) G^H G for
-    G = H diag(beta)^(1/2), with c = p_r / (M sum(beta)) the broadcast
-    scale. A block is drawn whole and then sliced, so round r depends only
-    on (seed, M, K, r); each block is drawn into arrays of its own. A Gram
-    with a non-finite entry (an overflowing broadcast scale) raises
-    ValueError.
+    Block b draws its B rounds' Grams (``channel.draw_gram_block`` on
+    (seed, STREAM_ROUND, b)), then from the same generator their (B, K)
+    frames, then their (B, K, sic_slots) unit-variance noise. Round r's Gram
+    is sqrt(c) D^(1/2) H^H H D^(1/2) = sqrt(c) G^H G, with c = p_r / (M
+    sum(beta)) the broadcast scale. A block is drawn whole and then sliced,
+    so round r depends only on (seed, M, K, r); each block is drawn into
+    arrays of its own. A Gram with a non-finite entry (an overflowing
+    broadcast scale) raises ValueError.
     """
     M, K = config.M, config.K
     T = slot_count(K)
@@ -121,8 +106,7 @@ def _round_blocks(config, beta, trials, seed):
     scaling = math.sqrt(_broadcast_scale(beta, config.p_r, M)) * amplitude[:, None] * amplitude
     B = _block_rounds(M, K)
     for b, start in enumerate(range(0, trials, B)):
-        rng = substream(seed, STREAM_ROUND, b)
-        cross = _block_grams(draw_gram_factor(M, K, rng, B))
+        cross, rng = draw_gram_block(M, K, seed, STREAM_ROUND, b, B)
         cross *= scaling
         if not np.isfinite(cross).all():
             raise ValueError("cross products hold non-finite entries")
@@ -133,44 +117,26 @@ def _round_blocks(config, beta, trials, seed):
         yield cross[:rounds], noise[:rounds], x[:rounds]
 
 
-@dataclass(frozen=True)
-class _ReadPlan:
-    """Where the block decoder of a K-user exchange reads; built once per K by ``_read_plan``.
-
-    ``cancel[k, t-1, d]`` is the flat index, into a round's K * K Gram
-    entries, of user k's slot-t coefficient of the d-th symbol it holds,
-    and ``mixing[k, r, n]`` that of entry (r, n) of its residual system
-    (0-based). ``targets`` (K, sic_slots), ``held`` (K, 1, sic_slots + 1)
-    and ``sent`` (K, K-1) index a frame by the slot targets, the symbols
-    held before the residual solve and every symbol a user decodes. Every
-    array is read-only.
-    """
-
-    cancel: np.ndarray
-    mixing: np.ndarray
-    targets: np.ndarray
-    held: np.ndarray
-    sent: np.ndarray
-
-
 @functools.cache
 def _read_plan(K):
-    """The ``_ReadPlan`` of K users, from ``SlotIndexer.order`` and two offset rules.
+    """Read-only (order, cancel, mixing) tables of K users, built once per K.
 
-    In slot t the d-th held symbol of user k rides on beam order[k, (d - t)
-    mod K], and residual entry (r, n) on beam order[k, S + n - r], S =
-    sic_slots: the offset rule of ``montecarlo._zf_noise_gains``.
+    ``order`` is ``SlotIndexer.order``: row k holds the symbols user k ends
+    up with, so a frame gathered through it gives each user's slot targets
+    (columns 1..S, S = sic_slots), held symbols (0..S) and sent symbols
+    (1..K-1). ``cancel[k, t-1, d]`` is the flat index, into a round's K * K
+    Gram entries, of user k's slot-t coefficient of its d-th held symbol,
+    beam order[k, (d - t) mod K]; ``mixing[k, r, n]`` that of entry (r, n)
+    of its residual system, beam order[k, S + n - r], the offset rule of
+    ``montecarlo._zf_noise_gains``.
     """
     idx = SlotIndexer(K)
     order, S = idx.order, idx.sic_slots
     users = np.arange(K)[:, None, None]
     cancel = K * users + order[users, (np.arange(S + 1) - np.arange(1, S + 1)[:, None]) % K]
     mixing = K * users + order[users, S + np.arange(idx.n_unknowns) - np.arange(S)[:, None]]
-    plan = _ReadPlan(cancel=cancel, mixing=mixing, targets=order[:, 1:S + 1],
-                     held=order[:, None, :S + 1], sent=order[:, 1:])
-    for table in vars(plan).values():
-        table.flags.writeable = False
-    return plan
+    cancel.flags.writeable = mixing.flags.writeable = False
+    return order, cancel, mixing
 
 
 def _decode_block(cross, noise, x, plan):
@@ -187,21 +153,32 @@ def _decode_block(cross, noise, x, plan):
     remainder divided by the scaled ||g_k||^2 on the Gram's diagonal.
     ``zf[b, k-1, n-1]`` is the zero-forcing estimate of its n-th remaining
     unknown once all sic_slots + 1 are canceled. Cancelation subtracts the
-    true symbols (genie-aided); its table is freed before the residual
-    solve allocates its arrays.
+    true symbols (genie-aided). Each residual Gram is checked by
+    ``rates._factor_gram`` (SingularSystemError on the first that fails)
+    and the whole stack solved in one call, with no inverse formed; the
+    cancelation table and the gathered frame, then the mixing stack, are
+    freed before the arrays of the next step are allocated.
     """
+    order, cancel, mixing = plan
+    S = cancel.shape[1]
     entries = cross.reshape(len(x), -1)
-    received = cross @ x.take(plan.targets, axis=1)
+    held = x.take(order[:, :S + 1], axis=1)
+    received = cross @ held[..., 1:]
     received += noise
     # canceled[b, k-1, t-1, d]: slot-t contribution of user k's first d + 1 held symbols.
-    canceled = entries.take(plan.cancel, axis=1)
-    canceled *= x.take(plan.held, axis=1)
+    canceled = entries.take(cancel, axis=1)
+    canceled *= held[:, :, None]
     canceled.cumsum(axis=-1, out=canceled)
     slot = received - canceled.diagonal(axis1=-2, axis2=-1)
     slot /= cross.diagonal(axis1=-2, axis2=-1).real[..., None]
     received -= canceled[..., -1]
-    del canceled
-    return slot, rates._zf_solve(entries.take(plan.mixing, axis=1), received)
+    del canceled, held
+    stack = entries.take(mixing, axis=1)
+    stack_h = stack.conj().swapaxes(-1, -2)
+    gram, rhs = stack_h @ stack, stack_h @ received[..., None]
+    del stack, stack_h
+    rates._factor_gram(gram)
+    return slot, np.linalg.solve(gram, rhs)[..., 0]
 
 
 def _block_errors(cross, noise, x, plan):
@@ -210,8 +187,9 @@ def _block_errors(cross, noise, x, plan):
     A decision is wrong where the estimate's real or imaginary part has
     the opposite sign of the sent symbol's: QPSK decides by quadrant.
     """
+    order = plan[0]
     estimates = np.concatenate(_decode_block(cross, noise, x, plan), axis=-1)
-    sent = x.take(plan.sent, axis=1)
+    sent = x.take(order[:, 1:], axis=1)
     wrong = (estimates.real * sent.real < 0) | (estimates.imag * sent.imag < 0)
     return wrong.sum(axis=0)
 

@@ -17,8 +17,8 @@ import pytest
 
 from mwrelay import SystemConfig, estimate_link_se
 from mwrelay import montecarlo
-from mwrelay.channel import (_INV_SQRT2, STREAM_ROUND, draw_gram_factor, draw_small_scale,
-                             substream)
+from mwrelay.channel import (_INV_SQRT2, STREAM_GRAM, STREAM_ROUND, draw_gram_block,
+                             draw_gram_factor, draw_small_scale, substream)
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.montecarlo import _block_terms, _offset_table, _slot_rates
 from mwrelay.schedule import SlotIndexer
@@ -183,13 +183,36 @@ def test_gram_factor_memory_flat_in_calls():
 
 
 @pytest.mark.parametrize("bad", [(0, 3, 5), (4, 0, 5), (4, 3, 0), (4.5, 3, 2), (True, 3, 2),
-                                 (3, 2.0, 2), (3, 3, 2.5)])
+                                 (3, 2.0, 2), (3, 3, 2.5), (np.float64(4), 3, 2)])
 def test_gram_factor_rejects_empty_sizes(bad):
     # A fractional M used to give Gamma(4.5), Gamma(3.5), ... on the
     # diagonal: the Gram of no real array.
     M, K, n = bad
     with pytest.raises(InvalidConfigError):
         draw_gram_factor(M, K, np.random.default_rng(0), n)
+
+
+@pytest.mark.parametrize("M, K", [(0, 3), (4, 0), (True, 3), (4.5, 3), (3, 2.0),
+                                  (np.float64(4), 3)])
+def test_small_scale_rejects_what_gram_factor_rejects(M, K):
+    # The oracle draw applies the sampler's size rule (the cases above);
+    # a bool or a float used to raise a bare TypeError here.
+    with pytest.raises(InvalidConfigError):
+        draw_small_scale(M, K, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("M, K, n", [(1, 1, 1), (7, 10, 4), (100, 10, 3)])
+@pytest.mark.parametrize("stream, block", [(STREAM_GRAM, 0), (STREAM_ROUND, 5)])
+def test_gram_block_is_product_of_its_factors(M, K, n, stream, block):
+    # A block's Grams are R^H R of the factors drawn first from its
+    # substream, and the generator it returns continues from there.
+    grams, rng = draw_gram_block(M, K, 9, stream, block, n)
+    reference = substream(9, stream, block)
+    R = draw_gram_factor(M, K, reference, n)
+    assert grams.shape == (n, K, K)
+    assert np.array_equal(grams, R.conj().transpose(0, 2, 1) @ R)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(rng.standard_normal(4), reference.standard_normal(4))
 
 
 def test_gram_factor_takes_numpy_integer_sizes():

@@ -345,15 +345,15 @@ def test_both_schemes_share_one_draw_per_trial(tmp_path, monkeypatch, argv, ms):
     monkeypatch.setenv("MWRELAY_THREADS", "2")
     from mwrelay import montecarlo
 
-    real = montecarlo.draw_gram_factor
+    real = montecarlo.draw_gram_block
     calls = []
 
-    def counted(M, K, rng, n):
-        # A draw is identified by its shape and the generator state it starts from.
-        calls.append((M, K, n, repr(rng.bit_generator.state)))
-        return real(M, K, rng, n)
+    def counted(M, K, seed, stream, block, n):
+        # A draw is identified by its shape and its substream (seed, stream, block).
+        calls.append((M, K, n, (seed, stream, block)))
+        return real(M, K, seed, stream, block, n)
 
-    monkeypatch.setattr(montecarlo, "draw_gram_factor", counted)
+    monkeypatch.setattr(montecarlo, "draw_gram_block", counted)
     common = argv + ["--seed", "6"]
     both = tmp_path / "both.csv"
     assert parse_and_dispatch(common + ["--scheme", "both", "--out", str(both)]) == 0

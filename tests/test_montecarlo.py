@@ -166,21 +166,20 @@ def test_resolve_workers_reads_the_variable(monkeypatch):
         estimate_link_se(CONFIG, BETA, ("proposed",), 5, seed=1)
 
 
-def scored_grams(monkeypatch, run):
-    """The Grams an estimator run scores, in trial order, captured where they are drawn."""
-    from mwrelay import montecarlo
+def scored_grams(monkeypatch, run, trials):
+    """The Grams of a run's first ``trials`` trials, in trial order, captured where they are drawn."""
+    real = montecarlo.draw_gram_block
+    blocks = {}
 
-    real = montecarlo._gram_block
-    spans = {}
+    def recorded(M, K, seed, stream, block, n):
+        assert (stream, n) == (STREAM_GRAM, GRAM_BLOCK)
+        blocks[block] = real(M, K, seed, stream, block, n)
+        return blocks[block]
 
-    def recorded(M, K, seed, lo, hi):
-        spans[lo] = real(M, K, seed, lo, hi)
-        return spans[lo]
-
-    monkeypatch.setattr(montecarlo, "_gram_block", recorded)
+    monkeypatch.setattr(montecarlo, "draw_gram_block", recorded)
     run()
-    monkeypatch.setattr(montecarlo, "_gram_block", real)
-    return np.concatenate([spans[lo] for lo in sorted(spans)])
+    monkeypatch.setattr(montecarlo, "draw_gram_block", real)
+    return np.concatenate([blocks[b][0] for b in sorted(blocks)])[:trials]
 
 
 def test_trial_gram_independent_of_trial_count_workers_and_estimator(monkeypatch):
@@ -188,7 +187,8 @@ def test_trial_gram_independent_of_trial_count_workers_and_estimator(monkeypatch
     def link(trials, threads):
         monkeypatch.setenv("MWRELAY_THREADS", str(threads))
         return scored_grams(monkeypatch,
-                            lambda: estimate_link_se(CONFIG, BETA, ("proposed",), trials, seed=7))
+                            lambda: estimate_link_se(CONFIG, BETA, ("proposed",), trials, seed=7),
+                            trials)
 
     reference = link(100, 1)
     assert reference.shape == (100, CONFIG.K, CONFIG.K)
@@ -197,7 +197,8 @@ def test_trial_gram_independent_of_trial_count_workers_and_estimator(monkeypatch
         assert len(grams) == trials
         assert np.array_equal(grams[:100], reference)
     assert np.array_equal(link(1000, 1), link(1000, 8))
-    placement = scored_grams(monkeypatch, lambda: cdf_experiment(CONFIG, None, 2, 1000, seed=7))
+    placement = scored_grams(monkeypatch, lambda: cdf_experiment(CONFIG, None, 2, 1000, seed=7),
+                             1000)
     assert np.array_equal(placement, link(1000, 8))
 
 
@@ -826,11 +827,12 @@ def test_cdf_over_several_profile_spans_matches_direct_scoring(monkeypatch):
     config = SystemConfig(M=40, K=10, p_u=1.0, p_r=10.0)
     geometry = GeometryModel()
     blocks = []
-    real = montecarlo._gram_block
-    monkeypatch.setattr(montecarlo, "_gram_block",
-                        lambda M, K, seed, lo, hi: blocks.append(lo) or real(M, K, seed, lo, hi))
+    real = montecarlo.draw_gram_block
+    monkeypatch.setattr(montecarlo, "draw_gram_block",
+                        lambda M, K, seed, stream, block, n:
+                        blocks.append(block) or real(M, K, seed, stream, block, n))
     result = cdf_experiment(config, geometry, 70, 300, seed=15, schemes=SCHEMES)
-    assert sorted(blocks) == [0, GRAM_BLOCK]
+    assert sorted(blocks) == [0, 1]
     for p in range(70):
         beta = draw_large_scale(geometry, 10, substream(15, STREAM_PROFILE, p))
         for scheme in SCHEMES:
@@ -841,19 +843,19 @@ def test_cdf_draws_each_gram_block_once(monkeypatch):
     # 70 profiles at K = 10 make four chunks per block; 600 trials make three
     # blocks, more than the two workers, so no block is drawn twice.
     monkeypatch.setenv("MWRELAY_THREADS", "2")
-    real = montecarlo.draw_gram_factor
+    real = montecarlo.draw_gram_block
     calls = []
 
-    def counted(M, K, rng, n):
-        # A draw is identified by its shape and the generator state it starts from.
-        calls.append((M, K, n, repr(rng.bit_generator.state)))
-        return real(M, K, rng, n)
+    def counted(*args):
+        # A draw is identified by its shape and its substream (seed, stream, block).
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(montecarlo, "draw_gram_factor", counted)
+    monkeypatch.setattr(montecarlo, "draw_gram_block", counted)
     cdf_experiment(SystemConfig(M=40, K=10, p_u=1.0, p_r=10.0), GeometryModel(), 70, 600, seed=2,
                    schemes=SCHEMES)
     assert len(calls) == len(set(calls)) == -(-600 // GRAM_BLOCK)
-    assert all(n == GRAM_BLOCK for _, _, n, _ in calls)
+    assert all(n == GRAM_BLOCK for *_, n in calls)
 
 
 def test_only_link_estimates_form_m2(monkeypatch):

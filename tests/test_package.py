@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves, removed names stay gone, no import is unused."""
+"""Package surface: every exported name resolves, removed names stay gone, nothing is left unused."""
 
 import ast
 import importlib
@@ -62,3 +62,30 @@ def test_no_unused_imports(source):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_no_unreferenced_private_names():
+    # A private helper that a change leaves behind is dead code: every
+    # private name the package binds at module level is read, imported or
+    # looked up as an attribute somewhere in the package.
+    trees = [ast.parse(path.read_text(), filename=path.name)
+             for path in Path(mwrelay.__file__).parent.glob("*.py")]
+    bound = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound |= {name.id for target in targets for name in ast.walk(target)
+                          if isinstance(name, ast.Name)}
+    private = {name for name in bound if name.startswith("_") and not name.endswith("__")}
+    referenced = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            referenced |= {alias.name for alias in node.names}
+    assert sorted(private - referenced) == []

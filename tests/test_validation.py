@@ -208,11 +208,11 @@ def test_singular_policy_both_rounds_propagate(monkeypatch):
     # The block decoder factors every residual Gram through rates._factor_gram;
     # a singular Gram raises at once and no round draws another block.
     draws = []
-    real_draw = validation.draw_gram_factor
+    real_draw = validation.draw_gram_block
 
-    def counting_draw(M, K, rng, n):
+    def counting_draw(M, K, seed, stream, block, n):
         draws.append((M, K, n))
-        return real_draw(M, K, rng, n)
+        return real_draw(M, K, seed, stream, block, n)
 
     def no_channel(*args):
         raise AssertionError("a round drew an M x K channel")
@@ -222,13 +222,13 @@ def test_singular_policy_both_rounds_propagate(monkeypatch):
 
     config = SystemConfig(M=16, K=5, p_u=1.0, p_r=10.0)
     B = validation._block_rounds(16, 5)
-    monkeypatch.setattr(validation, "draw_gram_factor", counting_draw)
+    monkeypatch.setattr(validation, "draw_gram_block", counting_draw)
     monkeypatch.setattr(channel, "draw_small_scale", no_channel)
     monkeypatch.setattr(rates, "_factor_gram", singular)
     assert not hasattr(validation, "draw_small_scale")
     with pytest.raises(SingularSystemError, match="forced"):
         run_round_noiseless(config, np.ones(5), seed=4)
-    # Round 0's block of factors: exactly one draw, and no channel.
+    # Round 0's block of Grams: exactly one draw, and no channel.
     assert draws == [(16, 5, B)]
     with pytest.raises(SingularSystemError, match="forced"):
         run_round_noisy(config, np.ones(5), trials=3, seed=4)
@@ -280,16 +280,16 @@ def test_read_plan_matches_beam_table(K):
     # The plan is built from the order table and two offset rules; the
     # beam table is its oracle, so a drift in either rule fails here.
     plan = validation._read_plan(K)
+    order, cancel, mixing = plan
     idx = SlotIndexer(K)
     T = idx.sic_slots
     rows = K * np.arange(K)[:, None, None]
-    assert np.array_equal(plan.cancel, rows + idx.beams[:, :T, :T + 1])
-    assert np.array_equal(plan.mixing, rows + idx.beams[:, :T, T + 1:])
-    assert np.array_equal(plan.targets, idx.order[:, 1:T + 1])
-    assert np.array_equal(plan.held, idx.order[:, None, :T + 1])
-    assert np.array_equal(plan.sent, idx.order[:, 1:])
+    assert np.array_equal(cancel, rows + idx.beams[:, :T, :T + 1])
+    assert np.array_equal(mixing, rows + idx.beams[:, :T, T + 1:])
+    # Targets, held and sent symbols are the column slices 1..T, 0..T and 1..K-1 of order.
+    assert np.array_equal(order, idx.order)
     assert validation._read_plan(K) is plan
-    for table in vars(plan).values():
+    for table in plan:
         assert not table.flags.writeable
 
 
@@ -335,7 +335,14 @@ def test_round_forms_one_gram_and_one_solve(K, monkeypatch):
             return real(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(validation, "_block_grams", counting("gram", validation._block_grams))
+    real_block = validation.draw_gram_block
+
+    def counted_block(*args):
+        grams, rng = real_block(*args)
+        calls["gram"].append(grams.shape)
+        return grams, rng
+
+    monkeypatch.setattr(validation, "draw_gram_block", counted_block)
     monkeypatch.setattr(rates, "_factor_gram", counting("factor", rates._factor_gram))
     monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
@@ -477,6 +484,24 @@ def test_round_draws_do_not_depend_on_trials(K, M):
         np.testing.assert_allclose(cross, scale * (G.conj().T @ G), rtol=1e-12,
                                    atol=1e-12 * scale * beta.max())
         assert np.array_equal(x, frame) and np.array_equal(noise, expected_noise)
+
+
+@pytest.mark.parametrize("K, M", [(2, 3), (5, 16), (10, 100)])
+def test_round_grams_are_scaled_gram_blocks(K, M):
+    # Round r's Gram is entry r % B of block r // B from the one block
+    # sampler, times sqrt(c) sqrt(beta_i) sqrt(beta_j), bit for bit; the
+    # round count ends in the middle of the last block.
+    config = SystemConfig(M=M, K=K, p_u=1.0, p_r=2.0)
+    beta = np.logspace(-1.5, 1.5, K)
+    amplitude = np.sqrt(beta)
+    scaling = math.sqrt(rates._broadcast_scale(beta, config.p_r, M)) * amplitude[:, None] * amplitude
+    B = validation._block_rounds(M, K)
+    trials = 2 * B + max(1, B // 2)
+    grams = np.concatenate([block[0] for block in validation._round_blocks(config, beta, trials, 7)])
+    assert len(grams) == trials and trials % B
+    for r, gram in enumerate(grams):
+        expected = scaling * channel.draw_gram_block(M, K, 7, STREAM_ROUND, r // B, B)[0][r % B]
+        assert np.array_equal(gram, expected)
 
 
 @pytest.mark.parametrize("K, M", [(5, 16), (10, 100)])
