@@ -16,11 +16,13 @@ does, and ``schedule.compose_sum_se`` turns them into its sum SE
 (``analytic_sum_se``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import checked_gains
+from .channel import _checked_integral, _is_count, checked_gains
+from .exceptions import InvalidConfigError
 from .schedule import SlotIndexer, checked_user_index, compose_sum_se
 
 __all__ = ["zf_asymptotic_rate", "inverse_norm_moments", "BoundReport", "bound_report",
@@ -36,13 +38,16 @@ def zf_asymptotic_rate(beta, p_r, K, k, n):
     """Large-array mean-Gram rate of the n-th zero-forcing unknown, bit/s/Hz.
 
     M-independent: log2(1 + p_r * beta_k * sum of the sic_slots partner
-    gains at offsets n .. n + sic_slots - 1, over sum(beta)).
+    gains at offsets n .. n + sic_slots - 1, over sum(beta)). n is an integer
+    in 1..n_unknowns and p_r is positive and finite, else InvalidConfigError.
     """
     beta = checked_gains(beta, K)
     checked_user_index(k, K)
     idx = SlotIndexer(K)
-    if not 1 <= n <= idx.n_unknowns:
-        raise ValueError(f"unknown index {n} outside 1..{idx.n_unknowns}")
+    if not (_is_count(n) and n <= idx.n_unknowns):
+        raise InvalidConfigError(f"unknown index {n!r} outside 1..{idx.n_unknowns}")
+    if not 0 < p_r < math.inf:
+        raise InvalidConfigError(f"relay power must be positive and finite, got {p_r!r}")
     partners = sum(beta[idx.order[k - 1, n:n + idx.sic_slots]])
     return float(np.log2(1.0 + p_r * beta[k - 1] * partners / beta.sum()))
 
@@ -51,12 +56,12 @@ def inverse_norm_moments(M, beta_k):
     """Exact (E{1/||g_k||^2}, E{1/||g_k||^4}) for a CN(0, beta_k I_M) column.
 
     1/((M-1) beta_k) and 1/((M-1)(M-2) beta_k^2); the fourth moment needs
-    M >= 3 to exist.
+    M >= 3 to exist. M is an integer >= 3 (integral floats pass) and beta_k
+    positive and finite, else InvalidConfigError.
     """
-    if M < 3:
-        raise ValueError("inverse-norm moments need M >= 3")
-    if not beta_k > 0:
-        raise ValueError("beta_k must be positive")
+    M = _checked_integral(M, 3, "antenna count")
+    if not 0 < beta_k < math.inf:
+        raise InvalidConfigError(f"beta_k must be positive and finite, got {beta_k!r}")
     return 1.0 / ((M - 1) * beta_k), 1.0 / ((M - 1) * (M - 2) * beta_k**2)
 
 

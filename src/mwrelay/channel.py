@@ -10,9 +10,8 @@ Both simulators need only the Gram H^H H, and both draw it in blocks
 through ``draw_gram_block``: the Monte Carlo path per (STREAM_GRAM,
 block), the symbol rounds per (STREAM_ROUND, block). It samples the Gram
 through its Bartlett factor (``draw_gram_factor``) without drawing H.
-``draw_small_scale`` draws H itself; neither simulator calls it, it is
-the oracle of both (the selftest's dense zero-forcing check and the
-reference chains draw through it).
+``draw_small_scale`` draws H itself; no shipped path calls it, it is the
+oracle of both (the dense reference chains of the tests draw through it).
 """
 
 import functools
@@ -56,7 +55,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def substream(seed, *path):
     """Independent generator for the given (seed, path) counter tuple; the seed is an integer."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_count(seed, 0):
         raise InvalidConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
@@ -79,14 +78,12 @@ class SystemConfig:
         for name, value in vars(self).items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
-        if not (1 <= self.M < math.inf and int(self.M) == self.M):
-            raise InvalidConfigError(f"antenna count must be an integer >= 1, got {self.M!r}")
+        object.__setattr__(self, "M", _checked_integral(self.M, 1, "antenna count"))
         object.__setattr__(self, "K", checked_user_count(self.K))
         if not 0 < self.p_u < math.inf:
             raise InvalidConfigError(f"user power must be positive and finite, got {self.p_u!r}")
         if not 0 < self.p_r < math.inf:
             raise InvalidConfigError(f"relay power must be positive and finite, got {self.p_r!r}")
-        object.__setattr__(self, "M", int(self.M))
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,9 @@ def checked_gains(beta, K=None):
     return beta
 
 
-def _is_count(count):
-    """Whether ``count`` is an integer >= 1; bools and integral floats are not."""
-    return not isinstance(count, bool) and isinstance(count, numbers.Integral) and count >= 1
+def _is_count(count, least=1):
+    """Whether ``count`` is an integer >= ``least``; bools and integral floats are not."""
+    return not isinstance(count, bool) and isinstance(count, numbers.Integral) and count >= least
 
 
 def checked_count(count, name):
@@ -138,20 +135,20 @@ def checked_count(count, name):
     return int(count)
 
 
-def _checked_users(K, least):
-    """User count ``K`` as an int; InvalidConfigError unless a finite integer >= ``least``.
+def _checked_integral(value, least, noun):
+    """``value`` as an int; InvalidConfigError naming ``noun`` unless a finite integer >= ``least``.
 
     Bools are excluded and integral floats pass, so no count truncates into another.
     """
-    if isinstance(K, bool) or not isinstance(K, numbers.Real) or not (
-            least <= K < math.inf and int(K) == K):
-        raise InvalidConfigError(f"user count must be an integer >= {least}, got {K!r}")
-    return int(K)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            least <= value < math.inf and int(value) == value):
+        raise InvalidConfigError(f"{noun} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def checked_user_count(K):
-    """User count ``K`` of an exchange as an int: ``_checked_users`` with at least 2 users."""
-    return _checked_users(K, 2)
+    """User count ``K`` of an exchange as an int: ``_checked_integral`` with at least 2 users."""
+    return _checked_integral(K, 2, "user count")
 
 
 def draw_small_scale(M, K, rng):
@@ -244,7 +241,7 @@ def draw_large_scale(geometry, K, rng):
     """
     if not isinstance(geometry, GeometryModel):
         raise InvalidConfigError("geometry must be a GeometryModel")
-    K = _checked_users(K, 0)
+    K = _checked_integral(K, 0, "user count")
     r0sq = geometry.exclusion_radius**2
     rsq = geometry.cell_radius**2
     d = np.sqrt(r0sq + rng.uniform(size=K) * (rsq - r0sq))

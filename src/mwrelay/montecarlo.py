@@ -44,7 +44,7 @@ import numpy as np
 from .channel import (STREAM_GRAM, STREAM_PROFILE, checked_count, checked_gains,
                       draw_gram_block, draw_large_scale, substream)
 from .exceptions import InvalidConfigError
-from .rates import check_pivots
+from .rates import _broadcast_scale, check_pivots
 from .schedule import SCHEMES, SlotIndexer, compose_sum_se
 
 __all__ = ["LinkEstimate", "SumSeReport", "CdfResult", "SCHEMES", "estimate_link_se", "sum_se",
@@ -93,8 +93,8 @@ class SumSeReport:
     """Sum spectral efficiency of one scheme, bit/s/Hz.
 
     ``min_rates`` holds min(uplink, downlink) per (user, slot); the sum is
-    pre_log times its total. ``stderr`` is a conservative propagation (sum
-    of the binding-side cell errors, scaled by the pre-log).
+    pre_log times its total. ``stderr`` is pre_log times the sum of the binding
+    cells' errors: 2.3-6.2x the seed-to-seed sd, as ROADMAP item 13 measured.
     """
 
     scheme: str
@@ -187,7 +187,7 @@ def _block_terms(config, cross, betas):
     norms = cross_re[0] * betas[:, :, None]
     interference = sum(pair[s] * cross_power[s] for s in range(1, K))
     uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
-    scale = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
+    scale = _broadcast_scale(betas, config.p_r, config.M)[:, None, None]
     return _BlockTerms(betas, cross_re, cross_im, cross_power, pair, norms, scale, uplink)
 
 

@@ -36,7 +36,8 @@ def _column_products(G, k):
 
 
 def _broadcast_scale(beta, p_r, M):
-    return p_r / (M * float(np.sum(beta)))
+    """Broadcast scale c = p_r / (M sum(beta)) of (..., K) gains, one per gain profile."""
+    return p_r / (M * np.sum(beta, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from . import rates
 from .channel import (
     _INV_SQRT2,
     STREAM_ROUND,
-    _checked_users,
+    _checked_integral,
     checked_count,
     checked_gains,
     draw_gram_block,
@@ -54,7 +54,7 @@ QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / math.sqrt(2.0)
 
 def qpsk_frame(K, rng):
     """Uniform random QPSK frame: K symbols; a bool or a fractional K raises InvalidConfigError."""
-    return QPSK[rng.integers(0, 4, size=_checked_users(K, 0))]
+    return QPSK[rng.integers(0, 4, size=_checked_integral(K, 0, "user count"))]
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,10 @@ def test_zf_asymptote_values():
     assert zf_asymptotic_rate(tiny, 10.0, 3, 1, 1) == pytest.approx(0.0, abs=1e-6)
     with pytest.raises(ValueError):
         zf_asymptotic_rate(np.ones(10), 10.0, 10, 1, 5)
+    # A fractional or bool index, a negative or NaN power: a TypeError, user 1, NaN before.
+    for bad in ({"n": 1.0}, {"n": True}, {"p_r": -10.0}, {"p_r": math.nan}):
+        with pytest.raises(InvalidConfigError):
+            zf_asymptotic_rate(**{"beta": np.ones(10), "p_r": 10.0, "K": 10, "k": 1, "n": 1, **bad})
 
 
 def test_inverse_norm_moments_closed_forms():
@@ -97,6 +101,11 @@ def test_inverse_norm_moments_closed_forms():
     assert fourth == pytest.approx(M / ((M - 1) ** 3 - (M - 1)), rel=1e-12)
     with pytest.raises(ValueError):
         inverse_norm_moments(2, 1.0)
+    assert inverse_norm_moments(17.0, 1.0) == (second, fourth)
+    # A fractional M, an infinite or NaN input: moments of no column were returned before.
+    for M, beta_k in [(3.5, 1.0), (10, math.inf), (math.inf, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(InvalidConfigError):
+            inverse_norm_moments(M, beta_k)
 
 
 def test_inverse_norm_moments_monte_carlo():

@@ -180,6 +180,8 @@ def test_system_config_validation():
     SystemConfig(M=1, K=2, p_u=0.5, p_r=1.0)
     with pytest.raises(InvalidConfigError):
         SystemConfig(M=0, K=2, p_u=1.0, p_r=1.0)
+    with pytest.raises(InvalidConfigError, match=r"^antenna count must be an integer >= 1, got 2\.5$"):
+        SystemConfig(M=2.5, K=2, p_u=1.0, p_r=1.0)
     with pytest.raises(InvalidConfigError):
         SystemConfig(M=4, K=1, p_u=1.0, p_r=1.0)
     with pytest.raises(InvalidConfigError):
@@ -219,6 +221,7 @@ def test_system_config_integral_float_counts(M, K):
     as_float = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     as_int = SystemConfig(M=int(M), K=int(K), p_u=1.0, p_r=10.0)
     assert type(as_float.M) is int and type(as_float.K) is int
+    assert (as_float.M, as_float.K) == (int(M), int(K))
     beta = np.ones(int(K))
     estimates = [estimate_link_se(c, beta, ("conventional", "proposed"), 40, 3)
                  for c in (as_float, as_int)]

@@ -309,6 +309,9 @@ def test_selftest_exits_zero(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "PASS" in captured.out
     assert "FAIL" not in captured.out
+    recovery = [line for line in captured.out.splitlines() if "noiseless recovery" in line]
+    assert [line.split("  ")[:2] for line in recovery] == [
+        ["PASS", f"noiseless recovery K={K}"] for K in range(2, 13)]
 
 
 def test_trials_default_per_experiment(tmp_path, monkeypatch):

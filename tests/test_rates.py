@@ -464,6 +464,19 @@ def test_relay_precode_frames_as_columns():
             relay_precode(G, beta, 3.0, bad)
 
 
+@pytest.mark.parametrize("K", [2, 9, 10, 17, 39])
+def test_broadcast_scale_of_a_stack_is_its_rows(K):
+    # The rate kernel reads one scale per profile of a (P, K) stack, and each
+    # must be the scale that profile gets alone, over gains spread across 10 decades.
+    rng = np.random.default_rng(K)
+    for P in (1, 3, 40):
+        betas = 10.0 ** rng.uniform(-5, 5, (P, K))
+        for p_r in (1.0, 3.0, 40.0):
+            stacked = rates._broadcast_scale(betas, p_r, 100)
+            assert stacked.shape == (P,)
+            assert np.array_equal(stacked, [rates._broadcast_scale(row, p_r, 100) for row in betas])
+
+
 def test_relay_precode_average_power():
     # E||s||^2 = p_r because E||g_i||^2 = M beta_i.
     rng = substream(55, STREAM_CHANNEL, 9)
