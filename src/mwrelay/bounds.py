@@ -5,23 +5,22 @@ spectral efficiencies, expressed through the exact inverse-norm moments of
 a scaled complex-Gaussian column (``inverse_norm_moments``).
 ``bound_report`` evaluates them for every (user, slot) cell of a
 configuration in one array pass; their per-cell forms are kept with the
-tests, as its oracle. The zero-forcing stage has no closed form;
-``zf_asymptotic_rate`` is the large-array limit obtained by replacing the
-residual Gram with its mean.  That replacement is optimistic at small user
-counts — the Gram entries keep order-one relative spread however large the
-array gets — so unlike the Jensen bounds it is not a guaranteed lower bound
-(see the validation suite, which quantifies the gap).
+tests, as its oracle. The zero-forcing stage has no closed form; its table
+``zf_asymptotic`` is the large-array limit with the residual Gram replaced by
+its mean (``zf_asymptotic_rate`` returns one cell). That is optimistic at small
+user counts — the Gram entries keep order-one relative spread however large
+the array gets — so unlike the Jensen bounds it is not a guaranteed lower
+bound (see the validation suite, which quantifies the gap).
 ``BoundReport.downlink`` lays out a scheme's slots as ``LinkEstimate``
 does, and ``schedule.compose_sum_se`` turns them into its sum SE
 (``analytic_sum_se``).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _checked_integral, _is_count, checked_gains
+from .channel import _checked_integral, _is_count, checked_gains, checked_positive
 from .exceptions import InvalidConfigError
 from .schedule import SlotIndexer, checked_user_index, compose_sum_se
 
@@ -37,19 +36,23 @@ def _ordered_sum(terms):
 def zf_asymptotic_rate(beta, p_r, K, k, n):
     """Large-array mean-Gram rate of the n-th zero-forcing unknown, bit/s/Hz.
 
-    M-independent: log2(1 + p_r * beta_k * sum of the sic_slots partner
-    gains at offsets n .. n + sic_slots - 1, over sum(beta)). n is an integer
-    in 1..n_unknowns and p_r is positive and finite, else InvalidConfigError.
+    M-independent: log2(1 + p_r * beta_k * sum of the sic_slots partner gains at offsets
+    n .. n + sic_slots - 1, over sum(beta)), user k's cell of ``BoundReport.zf_asymptotic``.
+    n is an integer in 1..n_unknowns and p_r is positive and finite, else InvalidConfigError.
     """
     beta = checked_gains(beta, K)
     checked_user_index(k, K)
     idx = SlotIndexer(K)
     if not (_is_count(n) and n <= idx.n_unknowns):
         raise InvalidConfigError(f"unknown index {n!r} outside 1..{idx.n_unknowns}")
-    if not 0 < p_r < math.inf:
-        raise InvalidConfigError(f"relay power must be positive and finite, got {p_r!r}")
-    partners = sum(beta[idx.order[k - 1, n:n + idx.sic_slots]])
-    return float(np.log2(1.0 + p_r * beta[k - 1] * partners / beta.sum()))
+    return float(_zf_table(beta, checked_positive(p_r, "p_r"), idx)[k - 1, n - 1])
+
+
+def _zf_table(beta, p_r, idx):
+    """Mean-Gram zero-forcing rates, (K, n_unknowns); partner gains are added left to right."""
+    offsets = np.arange(1, idx.n_unknowns + 1)[:, None] + np.arange(idx.sic_slots)
+    partners = _ordered_sum(beta[idx.order][:, offsets])
+    return np.log2(1.0 + p_r * beta[:, None] * partners / beta.sum())
 
 
 def inverse_norm_moments(M, beta_k):
@@ -60,8 +63,7 @@ def inverse_norm_moments(M, beta_k):
     positive and finite, else InvalidConfigError.
     """
     M = _checked_integral(M, 3, "antenna count")
-    if not 0 < beta_k < math.inf:
-        raise InvalidConfigError(f"beta_k must be positive and finite, got {beta_k!r}")
+    checked_positive(beta_k, "beta_k")
     return 1.0 / ((M - 1) * beta_k), 1.0 / ((M - 1) * (M - 2) * beta_k**2)
 
 
@@ -115,12 +117,10 @@ def bound_report(config, beta):
 
     # In slot t beam j carries user k's offset argsort(beams)[j]; all but offsets 0..t interfere.
     outside = np.argsort(idx.beams[:, :S], axis=-1) > np.arange(1, S + 1)[:, None]
-    offsets = np.arange(1, idx.n_unknowns + 1)[:, None] + np.arange(S)
-    partners = _ordered_sum(beta[idx.order][:, offsets])
     return BoundReport(uplink=uplink,
                        dl_conventional=downlink(total - gain - beta[idx.beams[:, :, 0]]),
                        dl_proposed=downlink(_ordered_sum(np.where(outside, beta, 0.0))),
-                       zf_asymptotic=np.log2(1.0 + p_r * gain * partners / total))
+                       zf_asymptotic=_zf_table(beta, p_r, idx))
 
 
 def analytic_sum_se(config, beta, scheme):

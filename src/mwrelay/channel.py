@@ -76,19 +76,14 @@ class SystemConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+            checked_positive(value, name)
         object.__setattr__(self, "M", _checked_integral(self.M, 1, "antenna count"))
         object.__setattr__(self, "K", checked_user_count(self.K))
-        if not 0 < self.p_u < math.inf:
-            raise InvalidConfigError(f"user power must be positive and finite, got {self.p_u!r}")
-        if not 0 < self.p_r < math.inf:
-            raise InvalidConfigError(f"relay power must be positive and finite, got {self.p_r!r}")
 
 
 @dataclass(frozen=True)
 class GeometryModel:
-    """Annulus cell with distance-power path loss and log-normal shadowing."""
+    """Annulus cell with distance-power path loss and log-normal shadowing of spread >= 0 dB."""
 
     cell_radius: float = 1000.0
     exclusion_radius: float = 100.0
@@ -97,14 +92,12 @@ class GeometryModel:
     reference_distance: float = 100.0
 
     def __post_init__(self):
-        if not 0 < self.exclusion_radius < self.cell_radius:
+        for name, value in vars(self).items():
+            checked_positive(value, name, zero=name == "shadowing_sigma_db")
+        if not self.exclusion_radius < self.cell_radius:
             raise InvalidConfigError("need 0 < exclusion_radius < cell_radius")
         if not self.path_loss_exponent > 2:
             raise InvalidConfigError("path loss exponent must exceed 2")
-        if self.shadowing_sigma_db < 0:
-            raise InvalidConfigError("shadowing sigma must be >= 0 dB")
-        if not self.reference_distance > 0:
-            raise InvalidConfigError("reference distance must be positive")
 
 
 def checked_gains(beta, K=None):
@@ -121,6 +114,19 @@ def checked_gains(beta, K=None):
     if K is not None and beta.size != K:
         raise InvalidConfigError(f"beta has {beta.size} gains, expected K={K}")
     return beta
+
+
+def checked_positive(value, name, zero=False):
+    """``value`` if a finite real number above 0, or at it with ``zero``; bools are not numbers.
+
+    Else InvalidConfigError: "``name`` must be a real number" or "... positive and finite".
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfigError(f"{name} must be a real number, got {value!r}")
+    if not (0 <= value if zero else 0 < value) or not value < math.inf:
+        sign = "nonnegative" if zero else "positive"
+        raise InvalidConfigError(f"{name} must be {sign} and finite, got {value!r}")
+    return value
 
 
 def _is_count(count, least=1):

@@ -7,9 +7,9 @@ suite). Each option is declared once, in ``OPTIONS``: its entry builds the
 flag, converts the config-file value and is echoed into the CSV, and the
 geometry options take their defaults from ``GeometryModel``. Each
 experiment is declared once, in ``EXPERIMENTS``, with its runner and its
-default schemes and trials. All dB inputs are converted to linear scale
-once, at the argument boundary. Runs are reproducible: same seed means
-byte-identical CSV, for any MWRELAY_THREADS value.
+default schemes, trials and gains (``--beta``). All dB inputs are converted
+to linear scale once, at the argument boundary. Runs are reproducible: same
+seed means byte-identical CSV, for any MWRELAY_THREADS value.
 """
 
 import argparse
@@ -47,7 +47,7 @@ _GEOMETRY_FIELDS = {
     "shadow-db": "shadowing_sigma_db",
     "ref-dist": "reference_distance",
 }
-# Option name -> (type, default, help); a None default is filled per experiment or left unset.
+# Option name -> (type, default, help); None is filled per experiment (trials, beta) or unset.
 OPTIONS = {
     "k": (int, 10, "number of users"),
     "m": (str, "100", "antenna count, single value or START:STOP:STEP"),
@@ -58,7 +58,7 @@ OPTIONS = {
     "seed": (int, 1, "base seed for all substreams"),
     "out": (str, None, "output CSV path"),
     "scheme": (str, None, "scheme to run; both runs every scheme"),
-    "beta": (str, "unit", "unit | file:PATH | geometry"),
+    "beta": (str, None, "unit | file:PATH | geometry"),
     **{name: (float, getattr(GeometryModel(), field), f"--beta geometry: {field}")
        for name, field in _GEOMETRY_FIELDS.items()},
 }
@@ -156,8 +156,9 @@ def _build_parser():
 
 
 def _resolve_options(args):
-    """OPTIONS defaults, then the config file, then the flags; plus the experiment name."""
+    """OPTIONS defaults, the experiment's, the config file, the flags; plus the experiment name."""
     options = {name: default for name, (_, default, _) in OPTIONS.items()}
+    options.update(zip(("trials", "beta"), EXPERIMENTS[args.experiment][3:]))
     if args.config:
         options.update(read_config_file(args.config))
     for name in OPTIONS:
@@ -165,8 +166,6 @@ def _resolve_options(args):
         if value is not None:
             options[name] = value
     options["experiment"] = args.experiment
-    if options["trials"] is None:
-        options["trials"] = EXPERIMENTS[args.experiment][3]
     return options
 
 
@@ -251,12 +250,10 @@ def _run_cdf(options):
     config, *others = _configs(options)
     if others:
         raise InvalidConfigError("cdf takes a single antenna count, not a range")
-    model = _beta_model(options)
-    if model == "file":
-        raise InvalidConfigError("cdf draws random placements; --beta file is not meaningful here")
-    geometry = None if model == "unit" else _geometry(options)
-    results = cdf_experiment(config, geometry, options["profiles"], options["trials"], seed,
-                             schemes=_schemes(options))
+    if _beta_model(options) != "geometry":
+        raise InvalidConfigError("cdf draws random placements; --beta must be geometry")
+    results = cdf_experiment(config, _geometry(options), options["profiles"], options["trials"],
+                             seed, schemes=_schemes(options))
     rows = []
     for scheme, result in results.items():
         cell = (experiment, scheme, config.M, config.K, 0)
@@ -315,16 +312,20 @@ def _run_selftest(options):
     return 1 if failures else 0
 
 
-# Experiment name -> (help, runner, default schemes, default trials). Runners
+# Experiment name -> (help, runner, default schemes, trials and beta). Runners
 # return CSV rows, except selftest's, which returns the exit status.
 EXPERIMENTS = {
     "sweep-m": ("sum SE vs antenna count: Monte Carlo plus closed-form composition",
-                _run_sweep_m, ("proposed",), 10_000),
+                _run_sweep_m, ("proposed",), 10_000, "unit"),
     "compare-schemes": ("proposed vs conventional sum SE",
-                        functools.partial(_run_sweep_m, aggregates_only=True), SCHEMES, 10_000),
-    "cdf": ("sum-SE distribution over random user placements", _run_cdf, ("proposed",), 1000),
-    "bounds-table": ("closed-form rates per user and slot", _run_bounds_table, SCHEMES, 10_000),
-    "selftest": ("run the protocol/linear-algebra invariant suite", _run_selftest, (), 10_000),
+                        functools.partial(_run_sweep_m, aggregates_only=True), SCHEMES, 10_000,
+                        "unit"),
+    "cdf": ("sum-SE distribution over random user placements",
+            _run_cdf, ("proposed",), 1000, "geometry"),
+    "bounds-table": ("closed-form rates per user and slot",
+                     _run_bounds_table, SCHEMES, 10_000, "unit"),
+    "selftest": ("run the protocol/linear-algebra invariant suite",
+                 _run_selftest, (), 10_000, "unit"),
 }
 
 

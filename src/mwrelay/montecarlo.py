@@ -404,26 +404,19 @@ def cdf_experiment(config, geometry, profiles, trials_per_profile, seed, schemes
     """Sum-SE distribution over independently drawn placement profiles, per scheme.
 
     Returns a dict mapping each name in ``schemes`` to its CdfResult. Each
-    profile p draws its gains from the (seed, profile-stream, p) substream
-    (or unit gains when geometry is None), so sample p never
-    depends on how many profiles run or on the thread count. All profiles
-    and schemes are scored against the same channel draws (common random
-    numbers): trial i's small-scale Gram is a function of (seed, M, K, i)
-    alone, so identical profiles score identically, and each sample equals
-    ``sum_se_once`` with that profile's gains and scheme.
+    profile p draws its gains from ``geometry`` on the (seed, profile-stream,
+    p) substream, so sample p never depends on how many profiles run or on
+    the thread count; anything but a GeometryModel is an InvalidConfigError.
+    All profiles and schemes are scored against the same channel draws
+    (common random numbers): trial i's small-scale Gram is a function of
+    (seed, M, K, i) alone, so identical profiles score identically, and each
+    sample equals ``sum_se_once`` with that profile's gains and scheme.
     """
     schemes = _check_schemes(schemes)
     profiles = checked_count(profiles, "profiles")
     trials_per_profile = checked_count(trials_per_profile, "trials")
-    K = config.K
-    if geometry is None:
-        betas = np.ones((profiles, K))
-    else:
-        betas = np.stack([
-            draw_large_scale(geometry, K, substream(seed, STREAM_PROFILE, p))
-            for p in range(profiles)
-        ])
-
+    betas = np.stack([draw_large_scale(geometry, config.K, substream(seed, STREAM_PROFILE, p))
+                      for p in range(profiles)])
     stats = _scan(config, betas, schemes, trials_per_profile, seed, spread=False)
     ul = stats["uplink"][0]
     return {scheme: CdfResult(samples=compose_sum_se(ul, stats[scheme][0], scheme)[1])

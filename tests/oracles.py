@@ -142,3 +142,16 @@ def proposed_dl_bound(beta, p_r, M, K, k, t):
     num = p_r * (M - 1) * (M - 2) * beta[k - 1] ** 2
     den = p_r * (M - 2) * beta[k - 1] * interfering + M * beta.sum()
     return float(np.log2(1.0 + num / den))
+
+
+def zf_asymptotic_cell(beta, p_r, K, k, n):
+    """Mean-Gram rate of user k's n-th zero-forcing unknown, one cell of ``bound_report``.
+
+    log2(1 + p_r * beta_k * the sic_slots partner gains at offsets n .. n +
+    sic_slots - 1, summed left to right, over sum(beta)).
+    """
+    beta = checked_gains(beta, K)
+    checked_user_index(k, K)
+    idx = SlotIndexer(K)
+    partners = sum(beta[idx.order[k - 1, n:n + idx.sic_slots]])
+    return float(np.log2(1.0 + p_r * beta[k - 1] * partners / beta.sum()))

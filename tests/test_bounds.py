@@ -17,7 +17,7 @@ from mwrelay import (
 from mwrelay.channel import STREAM_CHANNEL, draw_small_scale, substream
 from mwrelay.exceptions import InvalidConfigError
 from mwrelay.schedule import SlotIndexer
-from oracles import conventional_dl_bound, proposed_dl_bound, uplink_bound
+from oracles import conventional_dl_bound, proposed_dl_bound, uplink_bound, zf_asymptotic_cell
 
 
 def test_uplink_bound_values():
@@ -87,6 +87,19 @@ def test_zf_asymptote_values():
     for bad in ({"n": 1.0}, {"n": True}, {"p_r": -10.0}, {"p_r": math.nan}):
         with pytest.raises(InvalidConfigError):
             zf_asymptotic_rate(**{"beta": np.ones(10), "p_r": 10.0, "K": 10, "k": 1, "n": 1, **bad})
+    # A bool power ran as p_r = 1, a string raised a bare TypeError and an
+    # array a bare truth-value ValueError.
+    for bad in (True, "1", np.array([1.0, 2.0])):
+        with pytest.raises(InvalidConfigError, match="p_r must be a real number"):
+            zf_asymptotic_rate(np.ones(10), bad, 10, 1, 1)
+    # Every cell is the per-cell oracle's, bit for bit.
+    rng = np.random.default_rng(3)
+    for K in (3, 4, 7, 10):
+        beta = 10.0 ** rng.uniform(-4, 4, K)
+        for k in range(1, K + 1):
+            for n in range(1, SlotIndexer(K).n_unknowns + 1):
+                assert (zf_asymptotic_rate(beta, 10.0, K, k, n)
+                        == zf_asymptotic_cell(beta, 10.0, K, k, n))
 
 
 def test_inverse_norm_moments_closed_forms():
@@ -106,6 +119,11 @@ def test_inverse_norm_moments_closed_forms():
     for M, beta_k in [(3.5, 1.0), (10, math.inf), (math.inf, 1.0), (math.nan, 1.0)]:
         with pytest.raises(InvalidConfigError):
             inverse_norm_moments(M, beta_k)
+    # A bool gain ran as beta_k = 1, a string raised a bare TypeError and an
+    # array a bare truth-value ValueError.
+    for bad in (True, "1", np.array([1.0, 2.0])):
+        with pytest.raises(InvalidConfigError, match="beta_k must be a real number"):
+            inverse_norm_moments(10, bad)
 
 
 def test_inverse_norm_moments_monte_carlo():
@@ -233,7 +251,7 @@ def test_bounds_reject_bad_gains(bound, bad):
 
 
 def per_cell_report(config, beta):
-    """Every closed form evaluated cell by cell through the public scalar functions."""
+    """Every closed form evaluated cell by cell through the scalar oracles."""
     M, K = config.M, config.K
     idx = SlotIndexer(K)
     users = range(1, K + 1)
@@ -242,7 +260,7 @@ def per_cell_report(config, beta):
         [[conventional_dl_bound(beta, config.p_r, M, K, k, t) for t in range(1, K)] for k in users],
         [[proposed_dl_bound(beta, config.p_r, M, K, k, t) for t in range(1, idx.sic_slots + 1)]
          for k in users],
-        [[zf_asymptotic_rate(beta, config.p_r, K, k, n) for n in range(1, idx.n_unknowns + 1)]
+        [[zf_asymptotic_cell(beta, config.p_r, K, k, n) for n in range(1, idx.n_unknowns + 1)]
          for k in users],
     )
 

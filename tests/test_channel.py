@@ -176,6 +176,19 @@ def test_geometry_validation():
         GeometryModel(shadowing_sigma_db=-1.0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("shadowing_sigma_db", math.nan), ("shadowing_sigma_db", math.inf),
+    ("shadowing_sigma_db", True), ("cell_radius", math.inf), ("exclusion_radius", math.nan),
+    ("path_loss_exponent", math.inf), ("reference_distance", math.inf),
+    ("reference_distance", True), ("cell_radius", "1000"),
+])
+def test_geometry_rejects_non_finite_and_bool_fields(field, bad):
+    # NaN or infinite fields used to construct and fail later as "all
+    # large-scale gains must be positive and finite"; True ran as 1.
+    with pytest.raises(InvalidConfigError, match=f"^{field} must be "):
+        GeometryModel(**{field: bad})
+
+
 def test_system_config_validation():
     SystemConfig(M=1, K=2, p_u=0.5, p_r=1.0)
     with pytest.raises(InvalidConfigError):

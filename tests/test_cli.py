@@ -1,5 +1,8 @@
 """CLI contract: flags, config files, CSV schema, reproducibility."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -376,11 +379,13 @@ def test_both_schemes_share_one_draw_per_trial(tmp_path, monkeypatch, argv, ms):
         assert [r for r in rows if r[1] == scheme] == _data_rows(alone)
 
 
-# A value off the default for every option; cdf with geometry gains reads them all.
-_CDF_BASE = {"k": "4", "m": "16", "profiles": "3", "trials": "20", "beta": "geometry"}
+# A value off the default for every option; cdf, whose gains are drawn from the
+# geometry, reads them all but beta, which it takes as geometry only, so the
+# beta case runs sweep-m, whose default is unit.
+_CDF_BASE = {"k": "4", "m": "16", "profiles": "3", "trials": "20"}
 _OFF_DEFAULT = {
     "k": "3", "m": "12", "pu-db": "1.5", "pr-db": "7.25", "trials": "30", "profiles": "4",
-    "seed": "9", "out": None, "scheme": "both", "beta": "unit", "cell-radius": "900",
+    "seed": "9", "out": None, "scheme": "both", "beta": "geometry", "cell-radius": "900",
     "exclusion-radius": "50", "ploss-exp": "3.5", "shadow-db": "6", "ref-dist": "80",
 }
 
@@ -390,10 +395,11 @@ def test_option_same_through_config_and_flag(tmp_path, monkeypatch, key):
     monkeypatch.setenv("MWRELAY_THREADS", "2")
     flag_out, config_out = tmp_path / "flag.csv", tmp_path / "config.csv"
     settings = {**_CDF_BASE, key: _OFF_DEFAULT[key]}
+    experiment = "sweep-m" if key == "beta" else "cdf"
 
     def argv(options):
-        return ["cdf"] + [f"--{name}={value}" for name, value in options.items()
-                          if value is not None]
+        return [experiment] + [f"--{name}={value}" for name, value in options.items()
+                               if value is not None]
 
     assert parse_and_dispatch(argv(settings) + [f"--out={flag_out}"]) == 0
     cfg = tmp_path / "run.cfg"
@@ -480,3 +486,53 @@ def test_cdf_rejects_unknown_beta_model(tmp_path, capsys, source):
     assert ("mwrelay: error: --beta must be unit, file:PATH, or geometry, got 'bogus'"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("beta", ["unit", "file:gains.txt"])
+def test_cdf_takes_geometry_gains_only(tmp_path, capsys, source, beta):
+    # Unit gains used to score every profile alike, so the default run wrote
+    # one sum SE 2000 times; a file holds one profile, not a placement study.
+    out, cfg = tmp_path / "cdf.csv", tmp_path / "b.cfg"
+    argv = ["cdf", "--k", "4", "--m", "8", "--profiles", "2", "--trials", "5", "--out", str(out)]
+    if source == "flag":
+        argv += ["--beta", beta]
+    else:
+        cfg.write_text(f"beta = {beta}\n")
+        argv += ["--config", str(cfg)]
+    assert parse_and_dispatch(argv) == 1
+    assert capsys.readouterr().err == (
+        "mwrelay: error: cdf draws random placements; --beta must be geometry\n")
+    assert not out.exists()
+
+
+def test_cdf_defaults_to_geometry_gains(tmp_path):
+    out = tmp_path / "cdf.csv"
+    common = ["cdf", "--k", "4", "--m", "8", "--profiles", "6", "--trials", "5"]
+    assert parse_and_dispatch(common + ["--out", str(out)]) == 0
+    explicit = tmp_path / "explicit.csv"
+    assert parse_and_dispatch(common + ["--beta", "geometry", "--out", str(explicit)]) == 0
+    assert out.read_bytes() == explicit.read_bytes()
+    assert "# beta = geometry\n" in out.read_text()
+    samples = [float(r[7]) for r in _data_rows(out) if r[6] == "cdf_sample"]
+    assert len(samples) == 6 and len(set(samples)) == 6
+
+
+def _readme_commands():
+    """Each ``mwrelay ...`` line of README's Command line block as argv, continued lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mwrelay ")]
+
+
+def test_readme_commands_parse_and_resolve():
+    # The documented commands go through the same parser and option
+    # resolution as a run, so they cannot drift from it.
+    parser = cli._build_parser()
+    beta = {}
+    for argv in _readme_commands():
+        options = cli._resolve_options(parser.parse_args(argv))
+        beta[options["experiment"]] = options["beta"]
+    assert beta == {"sweep-m": "unit", "compare-schemes": "unit", "cdf": "geometry",
+                    "bounds-table": "unit", "selftest": "unit"}

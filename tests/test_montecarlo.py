@@ -197,8 +197,8 @@ def test_trial_gram_independent_of_trial_count_workers_and_estimator(monkeypatch
         assert len(grams) == trials
         assert np.array_equal(grams[:100], reference)
     assert np.array_equal(link(1000, 1), link(1000, 8))
-    placement = scored_grams(monkeypatch, lambda: cdf_experiment(CONFIG, None, 2, 1000, seed=7),
-                             1000)
+    placement = scored_grams(
+        monkeypatch, lambda: cdf_experiment(CONFIG, GeometryModel(), 2, 1000, seed=7), 1000)
     assert np.array_equal(placement, link(1000, 8))
 
 
@@ -275,7 +275,8 @@ def test_schemes_must_be_distinct():
     with pytest.raises(ValueError, match="distinct"):
         estimate_link_se(CONFIG, BETA, ("proposed",) * 3, 20, seed=1)
     with pytest.raises(ValueError, match="distinct"):
-        cdf_experiment(CONFIG, None, 2, 20, seed=1, schemes=("conventional", "conventional"))
+        cdf_experiment(CONFIG, GeometryModel(), 2, 20, seed=1,
+                       schemes=("conventional", "conventional"))
     for bad in ((), "proposed", ("proposed", "hybrid")):
         with pytest.raises(ValueError):
             estimate_link_se(CONFIG, BETA, bad, 20, seed=1)
@@ -313,21 +314,24 @@ def test_sum_se_entry_points_compose_alike(K):
             call()
 
 
-def test_cdf_unit_profiles_degenerate():
-    result = cdf_experiment(CONFIG, None, 7, 60, seed=5)["proposed"]
-    assert np.ptp(result.samples) == 0.0
-    assert result.likely_95 == result.samples[0]
+def test_cdf_rejects_anything_but_a_geometry_model():
+    # None used to score every profile with unit gains on the same Grams, so
+    # each of its samples repeated one sum SE; profiles now always come from
+    # a GeometryModel.
+    for geometry in (None, "geometry", np.ones(CONFIG.K)):
+        with pytest.raises(InvalidConfigError, match="geometry must be a GeometryModel"):
+            cdf_experiment(CONFIG, geometry, 7, 60, seed=5)
 
 
 def test_cdf_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        cdf_experiment(CONFIG, None, 3, 0, seed=1)
+        cdf_experiment(CONFIG, GeometryModel(), 3, 0, seed=1)
 
 
 _COUNT_RUNS = [
     lambda n: estimate_link_se(CONFIG, np.ones(5), ("proposed",), n, seed=1)["proposed"].downlink,
-    lambda n: cdf_experiment(CONFIG, None, n, 20, seed=1)["proposed"].samples,
-    lambda n: cdf_experiment(CONFIG, None, 2, n, seed=1)["proposed"].samples,
+    lambda n: cdf_experiment(CONFIG, GeometryModel(), n, 20, seed=1)["proposed"].samples,
+    lambda n: cdf_experiment(CONFIG, GeometryModel(), 2, n, seed=1)["proposed"].samples,
 ]
 _COUNT_IDS = ["link-trials", "cdf-profiles", "cdf-trials"]
 
@@ -924,7 +928,7 @@ def test_estimators_reject_bad_scheme_lists(schemes):
     with pytest.raises(ValueError):
         estimate_link_se(CONFIG, BETA, schemes, 5, seed=1)
     with pytest.raises(ValueError):
-        cdf_experiment(CONFIG, None, 2, 5, seed=1, schemes=schemes)
+        cdf_experiment(CONFIG, GeometryModel(), 2, 5, seed=1, schemes=schemes)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mwrelay import (
+    GeometryModel,
     SingularSystemError,
     SlotIndexer,
     SystemConfig,
@@ -368,7 +369,7 @@ def _never_regular(least, largest):
 
 @pytest.mark.parametrize("run", [
     lambda config: estimate_link_se(config, np.ones(5), ("proposed",), 40, seed=1),
-    lambda config: cdf_experiment(config, None, 3, 40, seed=1),
+    lambda config: cdf_experiment(config, GeometryModel(), 3, 40, seed=1),
     lambda config: run_round_noisy(config, np.ones(5), trials=3, seed=1),
     lambda config: run_round_noiseless(config, np.ones(5), seed=1),
     lambda config: build_zf_stage(random_channel(config.M, 5, seed=1), np.arange(1, 6)),
