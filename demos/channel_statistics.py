@@ -7,7 +7,7 @@ large-scale gains produced by the annulus placement model.
 
 import numpy as np
 
-from mwrelay import GeometryModel, compose_channel, draw_large_scale, draw_small_scale
+from mwrelay import GeometryModel, draw_large_scale, draw_small_scale
 from mwrelay.channel import STREAM_CHANNEL, STREAM_PROFILE, substream
 
 rng = substream(2024, STREAM_CHANNEL, 0)
@@ -22,7 +22,7 @@ print(f"  E||column||^2 {np.mean(np.sum(np.abs(H) ** 2, axis=0)):.3f} (target {M
 print()
 
 beta = np.array([0.25, 1.0, 4.0])
-G = compose_channel(H[:, :3], beta)
+G = H[:, :3] * np.sqrt(beta)
 print("composition scales columns by sqrt(beta):")
 print(f"  beta = {beta}")
 print(f"  column energy ratio G/H = {np.sum(np.abs(G)**2, 0) / np.sum(np.abs(H[:, :3])**2, 0)}")

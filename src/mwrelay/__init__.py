@@ -21,7 +21,6 @@ from .channel import (
     GeometryModel,
     SystemConfig,
     checked_gains,
-    compose_channel,
     draw_gram_block,
     draw_gram_factor,
     draw_large_scale,

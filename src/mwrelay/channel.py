@@ -35,7 +35,6 @@ __all__ = [
     "draw_small_scale",
     "draw_gram_factor",
     "draw_gram_block",
-    "compose_channel",
     "draw_large_scale",
     "write_beta_file",
     "read_beta_file",
@@ -224,17 +223,6 @@ def draw_gram_block(M, K, seed, stream, block, n):
     rng = substream(seed, stream, block)
     R = draw_gram_factor(M, K, rng, n)
     return R.conj().transpose(0, 2, 1) @ R, rng
-
-
-def compose_channel(H, beta):
-    """G: column k of H scaled by sqrt(beta_k); exact, no sampling. Gains pass ``checked_gains``."""
-    H = np.asarray(H)
-    beta = checked_gains(beta)
-    if H.ndim != 2 or H.shape[1] != beta.size:
-        raise InvalidConfigError(
-            f"shape mismatch: H is {H.shape}, beta has {beta.size} entries"
-        )
-    return H * np.sqrt(beta)[None, :]
 
 
 def draw_large_scale(geometry, K, rng):

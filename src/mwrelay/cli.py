@@ -6,16 +6,19 @@ random placements), bounds-table (closed forms only), selftest (invariant
 suite). Each option is declared once, in ``OPTIONS``: its entry builds the
 flag, converts the config-file value and is echoed into the CSV, and the
 geometry options take their defaults from ``GeometryModel``. Each
-experiment is declared once, in ``EXPERIMENTS``, with its runner and its
-default schemes, trials and gains (``--beta``). All dB inputs are converted
-to linear scale once, at the argument boundary. Runs are reproducible: same
-seed means byte-identical CSV, for any MWRELAY_THREADS value.
+experiment is declared once, in ``EXPERIMENTS``: its runner, its default
+schemes and the options it reads, which alone it takes as flags and config
+keys and echoes. All dB inputs are converted to linear scale once, at the
+argument boundary. Runs are reproducible: same seed means byte-identical
+CSV, for any MWRELAY_THREADS value.
 """
 
 import argparse
 import csv
 import functools
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +69,16 @@ OPTIONS = {
 _CHOICES = {"scheme": (*SCHEMES, "both")}
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """A subcommand; ``reads`` maps each option it reads to its default, None taking OPTIONS'."""
+
+    help: str
+    runner: Callable
+    schemes: tuple
+    reads: dict
+
+
 def db_to_linear(value_db):
     """10^(dB/10); exact at the common calibration points 0 and 10 dB.
 
@@ -79,19 +92,18 @@ def db_to_linear(value_db):
 
 def parse_m_range(text):
     """Antenna counts from '128' or 'start:stop:step' (stop kept when aligned)."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        values = [int(parts[0])]
-    elif len(parts) == 3:
-        start, stop, step = (int(p) for p in parts)
-        if step <= 0 or start > stop:
-            raise InvalidConfigError(f"bad antenna range {text!r}: need start <= stop, step > 0")
-        values = list(range(start, stop + 1, step))
-    else:
+    try:
+        parts = [int(part) for part in text.split(":")]
+    except ValueError:
+        raise InvalidConfigError(f"bad antenna range {text!r}: counts must be integers") from None
+    if len(parts) not in (1, 3):
         raise InvalidConfigError(f"bad antenna range {text!r}: use START:STOP:STEP or a single value")
-    if not values or values[0] < 1:
+    start, stop, step = parts if len(parts) == 3 else (parts[0], parts[0], 1)
+    if step <= 0 or start > stop:
+        raise InvalidConfigError(f"bad antenna range {text!r}: need start <= stop, step > 0")
+    if start < 1:
         raise InvalidConfigError(f"antenna counts must be >= 1, got {text!r}")
-    return values
+    return list(range(start, stop + 1, step))
 
 
 def read_config_file(path):
@@ -140,39 +152,44 @@ def write_csv(path, rows, params=None):
             )
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built once per process: each subcommand takes --config and what it reads."""
     parser = argparse.ArgumentParser(
         prog="mwrelay",
         description="Multi-way massive MIMO relaying experiments (CSV output).",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file; flags given here override it")
-    for name, (kind, _, text) in OPTIONS.items():
-        common.add_argument(f"--{name}", type=kind, help=text, choices=_CHOICES.get(name))
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, (text, *_) in EXPERIMENTS.items():
-        sub.add_parser(name, parents=[common], help=text)
+    for name, experiment in EXPERIMENTS.items():
+        command = sub.add_parser(name, help=experiment.help)
+        command.add_argument("--config", help="key = value file; flags given here override it")
+        for option in filter(experiment.reads.__contains__, OPTIONS):  # in OPTIONS order
+            command.add_argument(f"--{option}", dest=option, type=OPTIONS[option][0],
+                                 help=OPTIONS[option][2], choices=_CHOICES.get(option))
     return parser
 
 
 def _resolve_options(args):
-    """OPTIONS defaults, the experiment's, the config file, the flags; plus the experiment name."""
-    options = {name: default for name, (_, default, _) in OPTIONS.items()}
-    options.update(zip(("trials", "beta"), EXPERIMENTS[args.experiment][3:]))
-    if args.config:
-        options.update(read_config_file(args.config))
-    for name in OPTIONS:
-        value = getattr(args, name.replace("-", "_"))
-        if value is not None:
-            options[name] = value
-    options["experiment"] = args.experiment
-    return options
+    """The options the experiment reads: its defaults, the config file, the flags; plus its name."""
+    experiment = EXPERIMENTS[args.experiment]
+    given = read_config_file(args.config) if args.config else {}
+    if unread := sorted(given.keys() - experiment.reads.keys()):
+        raise InvalidConfigError(f"{args.config}: {args.experiment} does not read {unread[0]!r}")
+    given.update((name, value) for name, value in vars(args).items()
+                 if name in OPTIONS and value is not None)
+    options = {name: OPTIONS[name][1] if default is None else default
+               for name, default in experiment.reads.items()} | given
+    if options.get("beta") != "geometry":  # the geometry options are read under geometry only
+        if knobs := sorted(given.keys() & _GEOMETRY_FIELDS.keys()):
+            raise InvalidConfigError(f"{knobs[0]} is read only with --beta geometry")
+        options = {name: value for name, value in options.items() if name not in _GEOMETRY_FIELDS}
+    return options | {"experiment": args.experiment}
 
 
 def _schemes(options):
     choice = options["scheme"]
     if choice is None:
-        return EXPERIMENTS[options["experiment"]][2]
+        return EXPERIMENTS[options["experiment"]].schemes
     return SCHEMES if choice == "both" else (choice,)
 
 
@@ -285,7 +302,7 @@ def _run_selftest(options):
         if not ok:
             failures.append(name)
 
-    for K in range(2, 11):
+    for K in range(2, 13):
         idx = SlotIndexer(K)
         users = np.arange(K)
         # Each user holds its own symbol first and every symbol once, so the
@@ -312,20 +329,22 @@ def _run_selftest(options):
     return 1 if failures else 0
 
 
-# Experiment name -> (help, runner, default schemes, trials and beta). Runners
-# return CSV rows, except selftest's, which returns the exit status.
+# What every CSV experiment reads; the geometry options only when beta is geometry.
+_CSV_READS = {**dict.fromkeys(("k", "m", "pu-db", "pr-db", "seed", "out", "scheme",
+                               *_GEOMETRY_FIELDS)), "beta": "unit"}
+# Runners return CSV rows, except selftest's, which returns the exit status.
 EXPERIMENTS = {
-    "sweep-m": ("sum SE vs antenna count: Monte Carlo plus closed-form composition",
-                _run_sweep_m, ("proposed",), 10_000, "unit"),
-    "compare-schemes": ("proposed vs conventional sum SE",
-                        functools.partial(_run_sweep_m, aggregates_only=True), SCHEMES, 10_000,
-                        "unit"),
-    "cdf": ("sum-SE distribution over random user placements",
-            _run_cdf, ("proposed",), 1000, "geometry"),
-    "bounds-table": ("closed-form rates per user and slot",
-                     _run_bounds_table, SCHEMES, 10_000, "unit"),
-    "selftest": ("run the protocol/linear-algebra invariant suite",
-                 _run_selftest, (), 10_000, "unit"),
+    "sweep-m": Experiment("sum SE vs antenna count: Monte Carlo plus closed-form composition",
+                          _run_sweep_m, ("proposed",), _CSV_READS | {"trials": 10_000}),
+    "compare-schemes": Experiment("proposed vs conventional sum SE",
+                                  functools.partial(_run_sweep_m, aggregates_only=True), SCHEMES,
+                                  _CSV_READS | {"trials": 10_000}),
+    "cdf": Experiment("sum-SE distribution over random user placements", _run_cdf, ("proposed",),
+                      _CSV_READS | {"trials": 1000, "profiles": None, "beta": "geometry"}),
+    "bounds-table": Experiment("closed-form rates per user and slot", _run_bounds_table, SCHEMES,
+                               _CSV_READS),
+    "selftest": Experiment("run the protocol/linear-algebra invariant suite", _run_selftest, (),
+                           {"seed": None}),
 }
 
 
@@ -338,7 +357,7 @@ def parse_and_dispatch(argv=None):
         return int(exc.code or 0)
     try:
         options = _resolve_options(args)
-        runner = EXPERIMENTS[args.experiment][1]
+        runner = EXPERIMENTS[args.experiment].runner
         if runner is _run_selftest:
             return runner(options)
         if not options["out"]:

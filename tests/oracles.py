@@ -8,18 +8,31 @@ from ``bound_report``'s code: the SINRs read a channel matrix G through
 ``rates._column_products`` and the broadcast scale, the bounds read the
 gains through ``channel.checked_gains``, and both take the schedule from
 ``SlotIndexer``. User and slot indices are 1-based, and a channel with a
-non-finite entry is rejected.
+non-finite entry is rejected. The dense reference chains build that G
+from a direct draw H with ``compose_channel``.
 """
 
 import numpy as np
 
 from mwrelay.channel import checked_gains
+from mwrelay.exceptions import InvalidConfigError
 from mwrelay.rates import _broadcast_scale, _column_products
 from mwrelay.schedule import SlotIndexer, checked_user_index
 
 
 class DegenerateChannelError(ValueError):
     """A channel realization violates an operation's preconditions (e.g. a zero column)."""
+
+
+def compose_channel(H, beta):
+    """G: column k of H scaled by sqrt(beta_k); exact, no sampling. Gains pass ``checked_gains``."""
+    H = np.asarray(H)
+    beta = checked_gains(beta)
+    if H.ndim != 2 or H.shape[1] != beta.size:
+        raise InvalidConfigError(
+            f"shape mismatch: H is {H.shape}, beta has {beta.size} entries"
+        )
+    return H * np.sqrt(beta)[None, :]
 
 
 def uplink_sinr(G, p_u, k):

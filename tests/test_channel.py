@@ -12,7 +12,6 @@ from mwrelay import (
     SystemConfig,
     bound_report,
     checked_gains,
-    compose_channel,
     draw_large_scale,
     draw_small_scale,
     estimate_link_se,
@@ -23,6 +22,7 @@ from mwrelay import (
     write_beta_file,
 )
 from mwrelay.channel import STREAM_CHANNEL, STREAM_PROFILE, substream
+from oracles import compose_channel
 
 # Frozen once from the implementation at seed 42 (default geometry, K=10).
 GOLDEN_BETA_SEED42 = np.array([

@@ -1,5 +1,7 @@
 """CLI contract: flags, config files, CSV schema, reproducibility."""
 
+import hashlib
+import re
 import shlex
 from pathlib import Path
 
@@ -37,6 +39,21 @@ def test_m_range_parsing():
             parse_m_range(bad)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("text", ["1.5", "a:b:c", "8:16:2.5"])
+def test_m_range_non_integer_names_the_text(tmp_path, capsys, text, source):
+    message = f"bad antenna range {text!r}: counts must be integers"
+    with pytest.raises(InvalidConfigError) as exc:
+        parse_m_range(text)
+    assert str(exc.value) == message
+    out, cfg = tmp_path / "x.csv", tmp_path / "m.cfg"
+    cfg.write_text(f"m = {text}\n")
+    given = ["--m", text] if source == "flag" else ["--config", str(cfg)]
+    assert parse_and_dispatch(["bounds-table", "--k", "3", *given, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"mwrelay: error: {message}\n"
+    assert not out.exists()
+
+
 def test_write_csv_schema(tmp_path):
     path = tmp_path / "out.csv"
     rows = [("sweep-m", "proposed", 100, 10, 1, 0, "se_mc", 1.23456789012345, 0.01, 7)]
@@ -65,7 +82,7 @@ def test_write_csv_rejects_unknown_metric(tmp_path):
 def test_config_file_layering(tmp_path, monkeypatch):
     monkeypatch.setenv("MWRELAY_THREADS", "2")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\nk = 4\ntrials = 60\nseed = 5\nm = 16\n")
+    cfg.write_text("# comment line\nk = 4\npr-db = 7\nseed = 5\nm = 16\n")
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     code = parse_and_dispatch(
@@ -312,9 +329,10 @@ def test_selftest_exits_zero(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "PASS" in captured.out
     assert "FAIL" not in captured.out
-    recovery = [line for line in captured.out.splitlines() if "noiseless recovery" in line]
-    assert [line.split("  ")[:2] for line in recovery] == [
-        ["PASS", f"noiseless recovery K={K}"] for K in range(2, 13)]
+    for check in ("schedule identities", "noiseless recovery"):
+        lines = [line for line in captured.out.splitlines() if check in line]
+        assert [line.split("  ")[:2] for line in lines] == [
+            ["PASS", f"{check} K={K}"] for K in range(2, 13)]
 
 
 def test_trials_default_per_experiment(tmp_path, monkeypatch):
@@ -334,7 +352,7 @@ def test_trials_default_per_experiment(tmp_path, monkeypatch):
     assert parse_and_dispatch(
         ["bounds-table", "--k", "4", "--m", "16", "--out", str(table_out)]
     ) == 0
-    assert "# trials = 10000\n" in table_out.read_text()
+    assert "# trials" not in table_out.read_text()
 
 
 def _data_rows(path):
@@ -381,7 +399,7 @@ def test_both_schemes_share_one_draw_per_trial(tmp_path, monkeypatch, argv, ms):
 
 # A value off the default for every option; cdf, whose gains are drawn from the
 # geometry, reads them all but beta, which it takes as geometry only, so the
-# beta case runs sweep-m, whose default is unit.
+# beta case runs sweep-m, whose default is unit, on the base options it reads.
 _CDF_BASE = {"k": "4", "m": "16", "profiles": "3", "trials": "20"}
 _OFF_DEFAULT = {
     "k": "3", "m": "12", "pu-db": "1.5", "pr-db": "7.25", "trials": "30", "profiles": "4",
@@ -394,8 +412,10 @@ _OFF_DEFAULT = {
 def test_option_same_through_config_and_flag(tmp_path, monkeypatch, key):
     monkeypatch.setenv("MWRELAY_THREADS", "2")
     flag_out, config_out = tmp_path / "flag.csv", tmp_path / "config.csv"
-    settings = {**_CDF_BASE, key: _OFF_DEFAULT[key]}
     experiment = "sweep-m" if key == "beta" else "cdf"
+    base = {name: value for name, value in _CDF_BASE.items()
+            if name in cli.EXPERIMENTS[experiment].reads}
+    settings = {**base, key: _OFF_DEFAULT[key]}
 
     def argv(options):
         return [experiment] + [f"--{name}={value}" for name, value in options.items()
@@ -415,6 +435,99 @@ def test_option_same_through_config_and_flag(tmp_path, monkeypatch, key):
     if key != "out":
         kind = OPTIONS[key][0]
         assert f"# {key} = {kind(settings[key])}\n" in flag_out.read_text()
+
+
+# Small runs of every experiment, on the options it reads.
+_SMALL = {"k": "3", "m": "8", "trials": "8", "profiles": "2"}
+
+
+@pytest.mark.parametrize("experiment, name",
+                         [(experiment, name) for experiment in cli.EXPERIMENTS for name in OPTIONS])
+def test_experiment_takes_only_the_options_it_reads(tmp_path, monkeypatch, capsys,
+                                                    experiment, name):
+    # An option the experiment reads is taken by flag and by config alike and
+    # echoed; any other is a usage error as a flag and rejected as a config
+    # key, before anything runs. The geometry knobs are read under geometry.
+    monkeypatch.setenv("MWRELAY_THREADS", "1")
+    reads = cli.EXPERIMENTS[experiment].reads
+    base = [f"--{key}={value}" for key, value in _SMALL.items() if key in reads and key != name]
+    if name in cli._GEOMETRY_FIELDS and "beta" in reads:
+        base.append("--beta=geometry")
+    flag_out, config_out, cfg = tmp_path / "flag.csv", tmp_path / "config.csv", tmp_path / "run.cfg"
+    value = _OFF_DEFAULT[name]
+    cfg.write_text(f"{name} = {config_out if name == 'out' else value}\n")
+
+    def out(path):
+        return [f"--out={path}"] if "out" in reads else []
+
+    flag = [f"--out={flag_out}"] if name == "out" else [f"--{name}={value}", *out(flag_out)]
+    config = ["--config", str(cfg), *([] if name == "out" else out(config_out))]
+    if name not in reads:
+        assert parse_and_dispatch([experiment, *base, *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert parse_and_dispatch([experiment, *base, *config]) == 1
+        assert capsys.readouterr().err == (
+            f"mwrelay: error: {cfg}: {experiment} does not read {name!r}\n")
+        assert not flag_out.exists() and not config_out.exists()
+        return
+    assert parse_and_dispatch([experiment, *base, *flag]) == 0
+    flag_printed = capsys.readouterr().out
+    assert parse_and_dispatch([experiment, *base, *config]) == 0
+    assert capsys.readouterr().out == flag_printed
+    if "out" in reads:
+        assert flag_out.read_bytes() == config_out.read_bytes()
+        if name != "out":
+            assert f"# {name} = {OPTIONS[name][0](value)}\n" in flag_out.read_text()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("beta", ["unit", "file", "geometry"])
+@pytest.mark.parametrize("experiment", ["sweep-m", "compare-schemes", "bounds-table"])
+def test_geometry_knobs_only_under_beta_geometry(tmp_path, capsys, experiment, beta, source):
+    gains, out, cfg = tmp_path / "gains.txt", tmp_path / "x.csv", tmp_path / "g.cfg"
+    write_beta_file(gains, np.ones(3))
+    beta = f"file:{gains}" if beta == "file" else beta
+    argv = [experiment, "--k=3", "--m=8", f"--beta={beta}", f"--out={out}"]
+    argv += [] if experiment == "bounds-table" else ["--trials=8"]
+    knobs = {name: _OFF_DEFAULT[name] for name in cli._GEOMETRY_FIELDS}
+    if beta == "geometry":
+        cfg.write_text("".join(f"{name} = {value}\n" for name, value in knobs.items()))
+        given = ([f"--{name}={value}" for name, value in knobs.items()] if source == "flag"
+                 else ["--config", str(cfg)])
+        assert parse_and_dispatch(argv + given) == 0
+        assert all(f"# {name} = {float(value)}\n" in out.read_text()
+                   for name, value in knobs.items())
+        return
+    for name, value in knobs.items():
+        cfg.write_text(f"{name} = {value}\n")
+        given = [f"--{name}={value}"] if source == "flag" else ["--config", str(cfg)]
+        assert parse_and_dispatch(argv + given) == 1
+        assert capsys.readouterr().err == (
+            f"mwrelay: error: {name} is read only with --beta geometry\n")
+        assert not out.exists()
+
+
+# md5 of the header and rows (the '#' lines dropped) of small runs, pinned
+# when every run echoed all options: narrowing the echo changes no row.
+@pytest.mark.parametrize("argv, digest", [
+    ("sweep-m --k 3 --m 8:16:8 --trials 40 --seed 5 --scheme both",
+     "4b8e7b21725e49e5aa5c4dcf4dcaa813"),
+    ("compare-schemes --k 4 --m 8:16:8 --trials 40 --seed 5", "60f893249cc0d230db96987c13f984cd"),
+    ("bounds-table --k 4 --m 8:16:8 --seed 5 --beta geometry", "bb61e3713f13c2168ec3455b10b35e0a"),
+], ids=["sweep-m", "compare-schemes", "bounds-table"])
+def test_data_rows_pinned(tmp_path, monkeypatch, argv, digest):
+    monkeypatch.setenv("MWRELAY_THREADS", "2")
+    out = tmp_path / "x.csv"
+    assert parse_and_dispatch(argv.split() + ["--out", str(out)]) == 0
+    data = "".join(line for line in out.read_text().splitlines(keepends=True)
+                   if not line.startswith("#"))
+    assert hashlib.md5(data.encode()).hexdigest() == digest
+
+
+def test_parser_built_once_per_process():
+    # Every benchmark pass parses one command line; building the parser for
+    # it each time would cost more than the parse.
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("flag, field, value", [
@@ -526,6 +639,19 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("mwrelay ")]
 
 
+def _readme_flags():
+    """README's Command line flag table (experiment -> option names) and its geometry knobs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            experiment, flags = line.strip("|").split("|")
+            table[experiment.strip(" `")] = re.findall(r"`--([a-z-]+)`", flags)
+    knobs = section.split("Every experiment that reads `--beta` also takes", 1)[1]
+    return table, re.findall(r"`--([a-z-]+)`", knobs.split(";", 1)[0])
+
+
 def test_readme_commands_parse_and_resolve():
     # The documented commands go through the same parser and option
     # resolution as a run, so they cannot drift from it.
@@ -533,6 +659,15 @@ def test_readme_commands_parse_and_resolve():
     beta = {}
     for argv in _readme_commands():
         options = cli._resolve_options(parser.parse_args(argv))
-        beta[options["experiment"]] = options["beta"]
+        beta[options["experiment"]] = options.get("beta")
     assert beta == {"sweep-m": "unit", "compare-schemes": "unit", "cdf": "geometry",
-                    "bounds-table": "unit", "selftest": "unit"}
+                    "bounds-table": "unit", "selftest": None}
+    # So do the documented flags: the table lists what each experiment reads
+    # but the geometry knobs, which every experiment that reads beta takes.
+    table, knobs = _readme_flags()
+    assert knobs == list(cli._GEOMETRY_FIELDS)
+    assert table == {name: [option for option in OPTIONS
+                            if option in experiment.reads and option not in knobs]
+                     for name, experiment in cli.EXPERIMENTS.items()}
+    for experiment in cli.EXPERIMENTS.values():
+        assert ("beta" in experiment.reads) == (set(knobs) <= experiment.reads.keys())

@@ -21,7 +21,6 @@ from mwrelay import (
 )
 from mwrelay.channel import (
     STREAM_GRAM,
-    compose_channel,
     draw_gram_factor,
     draw_small_scale,
     substream,
@@ -39,6 +38,7 @@ from mwrelay.rates import check_pivots
 from mwrelay.schedule import SCHEMES as SCHEDULE_SCHEMES
 from mwrelay.schedule import SlotIndexer, compose_sum_se
 from oracles import (
+    compose_channel,
     conventional_dl_sinr,
     instantaneous_se,
     proposed_dl_sinr,

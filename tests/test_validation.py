@@ -11,7 +11,6 @@ from mwrelay import (
     SlotIndexer,
     SystemConfig,
     build_zf_stage,
-    compose_channel,
     known_set,
     partner_index,
     qpsk_frame,
@@ -26,6 +25,7 @@ from mwrelay.channel import (_INV_SQRT2, STREAM_CHANNEL, STREAM_ROUND, draw_gram
                              draw_small_scale, substream)
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.validation import QPSK
+from oracles import compose_channel
 
 
 def round_draws(M, K, beta, trials, seed):
