@@ -14,13 +14,14 @@ every diagonal is a window sum of offset products formed once, added highest
 offset first and never formed by subtraction. A numpy-only batched Cholesky
 applies the scalar oracle's pivot rule (``rates.check_pivots``) and raises
 SingularSystemError where it fails. Both estimators reduce trials in one
-scan (``_scan``) whose unit of work is one Gram block: it is drawn once and
-its profiles are scored in even chunks whose slot tables fit _SPAN_BYTES,
-each chunk's block means merged per profile in block order (Chan, Golub &
-LeVeque, 1979), so memory grows with neither the trial count nor the profile
-count. Within a chunk each block of slots is reduced as it is made, so its
-largest arrays are the conventional scheme's K - 2 stored prefix sums and
-the proposed scheme's cancelation rows, reused as its zero-forcing buffer.
+scan (``_scan``) whose unit of work is one Gram block, drawn once; its
+profiles are scored in even chunks whose slot tables fit _SPAN_BYTES, and
+the pool opens only when a chunk's entries reach _POOL_ENTRIES. Each chunk's
+block means are merged per profile in block order (Chan, Golub & LeVeque,
+1979), so memory grows with neither the trial count nor the profile count.
+Within a chunk each block of slots is reduced as it is made, so its largest
+arrays are the conventional scheme's K - 2 stored prefix sums and the
+proposed scheme's cancelation rows, reused as its zero-forcing buffer.
 ``estimate_link_se`` is the P = 1 case and keeps each cell's M2 for its
 standard error; ``cdf_experiment`` is the P > 1 case and keeps means alone,
 which take the same operations in both, and both compose their sum SE
@@ -29,10 +30,10 @@ for its gains exactly. Both score every scheme asked for on the same Grams.
 
 Trials are grouped in fixed blocks of GRAM_BLOCK. Block b's Grams come
 from ``channel.draw_gram_block`` on (seed, STREAM_GRAM, b), drawn whole and
-then sliced, so trial i's Gram depends only on (seed, M, K, i). Workers, or
-the calling thread for chunks under _POOL_ENTRIES, take whole units and
-the merge runs in unit order, so estimates are bit-reproducible for any
-worker count, which MWRELAY_THREADS alone caps (``resolve_workers``).
+then sliced, so trial i's Gram depends only on (seed, M, K, i). Workers take
+whole blocks and the merge runs in block order, so estimates are
+bit-reproducible for any worker count, which MWRELAY_THREADS alone caps
+(``resolve_workers``).
 """
 
 import os
@@ -323,33 +324,25 @@ def estimate_link_se(config, beta, schemes, trials, seed):
 
 def _scan(config, betas, schemes, trials, seed, spread):
     """Per-cell trial (mean, M2) of the (P, K) profiles ``betas``: (P, K) arrays under
-    "uplink", (P, K, K-1) under each scheme, with M2 None unless ``spread``. A unit draws one
-    Gram block and scores its profiles in even chunks that fit _SPAN_BYTES. With fewer blocks
-    than workers the profiles are split into one group per worker, each drawing the block,
-    unless that leaves chunks under _POOL_ENTRIES. Units are reduced by _run_units; a
-    profile's block [lo, hi) joins the lo trials before it.
+    "uplink", (P, K, K-1) under each scheme, with M2 None unless ``spread``. A unit is one
+    Gram block, drawn once; its profiles are scored in even chunks that fit _SPAN_BYTES. The
+    pool opens only when a chunk's entries reach _POOL_ENTRIES. Units are reduced by
+    _run_units; a profile's block [lo, hi) joins the lo trials before it.
     """
     M, K, P = config.M, config.K, len(betas)
     blocks = [(lo, min(lo + GRAM_BLOCK, trials)) for lo in range(0, trials, GRAM_BLOCK)]
-    most = max(1, _SPAN_BYTES // (8 * (K - 1) * K * GRAM_BLOCK))
-
-    def pooled(groups):  # whether the smallest chunk, the first of the first group, is worth the pool
-        a, b = _pieces(*groups[0], most)[0]
-        return (b - a) * K * min(trials, GRAM_BLOCK) >= _POOL_ENTRIES
-
+    chunks = _pieces(0, P, max(1, _SPAN_BYTES // (8 * (K - 1) * K * GRAM_BLOCK)))
     workers = resolve_workers()
-    groups = _pieces(0, P, -(-P // workers)) if len(blocks) < workers else [(0, P)]
-    if not pooled(groups):
-        groups = [(0, P)]
-        workers = workers if pooled(groups) else 1
-    units = [(a, b, lo, hi) for a, b in groups for lo, hi in blocks]
+    a, b = chunks[0]  # the smallest chunk
+    if (b - a) * K * min(trials, GRAM_BLOCK) < _POOL_ENTRIES:
+        workers = 1
 
-    def reduce(unit):
-        a, b, lo, hi = unit
+    def reduce(block):
+        lo, hi = block
         # Shared by the chunks; the block's Grams are freed before any chunk is scored.
         cross = _offset_table(
             draw_gram_block(M, K, seed, STREAM_GRAM, lo // GRAM_BLOCK, GRAM_BLOCK)[0][:hi - lo])
-        for c, d in _pieces(a, b, most):
+        for c, d in chunks:
             terms = _block_terms(config, cross, betas[c:d])
             moments = {"uplink": _moments(terms.uplink, spread)}
             for scheme in schemes:  # each block of slots is reduced as it is made
@@ -359,7 +352,7 @@ def _scan(config, betas, schemes, trials, seed, spread):
 
     shapes = {"uplink": (P, K), **{scheme: (P, K, K - 1) for scheme in schemes}}
     stats = {key: (np.zeros(s), np.zeros(s) if spread else None) for key, s in shapes.items()}
-    for a, b, lo, hi, moments in _run_units(reduce, units, workers):
+    for a, b, lo, hi, moments in _run_units(reduce, blocks, workers):
         for key, (block_mean, block_m2) in moments.items():
             mean, m2 = stats[key]
             delta = block_mean - mean[a:b]

@@ -164,6 +164,8 @@ def test_resolve_workers_reads_the_variable(monkeypatch):
         montecarlo.resolve_workers()
     with pytest.raises(InvalidConfigError, match="MWRELAY_THREADS"):
         estimate_link_se(CONFIG, BETA, ("proposed",), 5, seed=1)
+    with pytest.raises(InvalidConfigError, match="MWRELAY_THREADS"):
+        cdf_experiment(CONFIG, GeometryModel(), 2, 5, seed=1)
 
 
 def scored_grams(monkeypatch, run, trials):
@@ -707,7 +709,7 @@ def pool_cdf(profiles, trials):
 POOL_SHAPES = {  # name -> (run, pool sizes opened at 2 and 8 threads)
     "estimate-k20": (lambda: pool_estimate(20), [2, 2]),
     "cdf-2-profiles-k10": (lambda: pool_cdf(2, 300), [2, 2]),
-    "cdf-40-profiles-one-block-k10": (lambda: pool_cdf(40, 200), [2, 8]),
+    "cdf-40-profiles-one-block-k10": (lambda: pool_cdf(40, 200), []),
     "estimate-k10": (lambda: pool_estimate(10), []),
 }
 
@@ -723,9 +725,8 @@ def test_results_equal_on_and_off_the_pool(shape, monkeypatch):
     for threads in (1, 2, 8):
         monkeypatch.setenv("MWRELAY_THREADS", str(threads))
         results[threads] = run()
-    # Two Gram blocks make two units. One block splits its 40 profiles into one
-    # group per worker; two profiles stay whole, as one-profile chunks would
-    # fall under the pool's floor.
+    # A unit is one Gram block, so 300 trials make two units and 200 trials one,
+    # which runs on the calling thread however many profiles it scores.
     assert opened == pools
     for threads in (2, 8):
         for scheme, result in results[threads].items():
@@ -843,10 +844,10 @@ def test_cdf_over_several_profile_spans_matches_direct_scoring(monkeypatch):
             assert result[scheme].samples[p] == sum_se_once(config, beta, scheme, 300, seed=15).sum_se
 
 
-def test_cdf_draws_each_gram_block_once(monkeypatch):
-    # 70 profiles at K = 10 make four chunks per block; 600 trials make three
-    # blocks, more than the two workers, so no block is drawn twice.
-    monkeypatch.setenv("MWRELAY_THREADS", "2")
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+@pytest.mark.parametrize("profiles, trials", [(70, 80), (70, 600), (1, 300)])
+def test_cdf_draws_each_gram_block_once(profiles, trials, threads, monkeypatch):
+    monkeypatch.setenv("MWRELAY_THREADS", threads)
     real = montecarlo.draw_gram_block
     calls = []
 
@@ -856,9 +857,9 @@ def test_cdf_draws_each_gram_block_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(montecarlo, "draw_gram_block", counted)
-    cdf_experiment(SystemConfig(M=40, K=10, p_u=1.0, p_r=10.0), GeometryModel(), 70, 600, seed=2,
-                   schemes=SCHEMES)
-    assert len(calls) == len(set(calls)) == -(-600 // GRAM_BLOCK)
+    cdf_experiment(SystemConfig(M=40, K=10, p_u=1.0, p_r=10.0), GeometryModel(), profiles, trials,
+                   seed=2, schemes=SCHEMES)
+    assert len(calls) == len(set(calls)) == -(-trials // GRAM_BLOCK)
     assert all(n == GRAM_BLOCK for *_, n in calls)
 
 
