@@ -5,9 +5,12 @@ small-scale Grams H^H H, using g_k^H g_i = sqrt(beta_k beta_i) h_k^H h_i. It
 reads the protocol's one cyclic rule from ``SlotIndexer.order``: user k's
 beam at offset s is order[k, s] and in slot t it newly holds offset K - t.
 Each Gram block is gathered once into a table by offset (``_offset_table``),
-with no profile axis and trials on the last, contiguous axis;
-``_block_terms`` computes a chunk of profiles' uplink SE from it and
-``_slot_rates`` scores one scheme's broadcast slots. The zero-forcing stage
+with no profile axis and trials on the last, contiguous axis.
+``_rate_blocks`` scores a chunk of profiles from it in one pass: the
+lower-offset prefix rows, then the uplink, the cancelation slots, the
+conventional slots and the zero-forcing slots, each reduced as it is made, so
+a chunk's largest array is its prefix rows (K - 1 of them when the
+conventional scheme is asked, sic_slots otherwise). The zero-forcing stage
 (``_zf_noise_gains``) reads the same table: user k's residual entry (r, n)
 is offset sic_slots + n - r, so its residual Gram is Toeplitz in offsets and
 every diagonal is a window sum of offset products formed once, added highest
@@ -19,9 +22,6 @@ profiles are scored in even chunks whose slot tables fit _SPAN_BYTES, and
 the pool opens only when a chunk's entries reach _POOL_ENTRIES. Each chunk's
 block means are merged per profile in block order (Chan, Golub & LeVeque,
 1979), so memory grows with neither the trial count nor the profile count.
-Within a chunk each block of slots is reduced as it is made, so its largest
-arrays are the conventional scheme's K - 2 stored prefix sums and the
-proposed scheme's cancelation rows, reused as its zero-forcing buffer.
 ``estimate_link_se`` is the P = 1 case and keeps each cell's M2 for its
 standard error; ``cdf_experiment`` is the P > 1 case and keeps means alone,
 which take the same operations in both, and both compose their sum SE
@@ -148,29 +148,6 @@ def _pieces(lo, hi, most):
     return list(zip(edges, edges[1:]))
 
 
-@dataclass(frozen=True)
-class _BlockTerms:
-    """Scheme-independent terms of P gain profiles on T shared small-scale Grams.
-
-    ``betas`` is (P, K); trials run along the last, contiguous axis of every
-    per-trial table. The offset tables hold, for user k's beam at offset s,
-    ``cross_re[s]`` and ``cross_im[s]`` (K, T) the parts of h_k^H h_order[k,s],
-    ``cross_power[s]`` (K, T) its squared modulus and ``pair[s]`` (P, K, 1)
-    beta_k beta_order[k,s]. ``norms`` (P, K, T) holds ||g_k||^2, ``scale``
-    (P, 1, 1) the broadcast scale p_r / (M sum(beta)), and ``uplink``
-    (P, K, T) the uplink SE.
-    """
-
-    betas: np.ndarray
-    cross_re: np.ndarray
-    cross_im: np.ndarray
-    cross_power: np.ndarray
-    pair: np.ndarray
-    norms: np.ndarray
-    scale: np.ndarray
-    uplink: np.ndarray
-
-
 def _offset_table(gram_h):
     """(Re, Im) of h_k^H h_order[k,s] from (T, K, K) Grams: contiguous (K offsets, K, T) arrays."""
     K = gram_h.shape[-1]
@@ -178,56 +155,63 @@ def _offset_table(gram_h):
     return np.ascontiguousarray(cross.real), np.ascontiguousarray(cross.imag)
 
 
-def _block_terms(config, cross, betas):
-    """The work every scheme shares on one block, uplink SE included, from its ``_offset_table``."""
+def _rate_blocks(config, cross, betas, schemes, reduce):
+    """Yield (key, reduce(rates)) for each per-trial SE block of the (P, K) profiles ``betas``.
+
+    ``cross`` is an ``_offset_table`` of T Grams. Key "uplink" comes once, with (P, K, T) rates,
+    and each of ``schemes`` with (P, K, slots, T) blocks in slot order. Slot t brings user k its
+    beam at offset K - 1 - t. Lower offsets interfere under both schemes, higher ones (decoded
+    in earlier cancelation slots) only in the conventional one; each range is a running sum,
+    one add per slot, never formed by subtraction. Lower sums grow from the last slot and upper
+    ones from the first, so the lower ones are stored once, as prefix rows over the last slot's
+    zero: K - 1 rows if the conventional scheme is asked, else sic_slots. The uplink's
+    interference is row 0 plus offset K - 1. A block is valid only until the next is made.
+    """
     cross_re, cross_im = cross
-    K = cross_re.shape[0]
-    order = SlotIndexer(K).order
-    pair = (betas[:, :, None] * betas[:, order]).transpose(2, 0, 1)[..., None]
+    K, T = cross_re.shape[0], cross_re.shape[-1]
+    P, idx = len(betas), SlotIndexer(K)
+    pair = (betas[:, :, None] * betas[:, idx.order]).transpose(2, 0, 1)[..., None]
     cross_power = cross_re**2 + cross_im**2
     norms = cross_re[0] * betas[:, :, None]
-    interference = sum(pair[s] * cross_power[s] for s in range(1, K))
-    uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
-    scale = _broadcast_scale(betas, config.p_r, config.M)[:, None, None]
-    return _BlockTerms(betas, cross_re, cross_im, cross_power, pair, norms, scale, uplink)
-
-
-def _slot_rates(terms, scheme):
-    """Yield one scheme's per-trial downlink SE in slot order, as (P, K, slots, T) blocks.
-
-    Slot t brings user k its beam at offset K - 1 - t. Lower offsets interfere under both
-    schemes, higher ones (decoded in earlier cancelation slots) only in the conventional one;
-    each range is a running sum, one add per slot, never formed by subtraction. Lower sums grow
-    from the last slot and upper ones from the first, so the lower ones are stored, as prefix
-    sums over the last slot's zero. The zero-forcing block reuses the proposed scheme's
-    cancelation rows, so each block is valid until the next is asked for.
-    """
-    P, K, T = terms.uplink.shape
-    c, pair, cross_power, idx = terms.scale, terms.pair, terms.cross_power, SlotIndexer(K)
-    slots = K - 1 if scheme == "conventional" else idx.sic_slots
-    rates = np.empty((slots, P, K, T))
-    rates[slots - 1] = 0.0
+    c = _broadcast_scale(betas, config.p_r, config.M)[:, None, None]
+    last = K - 2 if "conventional" in schemes else idx.sic_slots - 1
+    rows = np.empty((last + 1, P, K, T))
+    rows[last] = 0.0
     # Row t is row t + 1 plus offset K - 2 - t; the last row adds every offset below its own.
     for s in range(1, K - 1):
-        t = min(K - 2 - s, slots - 1)
-        np.add(rates[min(t + 1, slots - 1)], pair[s] * cross_power[s], out=rates[t])
-    if scheme == "conventional":
-        above = 0.0
+        t = min(K - 2 - s, last)
+        np.add(rows[min(t + 1, last)], pair[s] * cross_power[s], out=rows[t])
+    p_u = config.p_u
+    yield "uplink", reduce(np.log2(1.0 + p_u * norms**2 / (
+        p_u * (rows[0] + pair[K - 1] * cross_power[K - 1]) + norms)))
+    signal = c * norms**2
+    del norms  # as are the upper sums and the rows once read: each would add to a later peak
+
+    def slot_se(interference, out):
+        np.add(np.multiply(c, interference, out=out), 1.0, out=out)
+        return np.log2(np.add(np.divide(signal, out, out=out), 1.0, out=out), out=out)
+
+    if "proposed" in schemes:  # the cancelation slots, read before any upper sum is added
+        slot = np.empty((P, K, T))
+        for t in range(idx.sic_slots):
+            yield "proposed", reduce(slot_se(rows[t], slot)[:, :, None])
+    if "conventional" in schemes:
+        above = np.zeros((P, K, T))
         for t in range(1, K - 1):
-            above = above + pair[K - t] * cross_power[K - t]
-            rates[t] += above
-    np.add(np.multiply(c, rates, out=rates), 1.0, out=rates)
-    np.log2(np.add(np.divide(c * terms.norms**2, rates, out=rates), 1.0, out=rates), out=rates)
-    yield rates.transpose(1, 2, 0, 3)
-    if scheme == "proposed":
-        zf = rates[:idx.n_unknowns]
+            above += pair[K - t] * cross_power[K - t]
+            rows[t] += above
+        del above
+        yield "conventional", reduce(slot_se(rows, rows).transpose(1, 2, 0, 3))
+    del rows
+    if "proposed" in schemes:
+        zf = np.empty((idx.n_unknowns, P, K, T))
         # Equal trial steps small enough that the factor's (P, K, trials) temporaries stay in cache.
         for lo, hi in _pieces(0, T, max(1, _ZF_BLOCK_ENTRIES // (P * K))):
-            cross = (terms.cross_re[..., lo:hi], terms.cross_im[..., lo:hi])
-            noise_gain = _zf_noise_gains(*cross, terms.betas).transpose(3, 0, 2, 1)
+            noise_gain = _zf_noise_gains(cross_re[..., lo:hi], cross_im[..., lo:hi],
+                                         betas).transpose(3, 0, 2, 1)
             np.add(np.divide(c, noise_gain, out=noise_gain), 1.0, out=noise_gain)
             np.log2(noise_gain, out=zf[..., lo:hi])
-        yield zf.transpose(1, 2, 0, 3)
+        yield "proposed", reduce(zf.transpose(1, 2, 0, 3))
 
 
 def _zf_noise_gains(cross_re, cross_im, betas):
@@ -337,22 +321,25 @@ def _scan(config, betas, schemes, trials, seed, spread):
     if (b - a) * K * min(trials, GRAM_BLOCK) < _POOL_ENTRIES:
         workers = 1
 
-    def reduce(block):
+    def score(block):
         lo, hi = block
         # Shared by the chunks; the block's Grams are freed before any chunk is scored.
         cross = _offset_table(
             draw_gram_block(M, K, seed, STREAM_GRAM, lo // GRAM_BLOCK, GRAM_BLOCK)[0][:hi - lo])
         for c, d in chunks:
-            terms = _block_terms(config, cross, betas[c:d])
-            moments = {"uplink": _moments(terms.uplink, spread)}
-            for scheme in schemes:  # each block of slots is reduced as it is made
-                mean, m2 = zip(*(_moments(rates, spread) for rates in _slot_rates(terms, scheme)))
-                moments[scheme] = np.concatenate(mean, -1), np.concatenate(m2, -1) if spread else None
+            parts = {}
+            for key, reduced in _rate_blocks(config, cross, betas[c:d], schemes,
+                                             lambda rates: _moments(rates, spread)):
+                parts.setdefault(key, []).append(reduced)
+            moments = {}
+            for key, part in parts.items():
+                mean, m2 = zip(*part)
+                moments[key] = np.concatenate(mean, -1), np.concatenate(m2, -1) if spread else None
             yield c, d, lo, hi, moments
 
     shapes = {"uplink": (P, K), **{scheme: (P, K, K - 1) for scheme in schemes}}
     stats = {key: (np.zeros(s), np.zeros(s) if spread else None) for key, s in shapes.items()}
-    for a, b, lo, hi, moments in _run_units(reduce, blocks, workers):
+    for a, b, lo, hi, moments in _run_units(score, blocks, workers):
         for key, (block_mean, block_m2) in moments.items():
             mean, m2 = stats[key]
             delta = block_mean - mean[a:b]

@@ -20,7 +20,7 @@ from mwrelay import montecarlo
 from mwrelay.channel import (_INV_SQRT2, STREAM_GRAM, STREAM_ROUND, draw_gram_block,
                              draw_gram_factor, draw_small_scale, substream)
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
-from mwrelay.montecarlo import _block_terms, _offset_table, _slot_rates
+from mwrelay.montecarlo import _offset_table, _rate_blocks
 from mwrelay.schedule import SlotIndexer
 
 K = 10
@@ -44,19 +44,27 @@ def bartlett_grams(M, K, n, seed):
     return R.conj().transpose(0, 2, 1) @ R
 
 
-def downlink_rates(blocks):
-    """Per-trial downlink SE (T, K, K-1) of one profile, from ``_slot_rates`` blocks."""
-    return np.concatenate([rates[0].copy() for rates in blocks], axis=1).transpose(2, 0, 1)
+def per_trial(blocks):
+    """Per-trial uplink (T, K) and downlink (T, K, K-1) SE of one profile, from its
+    ``_rate_blocks`` blocks, each copied as it was made, listed by key."""
+    return {key: parts[0][0].T if key == "uplink"
+            else np.concatenate([rates[0] for rates in parts], axis=1).transpose(2, 0, 1)
+            for key, parts in blocks.items()}
+
+
+def kernel_blocks(config, gram_h, schemes):
+    """``_rate_blocks`` of unit-gain Grams, each block copied as it is made, listed by key."""
+    blocks = {}
+    ones = np.ones((1, config.K))
+    for key, rates in _rate_blocks(config, _offset_table(gram_h), ones, schemes, np.copy):
+        blocks.setdefault(key, []).append(rates)
+    return blocks
 
 
 def kernel_rates(M, gram_h):
     """Per-trial uplink (T, K) and both schemes' downlink (T, K, K-1) rates of unit-gain Grams."""
-    K = gram_h.shape[-1]
-    config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
-    terms = _block_terms(config, _offset_table(gram_h), np.ones((1, K)))
-    return {"uplink": terms.uplink[0].T,
-            **{scheme: downlink_rates(_slot_rates(terms, scheme))
-               for scheme in ("conventional", "proposed")}}
+    config = SystemConfig(M=M, K=gram_h.shape[-1], p_u=1.0, p_r=10.0)
+    return per_trial(kernel_blocks(config, gram_h, ("conventional", "proposed")))
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,20 +238,17 @@ def test_sampler_rates_match_direct_draw(M, K):
 def test_estimator_rates_match_direct_draw(M, K, monkeypatch):
     # The rates estimate_link_se itself scores, captured at the kernel.
     captured = {"uplink": [], "conventional": [], "proposed": []}
-    real_terms, real_rates = montecarlo._block_terms, montecarlo._slot_rates
+    real = montecarlo._rate_blocks
 
-    def block_terms(*args):
-        terms = real_terms(*args)
-        captured["uplink"].append(terms.uplink[0].T)
-        return terms
+    def rate_blocks(config, cross, betas, schemes, reduce):
+        blocks = {}
+        for key, rates in real(config, cross, betas, schemes, np.copy):
+            blocks.setdefault(key, []).append(rates)
+            yield key, reduce(rates)
+        for key, rates in per_trial(blocks).items():
+            captured[key].append(rates)
 
-    def slot_rates(terms, scheme):
-        blocks = [rates.copy() for rates in real_rates(terms, scheme)]
-        captured[scheme].append(downlink_rates(blocks))
-        yield from blocks
-
-    monkeypatch.setattr(montecarlo, "_block_terms", block_terms)
-    monkeypatch.setattr(montecarlo, "_slot_rates", slot_rates)
+    monkeypatch.setattr(montecarlo, "_rate_blocks", rate_blocks)
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     estimates = estimate_link_se(config, np.ones(K), ("conventional", "proposed"), TRIALS, seed=3)
@@ -266,9 +271,8 @@ def test_edge_sizes_match_direct_draw_verdicts(K, offset):
     M = K + offset
     trials = 300
     config = SystemConfig(M=M, K=K, p_u=1.0, p_r=10.0)
-    direct = _block_terms(config, _offset_table(direct_grams(M, K, trials, seed=4)), np.ones((1, K)))
     try:
-        downlink_rates(_slot_rates(direct, "proposed"))
+        kernel_blocks(config, direct_grams(M, K, trials, seed=4), ("proposed",))
         direct_singular = False
     except SingularSystemError:
         direct_singular = True

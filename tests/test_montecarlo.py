@@ -29,9 +29,8 @@ from mwrelay import montecarlo
 from mwrelay.exceptions import InvalidConfigError, SingularSystemError
 from mwrelay.montecarlo import (
     GRAM_BLOCK,
-    _block_terms,
     _offset_table,
-    _slot_rates,
+    _rate_blocks,
     _zf_noise_gains,
 )
 from mwrelay.rates import check_pivots
@@ -121,14 +120,15 @@ def test_interference_slots_match_oracle_under_wide_spreads(K, extra, log_beta, 
     M, beta, idx = K + extra, 10.0 ** np.array(log_beta[:K]), SlotIndexer(K)
     config = SystemConfig(M=M, K=K, p_u=power, p_r=power)
     H = draw_small_scale(M, K, np.random.default_rng(seed))
-    terms = _block_terms(config, _offset_table((H.conj().T @ H)[None]), beta[None])
-    conv = slot_table(terms, "conventional")[0, ..., 0]
+    cross = _offset_table((H.conj().T @ H)[None])
+    blocks = slot_table(config, cross, beta[None], ("conventional",))
+    uplink, conv = blocks["uplink"][0, :, 0], blocks["conventional"][0, ..., 0]
     with mock.patch.object(montecarlo, "_zf_noise_gains", lambda cross_re, cross_im, betas:
                            np.ones((len(betas), cross_re.shape[-1], K, idx.n_unknowns))):
-        prop = slot_table(terms, "proposed")[0, ..., 0]
+        prop = slot_table(config, cross, beta[None], ("proposed",))["proposed"][0, ..., 0]
     G = H * np.sqrt(beta)
     for k in range(1, K + 1):
-        assert terms.uplink[0, k - 1, 0] == pytest.approx(
+        assert uplink[k - 1] == pytest.approx(
             instantaneous_se(uplink_sinr(G, power, k)), rel=1e-10)
         for t in range(1, K):
             assert conv[k - 1, t - 1] == pytest.approx(
@@ -484,53 +484,79 @@ def gather_zf_noise_gains(gram_h, betas):
     return gains.transpose(1, 3, 2, 0)
 
 
-def table_downlink_rates(terms, scheme):
-    """The downlink kernel in its table form, the oracle for ``_slot_rates``: per-trial SE
-    (P, K, K-1, T) of one scheme, every slot's interference a running sum over offsets."""
-    P, K, T = terms.uplink.shape
+def table_rates(config, cross, betas, scheme):
+    """The kernel in its table form, the oracle for ``_rate_blocks``: per-trial uplink SE
+    (P, K, T) and one scheme's downlink SE (P, K, K-1, T) of the (P, K) profiles ``betas`` on
+    the offset table ``cross``, every interference a running sum over offsets."""
+    cross_re, cross_im = cross
+    K, T = cross_re.shape[0], cross_re.shape[-1]
+    P, order = len(betas), SlotIndexer(K).order
+    pair = np.stack([betas * betas[:, order[:, s]] for s in range(K)])[..., None]
+    cross_power = cross_re**2 + cross_im**2
+    norms = betas[:, :, None] * cross_re[0]
+    c = (config.p_r / (config.M * betas.sum(axis=1)))[:, None, None]
+    interference = 0.0
+    for s in range(1, K):
+        interference = interference + pair[s] * cross_power[s]
+    uplink = np.log2(1.0 + config.p_u * norms**2 / (config.p_u * interference + norms))
     slots = K - 1 if scheme == "conventional" else SlotIndexer(K).sic_slots
     dl = np.zeros((K - 1, P, K, T))
     below = above = 0.0
     for s in range(1, K - 1):
-        below = below + terms.pair[s] * terms.cross_power[s]
+        below = below + pair[s] * cross_power[s]
         if K - 1 - s <= slots:
             dl[K - 2 - s] = below
     if scheme == "conventional":
         for t in range(2, K):
-            above = above + terms.pair[K - t + 1] * terms.cross_power[K - t + 1]
+            above = above + pair[K - t + 1] * cross_power[K - t + 1]
             dl[t - 1] += above
-    c = terms.scale
-    signal = c * terms.norms**2
+    signal = c * norms**2
     for t in range(slots):
         dl[t] = np.log2(1.0 + signal / (c * dl[t] + 1.0))
     if scheme == "proposed":
         step = max(1, montecarlo._ZF_BLOCK_ENTRIES // (P * K))
         for lo in range(0, T, step):
-            cross = (terms.cross_re[..., lo:lo + step], terms.cross_im[..., lo:lo + step])
-            noise_gain = _zf_noise_gains(*cross, terms.betas).transpose(3, 0, 2, 1)
+            noise_gain = _zf_noise_gains(cross_re[..., lo:lo + step], cross_im[..., lo:lo + step],
+                                         betas).transpose(3, 0, 2, 1)
             dl[slots:, ..., lo:lo + step] = np.log2(1.0 + c / noise_gain)
-    return dl.transpose(1, 2, 0, 3)
+    return uplink, dl.transpose(1, 2, 0, 3)
 
 
-def slot_table(terms, scheme):
-    """``_slot_rates`` blocks, each copied before the next is made, joined into (P, K, K-1, T)."""
-    return np.concatenate([rates.copy() for rates in _slot_rates(terms, scheme)], axis=2)
+def slot_table(config, cross, betas, schemes):
+    """``_rate_blocks`` with ``np.copy`` as its reduction, so each block is copied before the
+    next is made: the (P, K, T) uplink under "uplink", each scheme's blocks joined into
+    (P, K, K-1, T) under its name."""
+    blocks = {}
+    for key, rates in _rate_blocks(config, cross, betas, schemes, np.copy):
+        blocks.setdefault(key, []).append(rates)
+    return {key: parts[0] if key == "uplink" else np.concatenate(parts, axis=2)
+            for key, parts in blocks.items()}
 
 
-def rates_or_verdict(kernel, terms, scheme):
+def proposed_table(config, gram_h, betas):
+    """The proposed scheme's (P, K, K-1, T) ``slot_table`` of the Grams ``gram_h``."""
+    return slot_table(config, _offset_table(gram_h), betas, ("proposed",))["proposed"]
+
+
+def rates_or_verdict(kernel, *args):
     try:
-        return kernel(terms, scheme)
+        return kernel(*args)
     except SingularSystemError:
         return "singular"
+
+
+# Each scheme alone, and both, the one set whose cancelation slots read the conventional rows.
+SCHEME_SETS = (("conventional",), ("proposed",), ("conventional", "proposed"))
 
 
 @pytest.mark.parametrize("K", range(2, 16))
 def test_slot_rates_equal_table_form(K, monkeypatch):
     # Block by block, the generator takes the table form's IEEE operations in
-    # its order under both schemes: at M from K to 100, gains spread over 0, 2
-    # and 8 decades and p_r = 1e8, with the factor's trial chunks cut small so
-    # that from K = 3 it runs in several. K = 2 has one slot and no
-    # interference, and K = 3 a slot with one interfering term, in either scheme.
+    # its order, the uplink included, under each scheme set: at M from K to
+    # 100, gains spread over 0, 2 and 8 decades and p_r = 1e8, with the
+    # factor's trial chunks cut small so that from K = 3 it runs in several.
+    # K = 2 has one slot and no interference, and K = 3 a slot with one
+    # interfering term, in either scheme.
     monkeypatch.setattr(montecarlo, "_ZF_BLOCK_ENTRIES", 500)
     trials = 64
     for M in (K, K + 1, 3 * K, 100):
@@ -539,12 +565,21 @@ def test_slot_rates_equal_table_form(K, monkeypatch):
             rng = np.random.default_rng([K, M, decades, 1])
             betas = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=(3, K))
             H = draw_small_scale(M, K * trials, rng).reshape(M, trials, K).transpose(1, 0, 2)
-            terms = _block_terms(config, _offset_table(H.conj().transpose(0, 2, 1) @ H), betas)
-            for scheme in SCHEMES:
-                table = rates_or_verdict(table_downlink_rates, terms, scheme)
-                rows = rates_or_verdict(slot_table, terms, scheme)
-                assert isinstance(rows, str) == isinstance(table, str), (M, decades, scheme)
-                assert isinstance(rows, str) or np.array_equal(rows, table), (M, decades, scheme)
+            cross = _offset_table(H.conj().transpose(0, 2, 1) @ H)
+            tables = {scheme: rates_or_verdict(table_rates, config, cross, betas, scheme)
+                      for scheme in SCHEMES}
+            for schemes in SCHEME_SETS:
+                case = (M, decades, schemes)
+                blocks = rates_or_verdict(slot_table, config, cross, betas, schemes)
+                singular = any(isinstance(tables[scheme], str) for scheme in schemes)
+                assert isinstance(blocks, str) == singular, case
+                if singular:
+                    continue
+                assert set(blocks) == {"uplink", *schemes}, case
+                for scheme in schemes:
+                    uplink, downlink = tables[scheme]
+                    assert np.array_equal(blocks["uplink"], uplink), case
+                    assert np.array_equal(blocks[scheme], downlink), case
 
 
 def test_zf_noise_gains_leave_inputs_unchanged():
@@ -579,11 +614,10 @@ def test_offset_zf_kernel_equals_gather_form(K):
             H = draw_small_scale(M, K * trials, rng).reshape(M, trials, K).transpose(1, 0, 2)
             for channels in (H, H[..., :1] + 1e-9 * H):
                 gram_h = channels.conj().transpose(0, 2, 1) @ channels
-                terms = _block_terms(config, _offset_table(gram_h), betas)
-                offset = rates_or_verdict(slot_table, terms, "proposed")
+                offset = rates_or_verdict(proposed_table, config, gram_h, betas)
                 with mock.patch.object(montecarlo, "_zf_noise_gains",
                                        lambda *_: gather_zf_noise_gains(gram_h, betas)):
-                    gather = rates_or_verdict(slot_table, terms, "proposed")
+                    gather = rates_or_verdict(proposed_table, config, gram_h, betas)
                 assert isinstance(offset, str) == isinstance(gather, str), (M, decades)
                 assert isinstance(offset, str) or np.array_equal(offset, gather), (M, decades)
                 verdicts.add(isinstance(offset, str))
@@ -605,13 +639,13 @@ def test_singular_verdict_matches_oracle(K):
     cases = ((equal, True), (equal + 1e-6 * draw_small_scale(16, K, rng), True),
              (draw_small_scale(16, K, rng), False))
     for H, singular in cases:
-        terms = _block_terms(config, _offset_table((H.conj().T @ H)[None]), betas)
+        gram_h = (H.conj().T @ H)[None]
         if singular:
             with pytest.raises(SingularSystemError) as info:
-                slot_table(terms, "proposed")
+                proposed_table(config, gram_h, betas)
             assert info.value.condition > 1e12 or math.isinf(info.value.condition)
         else:
-            assert np.all(np.isfinite(slot_table(terms, "proposed")))
+            assert np.all(np.isfinite(proposed_table(config, gram_h, betas)))
         for beta in betas:
             for k in range(1, K + 1):
                 if singular:
@@ -639,8 +673,7 @@ def test_zf_cells_match_oracle_near_square(K):
             for _ in range(100):
                 beta = 10.0 ** rng.uniform(-4, 4, K)
                 H = draw_small_scale(M, K, rng)
-                terms = _block_terms(config, _offset_table((H.conj().T @ H)[None]), beta[None])
-                kernel = rates_or_verdict(slot_table, terms, "proposed")
+                kernel = rates_or_verdict(proposed_table, config, (H.conj().T @ H)[None], beta[None])
                 G = H * np.sqrt(beta)
                 cells, kappa = [], []
                 try:
@@ -792,20 +825,18 @@ def test_merged_moments_match_two_pass_reduction(trials, monkeypatch):
     # in one two-pass numpy step over all trials.
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     tables = {"uplink": [], **{scheme: [] for scheme in SCHEMES}}
-    real_terms, real_rates = montecarlo._block_terms, montecarlo._slot_rates
+    real = montecarlo._rate_blocks
 
-    def block_terms(config, cross, betas):
-        terms = real_terms(config, cross, betas)
-        tables["uplink"].append(terms.uplink[0].copy())
-        return terms
+    def rate_blocks(config, cross, betas, schemes, reduce):
+        blocks = {}
+        for key, rates in real(config, cross, betas, schemes, np.copy):
+            blocks.setdefault(key, []).append(rates[0])
+            yield key, reduce(rates)
+        tables["uplink"].append(blocks.pop("uplink")[0])
+        for scheme, parts in blocks.items():
+            tables[scheme].append(np.concatenate(parts, axis=1))
 
-    def slot_rates(terms, scheme):
-        blocks = [rates.copy() for rates in real_rates(terms, scheme)]
-        tables[scheme].append(np.concatenate(blocks, axis=2)[0])
-        yield from blocks
-
-    monkeypatch.setattr(montecarlo, "_block_terms", block_terms)
-    monkeypatch.setattr(montecarlo, "_slot_rates", slot_rates)
+    monkeypatch.setattr(montecarlo, "_rate_blocks", rate_blocks)
     estimates = estimate_link_se(CONFIG, BETA, SCHEMES, trials, seed=13)
     samples = {key: np.concatenate(parts, axis=-1) for key, parts in tables.items()}
     assert samples["uplink"].shape == (CONFIG.K, trials)
@@ -877,48 +908,51 @@ def test_only_link_estimates_form_m2(monkeypatch):
     assert spreads and all(spreads)
 
 
-def test_estimate_peak_memory_flat_in_trials(monkeypatch):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_estimate_peak_memory_flat_in_trials(scheme, monkeypatch):
     import tracemalloc
 
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     config = SystemConfig(M=100, K=20, p_u=1.0, p_r=10.0)
-    estimate_link_se(config, np.ones(20), ("conventional",), 10, seed=3)  # warm the caches
+    estimate_link_se(config, np.ones(20), (scheme,), 10, seed=3)  # warm the caches
     peaks = []
     for trials in (5000, 20000):
         tracemalloc.start()
         try:
-            estimate_link_se(config, np.ones(20), ("conventional",), trials, seed=3)
+            estimate_link_se(config, np.ones(20), (scheme,), trials, seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
-def placement_peak(monkeypatch, profiles):
-    """tracemalloc peak of a one-worker K = 10 cdf over one Gram block, proposed scheme."""
+def placement_peak(monkeypatch, profiles, schemes=("proposed",)):
+    """tracemalloc peak of a one-worker K = 10 cdf over one Gram block."""
     import tracemalloc
 
     monkeypatch.setenv("MWRELAY_THREADS", "1")
     config = SystemConfig(M=100, K=10, p_u=1.0, p_r=10.0)
-    cdf_experiment(config, GeometryModel(), 2, 10, seed=3)  # warm the caches
+    cdf_experiment(config, GeometryModel(), 2, 10, seed=3, schemes=schemes)  # warm the caches
     tracemalloc.start()
     try:
-        cdf_experiment(config, GeometryModel(), profiles, GRAM_BLOCK, seed=3)
+        cdf_experiment(config, GeometryModel(), profiles, GRAM_BLOCK, seed=3, schemes=schemes)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_placement_span_peak_memory(monkeypatch):
+@pytest.mark.parametrize("schemes", SCHEME_SETS, ids="+".join)
+def test_placement_span_peak_memory(schemes, monkeypatch):
     # 40 profiles x one Gram block, scored in two chunks of 20. The peak read
-    # 7.3 MB on numpy 2.4; one chunk of 40, whose (K-1, P, K, T) slot table
-    # alone is 7.4 MB, read 11.1 MB.
-    assert placement_peak(monkeypatch, 40) < 10e6
+    # 5.8 MB (conventional), 6.9 MB (proposed) and 7.0 MB (both) on numpy 2.4;
+    # one chunk of 40, whose (K-1, P, K, T) prefix rows alone are 7.4 MB, read
+    # 11.5 MB under both schemes.
+    assert placement_peak(monkeypatch, 40, schemes) < 10e6
 
 
 def test_placement_peak_memory_flat_in_profiles(monkeypatch):
     # Chunks cap the slot tables, so ten times the profiles add only their
-    # (P, K, K-1) means: 7.3 MB against 7.6 MB on numpy 2.4, where one chunk
+    # (P, K, K-1) means: 6.9 MB against 7.2 MB on numpy 2.4, where one chunk
     # per 61 profiles read 11.1 MB against 14.5 MB.
     few, many = placement_peak(monkeypatch, 40), placement_peak(monkeypatch, 400)
     assert abs(many - few) < 0.05 * few
